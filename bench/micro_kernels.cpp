@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "hpcwhisk/mq/broker.hpp"
 #include "hpcwhisk/runtime/container_pool.hpp"
@@ -136,6 +137,55 @@ void BM_event_queue_schedule_pop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_event_queue_schedule_pop);
+
+/// The invoker fleet's timer shape at 2,239 nodes: one 100 ms poll
+/// series and one 2 s heartbeat series per invoker, started at
+/// staggered instants, plus 256 chains of one-shot events at random
+/// delays (the calls, timeouts and Slurm timers that stay on the heap).
+/// Each iteration runs one simulated second through Simulation::run_until;
+/// `ns_per_event` is wall time per executed event.
+void BM_event_queue_periodic(benchmark::State& state) {
+  constexpr int kInvokers = 2239;
+  constexpr int kChains = 256;
+  sim::Simulation simulation;
+  sim::Rng rng{7};
+  std::uint64_t work = 0;
+  std::vector<sim::PeriodicHandle> series;
+  series.reserve(2 * kInvokers);
+  for (int i = 0; i < kInvokers; ++i) {
+    simulation.at(sim::SimTime::micros(rng.uniform_int(0, 2'000'000)), [&] {
+      series.push_back(simulation.every(sim::SimTime::millis(100), [&work] { ++work; }));
+      series.push_back(simulation.every(sim::SimTime::seconds(2), [&work] { ++work; }));
+    });
+  }
+  struct Chain {
+    sim::Simulation* simulation;
+    sim::Rng* rng;
+    std::uint64_t* work;
+    void fire() {
+      ++*work;
+      simulation->after(sim::SimTime::micros(rng->uniform_int(1'000, 500'000)),
+                        [this] { fire(); });
+    }
+  };
+  std::vector<Chain> chains(kChains, Chain{&simulation, &rng, &work});
+  for (Chain& c : chains) {
+    simulation.after(sim::SimTime::micros(rng.uniform_int(1'000, 500'000)),
+                     [&c] { c.fire(); });
+  }
+  simulation.run_until(sim::SimTime::seconds(3));  // every series armed
+  const std::uint64_t start = simulation.executed_events();
+  for (auto _ : state) {
+    simulation.run_until(simulation.now() + sim::SimTime::seconds(1));
+    benchmark::DoNotOptimize(work);
+  }
+  const auto events =
+      static_cast<double>(simulation.executed_events() - start);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["ns_per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_event_queue_periodic);
 
 /// Prometheus-scale scheduler fixture: 2,239 nodes mostly occupied by
 /// long-limit HPC jobs, a deep pending backlog (beyond backfill_depth)

@@ -21,6 +21,8 @@ namespace detail {
 struct PeriodicState {
   Simulation* sim{nullptr};
   SimTime interval;
+  /// The queue's FIFO lane for `interval` (kNoLane past the lane cap).
+  EventQueue::Lane lane{EventQueue::kNoLane};
   EventQueue::Callback cb;
   EventId current;
   bool stopped{false};

@@ -83,9 +83,67 @@ void EventQueue::rebuild_heap() {
   }
 }
 
+// --- Lanes -------------------------------------------------------------------
+
+void EventQueue::LaneRing::push_back(const Entry& e) {
+  if (count == ring.size()) {
+    // Grow by doubling, unrolling the ring so the head lands at 0.
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < count; ++i)
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = e;
+  ++count;
+}
+
+EventQueue::Lane EventQueue::lane_for(SimTime interval) {
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (lanes_[k].interval == interval) return static_cast<Lane>(k);
+  }
+  if (lanes_.size() == kMaxLanes) return kNoLane;
+  lanes_.push_back(LaneRing{.interval = interval, .ring = {}});
+  return static_cast<Lane>(lanes_.size() - 1);
+}
+
+bool EventQueue::append_to_lane(Lane lane, const Entry& e) {
+  if (lane >= lanes_.size()) return false;
+  LaneRing& l = lanes_[lane];
+  // seq only grows, so the lane stays sorted iff `when` does not go
+  // backwards; an out-of-order entry takes the heap instead.
+  if (l.count != 0 && e.when < l.back().when) return false;
+  l.push_back(e);
+  ++lane_entries_;
+  if (l.count == 1 &&
+      (best_lane_ == kNoLane || entry_before(e, lane_head_))) {
+    best_lane_ = lane;
+    lane_head_ = e;
+  }
+  return true;
+}
+
+void EventQueue::rescan_lanes() const {
+  best_lane_ = kNoLane;
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    const LaneRing& l = lanes_[k];
+    if (l.count == 0) continue;
+    if (best_lane_ == kNoLane || entry_before(l.front(), lane_head_)) {
+      best_lane_ = static_cast<Lane>(k);
+      lane_head_ = l.front();
+    }
+  }
+}
+
+void EventQueue::pop_lane_front() const {
+  lanes_[best_lane_].pop_front();
+  --lane_entries_;
+  rescan_lanes();
+}
+
 // --- Scheduling --------------------------------------------------------------
 
-EventId EventQueue::schedule(SimTime when, Callback cb) {
+EventId EventQueue::schedule(SimTime when, Callback cb, Lane lane) {
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -99,8 +157,9 @@ EventId EventQueue::schedule(SimTime when, Callback cb) {
   s.cb = std::move(cb);
   s.seq = seq;
   s.next_free = kNoSlot;
-  push_entry(Entry{when, seq, slot});
   ++live_;
+  const Entry e{when, seq, slot};
+  if (lane == kNoLane || !append_to_lane(lane, e)) push_entry(e);
   return EventId{seq, slot};
 }
 
@@ -162,30 +221,83 @@ void EventQueue::refill_stage() const {
 }
 
 void EventQueue::maybe_compact() {
-  // live_ counts staged entries too, so heap_.size() - live_ is a lower
-  // bound on the heap's tombstones (never an overcount); the guard also
-  // keeps the subtraction from wrapping while the stage holds live work.
-  if (heap_.size() <= live_) return;
-  const std::size_t dead = heap_.size() - live_;
+  // live_ counts staged entries too, so held - live_ is a lower bound on
+  // the tombstones in heap and lanes (never an overcount); the guard
+  // also keeps the subtraction from wrapping while the stage holds live
+  // work.
+  const std::size_t held = heap_.size() + lane_entries_;
+  if (held <= live_) return;
+  const std::size_t dead = held - live_;
   if (dead <= kCompactFloor || dead <= live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
   rebuild_heap();
+  // Lanes compact in place, keeping their order: the write cursor
+  // trails the read cursor around the ring.
+  lane_entries_ = 0;
+  for (LaneRing& l : lanes_) {
+    const std::size_t mask = l.ring.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < l.count; ++i) {
+      const Entry& e = l.ring[(l.head + i) & mask];
+      if (entry_live(e)) l.ring[(l.head + kept++) & mask] = e;
+    }
+    l.count = kept;
+    lane_entries_ += kept;
+  }
+  rescan_lanes();
 }
 
 // --- Popping -----------------------------------------------------------------
 
-SimTime EventQueue::next_time() const {
+// locate() and take() are the run loop's per-event path; defined
+// `inline` ahead of their callers so pop_due() compiles to one body.
+inline EventQueue::Source EventQueue::locate(Entry& e) const {
   drain_stage();
-  drain_cancelled();
-  if (stage_pos_ < stage_.size()) {
-    // Steady state: the stage holds the earliest deadline. Only an
-    // out-of-band schedule (settle_to + at) can slip under it.
-    const Entry& s = stage_[stage_pos_];
-    if (heap_.empty() || !entry_before(heap_.front(), s)) return s.when;
-    return heap_.front().when;
+  if (stage_pos_ == stage_.size()) {
+    refill_stage();
+  } else {
+    drain_cancelled();
   }
-  if (heap_.empty()) return SimTime::max();
-  return heap_.front().when;
+  Source src = Source::kNone;
+  if (stage_pos_ < stage_.size()) {
+    e = stage_[stage_pos_];
+    src = Source::kStage;
+  }
+  // Entries scheduled after staging can only sort before the stage when
+  // the caller rewound past the staged deadline (settle_to + at); inside
+  // the run loop the stage beats the heap.
+  if (!heap_.empty() &&
+      (src == Source::kNone || entry_before(heap_.front(), e))) {
+    e = heap_.front();
+    src = Source::kHeap;
+  }
+  // Every lane is sorted, so the earliest lane head bounds every lane
+  // entry: while it sorts first it wins if live, and is dropped as a
+  // tombstone otherwise. Liveness is only checked for a head that wins.
+  while (best_lane_ != kNoLane &&
+         (src == Source::kNone || entry_before(lane_head_, e))) {
+    if (entry_live(lane_head_)) {
+      e = lane_head_;
+      src = Source::kLane;
+      break;
+    }
+    pop_lane_front();
+  }
+  return src;
+}
+
+inline void EventQueue::take(Source src) {
+  switch (src) {
+    case Source::kStage: ++stage_pos_; break;
+    case Source::kHeap: pop_root(); break;
+    case Source::kLane: pop_lane_front(); break;
+    case Source::kNone: break;
+  }
+}
+
+SimTime EventQueue::next_time() const {
+  Entry e;
+  return locate(e) == Source::kNone ? SimTime::max() : e.when;
 }
 
 void EventQueue::claim(const Entry& e, Popped& out) {
@@ -196,26 +308,11 @@ void EventQueue::claim(const Entry& e, Popped& out) {
 }
 
 bool EventQueue::pop_due(SimTime until, Popped& out) {
-  drain_stage();
-  if (stage_pos_ == stage_.size()) {
-    refill_stage();
-    if (stage_.empty()) return false;
-  }
-  const Entry s = stage_[stage_pos_];
-  // Merge with the heap: entries scheduled after staging can only sort
-  // before the stage when the caller rewound past the staged deadline
-  // (settle_to + at); inside the run loop the stage always wins.
-  drain_cancelled();
-  if (!heap_.empty() && entry_before(heap_.front(), s)) {
-    const Entry h = heap_.front();
-    if (h.when > until) return false;
-    pop_root();
-    claim(h, out);
-    return true;
-  }
-  if (s.when > until) return false;
-  ++stage_pos_;
-  claim(s, out);
+  Entry e;
+  const Source src = locate(e);
+  if (src == Source::kNone || e.when > until) return false;
+  take(src);
+  claim(e, out);
   return true;
 }
 
@@ -227,21 +324,17 @@ EventQueue::Popped EventQueue::pop() {
 }
 
 std::size_t EventQueue::pop_batch(std::size_t max_n, std::vector<Popped>& out) {
+  // The first claim fixes the deadline; the rest are claimed while the
+  // earliest live entry still sits at it.
+  SimTime until = SimTime::max();
   std::size_t claimed = 0;
-  SimTime deadline;
   while (claimed < max_n) {
-    drain_stage();
-    if (stage_pos_ == stage_.size()) refill_stage();
-    if (stage_pos_ == stage_.size()) break;
-    const Entry s = stage_[stage_pos_];
-    if (claimed == 0) {
-      deadline = s.when;
-    } else if (s.when != deadline) {
-      break;  // next run starts a new deadline
-    }
-    ++stage_pos_;
     out.emplace_back();
-    claim(s, out.back());
+    if (!pop_due(until, out.back())) {
+      out.pop_back();
+      break;
+    }
+    until = out.back().when;
     ++claimed;
   }
   return claimed;

@@ -45,7 +45,10 @@ void PeriodicHandle::stop() {
 }
 
 void Simulation::arm_periodic(detail::PeriodicState* st) {
-  st->current = after(st->interval, [st] { st->sim->fire_periodic(st); });
+  // now_ never goes backwards, so every series of one interval appends
+  // to that interval's lane in (when, seq) order.
+  st->current = queue_.schedule(
+      now_ + st->interval, [st] { st->sim->fire_periodic(st); }, st->lane);
 }
 
 void Simulation::fire_periodic(detail::PeriodicState* st) {
@@ -84,6 +87,7 @@ PeriodicHandle Simulation::every(SimTime interval, Callback cb) {
   auto st = std::make_shared<detail::PeriodicState>();
   st->sim = this;
   st->interval = interval;
+  st->lane = queue_.lane_for(interval);
   st->cb = std::move(cb);
   periodics_.push_back(st);
   arm_periodic(st.get());

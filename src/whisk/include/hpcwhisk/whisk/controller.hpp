@@ -325,6 +325,10 @@ class Controller {
   obs::Histogram* h_queue_wait_{nullptr};
   obs::Histogram* h_response_{nullptr};
   obs::Histogram* h_pred_error_{nullptr};
+  /// Ids not yet kGone, ascending: the watchdog and healthy_view() scan
+  /// these instead of every invoker ever registered. kGone ids are
+  /// dropped lazily, by the next watchdog sweep.
+  std::vector<InvokerId> live_ids_;
 };
 
 }  // namespace hpcwhisk::whisk

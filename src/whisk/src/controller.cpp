@@ -380,6 +380,7 @@ InvokerId Controller::register_invoker() {
   // decision targets it).
   entry.topic = broker_.resolve(invoker_topic_name(id)).get();
   invokers_.push_back(entry);
+  live_ids_.push_back(id);
   healthy_dirty_ = true;
   return id;
 }
@@ -554,9 +555,9 @@ std::vector<InvokerId> Controller::healthy_invokers() const {
 const std::vector<InvokerId>& Controller::healthy_view() const {
   if (healthy_dirty_) {
     healthy_cache_.clear();
-    for (std::size_t id = 0; id < invokers_.size(); ++id) {
+    for (const InvokerId id : live_ids_) {
       if (invokers_[id].health == InvokerHealth::kHealthy)
-        healthy_cache_.push_back(static_cast<InvokerId>(id));
+        healthy_cache_.push_back(id);
     }
     healthy_dirty_ = false;
   }
@@ -650,9 +651,15 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
 void Controller::watchdog_sweep() {
   const sim::SimTime deadline =
       config_.heartbeat_interval * config_.heartbeat_miss_limit;
-  for (std::size_t i = 0; i < invokers_.size(); ++i) {
-    const InvokerId id = static_cast<InvokerId>(i);
-    InvokerEntry& entry = invokers_[i];
+  // Compacts live_ids_ in place while sweeping it, keeping ascending
+  // order. Indices, not iterators: a rescue may register an invoker and
+  // grow the list mid-sweep; the sweep then visits it too.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < live_ids_.size(); ++i) {
+    const InvokerId id = live_ids_[i];
+    InvokerEntry& entry = invokers_[id];
+    if (entry.health == InvokerHealth::kGone) continue;
+    live_ids_[kept++] = id;
     if (entry.health != InvokerHealth::kHealthy) continue;
     if (sim_.now() - entry.last_heartbeat > deadline) {
       entry.health = InvokerHealth::kUnresponsive;
@@ -674,6 +681,7 @@ void Controller::watchdog_sweep() {
       rescue_in_flight(id, rescued);
     }
   }
+  live_ids_.resize(kept);
 }
 
 }  // namespace hpcwhisk::whisk

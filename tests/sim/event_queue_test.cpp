@@ -141,29 +141,42 @@ TEST(EventQueue, CancelAllThenScheduleReusesFreeList) {
 TEST(EventQueue, TombstoneBoundHoldsUnderAdversarialCancels) {
   // Worst-case cancellation pressure: keep a rolling window of pending
   // events and always cancel the oldest half, so tombstones are minted
-  // as fast as possible. After every operation the documented bound must
-  // hold: heap entries (incl. tombstones) <= max(live + 64, 2 * live),
-  // +1 slack for the entry being sifted during the triggering insert.
+  // as fast as possible. Every round also starts periodic series on two
+  // lanes and stops the oldest half of them, so lane tombstones pile up
+  // alongside heap ones. After every operation the documented bound must
+  // hold: heap and lane entries (incl. tombstones) <= max(live + 64,
+  // 2 * live), +1 slack for the entry being sifted during the triggering
+  // insert.
   EventQueue q;
   const auto check_bound = [&q] {
     const std::size_t live = q.size();
     const std::size_t bound = std::max(live + 64, 2 * live) + 1;
     EXPECT_LE(q.heap_entries(), bound) << "live=" << live;
   };
+  const EventQueue::Lane polls = q.lane_for(SimTime::millis(100));
+  const EventQueue::Lane beats = q.lane_for(SimTime::seconds(2));
   std::vector<EventId> window;
+  std::vector<EventId> series;
   std::int64_t t = 0;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 40; ++i) {
-      window.push_back(q.schedule(SimTime::micros(t++), [] {}));
+      window.push_back(q.schedule(SimTime::micros(t), [] {}));
+      const EventQueue::Lane lane = i % 2 == 0 ? polls : beats;
+      series.push_back(q.schedule(SimTime::micros(t), [] {}, lane));
+      ++t;
       check_bound();
     }
     const std::size_t half = window.size() / 2;
     for (std::size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(q.cancel(window[i]));
       check_bound();
+      ASSERT_TRUE(q.cancel(series[i]));
+      check_bound();
     }
     window.erase(window.begin(),
                  window.begin() + static_cast<std::ptrdiff_t>(half));
+    series.erase(series.begin(),
+                 series.begin() + static_cast<std::ptrdiff_t>(half));
   }
   // Drain what's left; the live events must all still fire.
   std::size_t fired = 0;
@@ -172,7 +185,7 @@ TEST(EventQueue, TombstoneBoundHoldsUnderAdversarialCancels) {
     ++fired;
     check_bound();
   }
-  EXPECT_EQ(fired, window.size());
+  EXPECT_EQ(fired, window.size() + series.size());
 }
 
 TEST(EventQueue, PopBatchKeepsFifoAcrossCompaction) {
@@ -218,6 +231,133 @@ TEST(EventQueue, PopBatchStopsAtDeadlineBoundary) {
   std::vector<EventQueue::Popped> out;
   // max_n exceeds the run length: only the same-deadline run is claimed.
   EXPECT_EQ(q.pop_batch(100, out), 5u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(2));
+}
+
+TEST(EventQueue, LanesMergeWithHeapInScheduleOrder) {
+  // Lane and heap entries at shared instants: the pop order is (when,
+  // seq) — schedule order within an instant — whichever container holds
+  // each entry.
+  EventQueue q;
+  const EventQueue::Lane a = q.lane_for(SimTime::millis(100));
+  const EventQueue::Lane b = q.lane_for(SimTime::seconds(2));
+  std::vector<int> fired;
+  const auto log = [&fired](int tag) { return [&fired, tag] { fired.push_back(tag); }; };
+  q.schedule(SimTime::seconds(1), log(0), a);
+  q.schedule(SimTime::seconds(1), log(1));
+  q.schedule(SimTime::seconds(1), log(2), b);
+  q.schedule(SimTime::seconds(2), log(5), a);
+  q.schedule(SimTime::micros(500), log(-1));
+  q.schedule(SimTime::seconds(1), log(3), a);  // behind lane a's tail: heap
+  q.schedule(SimTime::seconds(1), log(4));
+  q.schedule(SimTime::seconds(2), log(6), b);
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.heap_entries(), 8u);
+  EXPECT_EQ(q.next_time(), SimTime::micros(500));
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueue, OutOfOrderLaneEntryFallsBackToHeap) {
+  // A lane only takes entries that keep it sorted; an earlier `when`
+  // goes to the heap and still pops first.
+  EventQueue q;
+  const EventQueue::Lane lane = q.lane_for(SimTime::seconds(1));
+  std::vector<int> fired;
+  q.schedule(SimTime::seconds(5), [&fired] { fired.push_back(5); }, lane);
+  q.schedule(SimTime::seconds(3), [&fired] { fired.push_back(3); }, lane);
+  q.schedule(SimTime::seconds(5), [&fired] { fired.push_back(6); }, lane);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(3));
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, (std::vector<int>{3, 5, 6}));
+}
+
+TEST(EventQueue, LaneCapFallsBackToHeap) {
+  EventQueue q;
+  for (std::size_t i = 0; i < EventQueue::kMaxLanes; ++i) {
+    const EventQueue::Lane lane =
+        q.lane_for(SimTime::millis(static_cast<std::int64_t>(i + 1)));
+    EXPECT_EQ(lane, i);
+  }
+  // Known intervals keep their lane; a new one past the cap gets none.
+  EXPECT_EQ(q.lane_for(SimTime::millis(3)), 2u);
+  EXPECT_EQ(q.lane_for(SimTime::seconds(9)), EventQueue::kNoLane);
+  std::vector<int> fired;
+  q.schedule(SimTime::seconds(2), [&fired] { fired.push_back(2); },
+             EventQueue::kNoLane);
+  q.schedule(SimTime::seconds(1), [&fired] { fired.push_back(1); }, 7);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, CancelledLaneHeadIsSkipped) {
+  EventQueue q;
+  const EventQueue::Lane lane = q.lane_for(SimTime::seconds(1));
+  const EventId head = q.schedule(SimTime::seconds(1), [] {}, lane);
+  q.schedule(SimTime::seconds(2), [] {}, lane);
+  q.schedule(SimTime::seconds(3), [] {});
+  ASSERT_TRUE(q.cancel(head));
+  EXPECT_FALSE(q.cancel(head));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(2));
+  EXPECT_EQ(q.pop().when, SimTime::seconds(2));
+  EXPECT_EQ(q.pop().when, SimTime::seconds(3));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heap_entries(), 0u);
+}
+
+TEST(EventQueue, LaneCompactionKeepsFifo) {
+  // 300 series entries on one lane, every other one cancelled, plus heap
+  // filler cancelled to force a compaction sweep over both: the survivors
+  // still pop in schedule order, and the sweep leaves no tombstones.
+  EventQueue q;
+  const EventQueue::Lane lane = q.lane_for(SimTime::millis(100));
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(q.schedule(SimTime::millis(i / 3),
+                             [&fired, i] { fired.push_back(i); }, lane));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 2) ASSERT_TRUE(q.cancel(ids[i]));
+  std::vector<EventId> filler;
+  for (int i = 0; i < 400; ++i)
+    filler.push_back(q.schedule(SimTime::seconds(9), [] {}));
+  for (const EventId id : filler) ASSERT_TRUE(q.cancel(id));
+  ASSERT_LE(q.heap_entries(), 2 * q.size() + 65);
+  // Appends after the sweep still land in order behind the survivors.
+  q.schedule(SimTime::seconds(1), [&fired] { fired.push_back(1000); }, lane);
+  while (!q.empty()) q.pop().cb();
+  std::vector<int> expected;
+  for (int i = 1; i < 300; i += 2) expected.push_back(i);
+  expected.push_back(1000);
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, PopBatchMergesLaneAndHeapAtSharedDeadline) {
+  // One deadline held by heap entries on both sides of a lane entry (and
+  // a staged run in front): pop_batch claims all of them, in schedule
+  // order, and stops before the next deadline.
+  EventQueue q;
+  const EventQueue::Lane lane = q.lane_for(SimTime::millis(100));
+  std::vector<int> fired;
+  const auto log = [&fired](int tag) { return [&fired, tag] { fired.push_back(tag); }; };
+  const EventQueue::Lane other = q.lane_for(SimTime::seconds(2));
+  q.schedule(SimTime::seconds(1), log(0));
+  q.schedule(SimTime::seconds(1), log(1), lane);
+  q.schedule(SimTime::seconds(1), log(2));
+  q.schedule(SimTime::seconds(1), log(3), lane);
+  q.schedule(SimTime::seconds(1), log(4), other);
+  q.schedule(SimTime::seconds(1), log(5));
+  q.schedule(SimTime::seconds(2), log(6), lane);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(1));  // stages the heap run
+  std::vector<EventQueue::Popped> out;
+  EXPECT_EQ(q.pop_batch(100, out), 6u);
+  for (auto& p : out) {
+    EXPECT_EQ(p.when, SimTime::seconds(1));
+    p.cb();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.next_time(), SimTime::seconds(2));
 }

@@ -180,6 +180,36 @@ TEST(Controller, DeregisterRemovesFromRouting) {
   EXPECT_EQ(f.broker.topic(Controller::invoker_topic_name(b)).size(), 1u);
 }
 
+TEST(Controller, WatchdogSkipsGoneInvokersAndKeepsHealthyOrder) {
+  // Six invokers: 1 and 3 leave, 4 goes silent, the rest heartbeat. The
+  // sweep must flag only 4, leave the departed ones kGone, and the
+  // healthy view must stay ascending through later joins and a
+  // readmission.
+  Fixture f;
+  for (int i = 0; i < 6; ++i) f.controller.register_invoker();
+  f.sim.every(SimTime::seconds(2), [&] {
+    for (const InvokerId id : {0u, 2u, 5u}) f.controller.heartbeat(id);
+  });
+  f.controller.deregister(1);
+  f.controller.deregister(3);
+  f.sim.run_until(SimTime::minutes(1));
+  EXPECT_EQ(f.controller.invoker_health(1), InvokerHealth::kGone);
+  EXPECT_EQ(f.controller.invoker_health(3), InvokerHealth::kGone);
+  EXPECT_EQ(f.controller.invoker_health(4), InvokerHealth::kUnresponsive);
+  EXPECT_EQ(f.controller.counters().unresponsive_detected, 1u);
+  EXPECT_EQ(f.controller.healthy_invokers(), (std::vector<InvokerId>{0, 2, 5}));
+
+  const InvokerId late = f.controller.register_invoker();
+  f.controller.heartbeat(4);  // readmitted
+  EXPECT_EQ(f.controller.healthy_invokers(),
+            (std::vector<InvokerId>{0, 2, 4, 5, late}));
+  f.controller.deregister(2);
+  f.sim.run_until(SimTime::minutes(1) + SimTime::seconds(3));
+  EXPECT_EQ(f.controller.invoker_health(2), InvokerHealth::kGone);
+  EXPECT_EQ(f.controller.healthy_invokers(),
+            (std::vector<InvokerId>{0, 4, 5, late}));
+}
+
 TEST(Controller, MembershipChangeRemapsRouting) {
   Fixture f;
   const InvokerId a = f.controller.register_invoker();
