@@ -68,9 +68,9 @@ struct JobSpec {
   /// job manager maps longer pilot lengths to higher priorities.
   std::int64_t priority{0};
 
-  /// Per-node TRES request (TRES mode only). All-zero means "whole
-  /// node": submit() substitutes the configured node capacity, which
-  /// reproduces legacy exclusive allocation for that job.
+  /// Per-node TRES request. All-zero means "whole node": submit()
+  /// substitutes the node capacity, which reproduces exclusive
+  /// allocation for that job. Legacy mode always substitutes it.
   TresVector tres_per_node{};
 
   /// QOS name (fidelity mode). Empty means no QOS: the job's preempt
@@ -102,7 +102,7 @@ struct JobRecord {
 
   /// Preemption ordering tier: QOS tier when the job carries a
   /// registered QOS, else the partition priority tier. Strictly-higher
-  /// tiers may preempt this job (TRES mode); legacy mode keeps its
+  /// tiers may preempt this job (TRES mode); the legacy pass keeps its
   /// binary tier-0-victim rule.
   std::int32_t preempt_tier{0};
   /// Queue priority after QOS bonus and fair-share debit. Equals

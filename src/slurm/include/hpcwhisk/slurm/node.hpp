@@ -32,15 +32,15 @@ enum class ObservedNodeState : std::uint8_t {
 struct Node {
   NodeId id{0};
   NodeState state{NodeState::kIdle};
-  JobId running_job{0};  ///< valid iff state == kAllocated
 
-  // --- TRES mode only (Config::fidelity.tres_mode). In legacy mode the
-  // vectors stay empty/zero and `running_job` is the single owner; in
-  // TRES mode several jobs can co-reside on partial allocations and
-  // `running_job` mirrors the first entry of `running_jobs` (or 0).
+  // One bookkeeping for both scheduling modes. In TRES mode
+  // (Config::fidelity.tres_mode) several jobs can co-reside on partial
+  // allocations. A legacy node is the one-job case: a unit capacity
+  // that every (whole-node) job fills, so `running_jobs` holds at most
+  // one id.
   TresVector capacity{};   ///< total TRES this node offers
   TresVector allocated{};  ///< Σ per-node TRES of running/completing jobs
-  std::vector<JobId> running_jobs{};
+  std::vector<JobId> running_jobs{};  ///< non-empty iff state == kAllocated
 };
 
 }  // namespace hpcwhisk::slurm

@@ -140,7 +140,8 @@ class Slurmctld {
       /// per-node request, and several jobs (prime HPC work + pilots)
       /// can share one node. Switches scheduling to the TRES pass.
       bool tres_mode{false};
-      /// Capacity of every node (required non-zero when tres_mode).
+      /// Capacity of every node (required non-zero when tres_mode;
+      /// legacy mode uses a one-cpu unit capacity instead).
       TresVector node_capacity{};
       /// Usage-decayed fair-share priority (applies in both modes).
       FairShareConfig fair_share{};
@@ -208,9 +209,6 @@ class Slurmctld {
   [[nodiscard]] ObservedNodeState observed_state(NodeId id) const;
   [[nodiscard]] std::vector<ObservedNodeState> observed_states() const;
   [[nodiscard]] std::size_t idle_node_count() const;
-  /// Idle nodes plus nodes running tier-0 pilots: what would be idle if
-  /// HPC-Whisk were absent (the paper's "originally idle" baseline).
-  [[nodiscard]] std::size_t available_node_count() const;
 
   /// All four observed-state counts in one allocation-free pass: the
   /// node-timeline sample of the time-series tier (idle + pilot is the
@@ -226,10 +224,7 @@ class Slurmctld {
 
   // --- Fidelity introspection (all cheap; meaningful in TRES mode) -------
 
-  [[nodiscard]] bool tres_mode() const { return tres_on_; }
-  /// Declared capacity of `id` (zero vector in legacy mode).
-  [[nodiscard]] const TresVector& node_capacity(NodeId id) const;
-  /// Currently unallocated TRES on `id` (zero vector in legacy mode).
+  /// Currently unallocated TRES on `id` (legacy mode: one cpu if idle).
   [[nodiscard]] TresVector node_free(NodeId id) const;
   /// Cluster-wide TRES occupancy split by observed role.
   struct TresTotals {
@@ -347,17 +342,27 @@ class Slurmctld {
     JobId id;
     std::vector<NodeId> nodes;
     sim::SimTime granted_limit;
-    /// Legacy mode: victim *nodes* still to drain (decremented by
-    /// node_freed). TRES mode: victim *jobs* still to end (decremented
-    /// via victim_claims_ in finish_job).
-    std::size_t nodes_missing{0};
+    /// Victim jobs still to end (decremented by victim_ended).
+    std::size_t victims_left{0};
   };
-  void node_freed(NodeId id);
+  /// Parks `rec` on `nodes` and sends `victims` SIGTERM; the claim
+  /// completes in victim_ended once the last of them has ended.
+  void claim(JobRecord& rec, const std::vector<NodeId>& nodes,
+             sim::SimTime granted_limit, const std::vector<JobId>& victims);
+  /// A claimed victim ended: decrement every waiting claimant, launching
+  /// those now complete, or requeueing them if a reservation, drain or
+  /// failure closed in on their nodes meanwhile.
+  void victim_ended(JobId victim);
+  void drop_claim(JobId claimant);
+  /// Requeues the claimant holding `id`, if any (node lost to a failure
+  /// or a reservation window).
+  void requeue_claim_on(NodeId id);
 
-  // --- TRES-mode scheduling pipeline -------------------------------------
-  // A parallel implementation of the pass; the legacy pass body is never
-  // entered when tres_mode is on and vice versa, so the golden decision
-  // logs of legacy configs cannot shift.
+  // --- TRES-mode scheduling pass -----------------------------------------
+  // Node and claim bookkeeping is shared; only the pass policy differs:
+  // EASY shadow, best-fit packing and QOS victims here, versus
+  // multi-reservation backfill, LIFO idle nodes and youngest-pilot
+  // victims in run_sched_pass.
   void run_sched_pass_tres(bool periodic);
   bool try_start_tres(JobRecord& rec,
                       const std::vector<sim::SimTime>& res_next_start,
@@ -375,10 +380,6 @@ class Slurmctld {
   [[nodiscard]] bool reservation_allows(
       const std::vector<sim::SimTime>& res_next_start, NodeId node,
       sim::SimTime limit_plus_grace) const;
-  /// A claimed victim ended: decrement every waiting claimant, launching
-  /// (or, if a reservation closed in, requeueing) those now complete.
-  void victim_ended_tres(JobId victim);
-  void drop_claim_tres(JobId claimant);
   void reservation_window_begin(std::size_t index);
   void reservation_window_end(std::size_t index);
 
@@ -429,7 +430,7 @@ class Slurmctld {
   std::vector<std::pair<sim::SimTime, NodeId>> horizon_scratch_;
   std::vector<QueueEntry> still_pending_scratch_;
   std::vector<NodeId> chosen_scratch_;
-  std::vector<NodeId> victim_scratch_;
+  std::vector<JobId> victim_scratch_;
   std::vector<std::size_t> taken_idle_scratch_;
   std::vector<std::size_t> taken_pilot_scratch_;
   std::vector<std::size_t> pilot_order_scratch_;
@@ -448,13 +449,12 @@ class Slurmctld {
   };
   std::unordered_map<std::string, AccountUsage> usage_;
   std::vector<Reservation> reservations_;
-  /// TRES mode: victim job -> claimant(s) waiting on its TRES. A
-  /// multi-node victim can be claimed by several claimants at once.
+  /// Victim job -> claimant(s) waiting on it. A multi-node victim can be
+  /// claimed by several claimants at once.
   std::unordered_multimap<JobId, JobId> victim_claims_;
   /// Pass scratch: per-node next-reservation-start and node candidates.
   std::vector<sim::SimTime> res_deadline_scratch_;
   std::vector<std::pair<std::uint64_t, NodeId>> tres_cand_scratch_;
-  std::vector<JobId> victim_jobs_scratch_;
 };
 
 }  // namespace hpcwhisk::slurm

@@ -1,10 +1,10 @@
 #pragma once
-// Trackable resources (Slurm "TRES"): the per-node resource vector used
-// by the opt-in fidelity mode (Slurmctld::Config::fidelity.tres_mode).
+// Trackable resources (Slurm "TRES"): the per-node resource vector.
 //
-// In legacy mode a job owns whole nodes and this vector never appears on
-// a scheduling path. In TRES mode every node carries a capacity vector,
-// every job a per-node request, and the scheduler packs jobs onto
+// Every node carries a capacity vector and every job a per-node request.
+// In legacy mode the capacity is one cpu and every job asks for all of
+// it, so a job owns whole nodes. In the opt-in TRES mode
+// (Slurmctld::Config::fidelity.tres_mode) the scheduler packs jobs onto
 // *partial* nodes — so a node can host prime HPC work and an HPC-Whisk
 // pilot simultaneously (fractional-node harvesting), the way Slurm's
 // cons_tres select plugin allocates cpus/memory/gres independently.

@@ -81,12 +81,15 @@ Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
   // Fidelity extensions (ROADMAP item 4); everything below is inert with
   // the default-constructed Fidelity block.
   tres_on_ = config_.fidelity.tres_mode;
-  if (tres_on_) {
-    if (config_.fidelity.node_capacity.is_zero())
-      throw std::invalid_argument(
-          "Slurmctld: tres_mode requires a non-zero node_capacity");
-    for (Node& node : nodes_) node.capacity = config_.fidelity.node_capacity;
+  if (!tres_on_) {
+    // Whole-node scheduling is the one-job case of TRES packing: every
+    // node offers one cpu and every job asks for all of it.
+    config_.fidelity.node_capacity = TresVector{1, 0, 0};
+  } else if (config_.fidelity.node_capacity.is_zero()) {
+    throw std::invalid_argument(
+        "Slurmctld: tres_mode requires a non-zero node_capacity");
   }
+  for (Node& node : nodes_) node.capacity = config_.fidelity.node_capacity;
   for (const Qos& q : config_.fidelity.qos) {
     if (q.name.empty())
       throw std::invalid_argument("Slurmctld: QOS with empty name");
@@ -142,14 +145,12 @@ JobId Slurmctld::submit(JobSpec spec) {
     throw std::invalid_argument("Slurmctld::submit: limit exceeds partition max");
   if (spec.time_min > spec.time_limit)
     throw std::invalid_argument("Slurmctld::submit: time_min > time_limit");
-  if (tres_on_) {
-    // All-zero request means "whole node" (legacy exclusive semantics).
-    if (spec.tres_per_node.is_zero()) {
-      spec.tres_per_node = config_.fidelity.node_capacity;
-    } else if (!spec.tres_per_node.fits_within(config_.fidelity.node_capacity)) {
-      throw std::invalid_argument(
-          "Slurmctld::submit: TRES request exceeds node capacity");
-    }
+  if (!tres_on_ || spec.tres_per_node.is_zero()) {
+    // Whole node: every legacy request, and an all-zero TRES request.
+    spec.tres_per_node = config_.fidelity.node_capacity;
+  } else if (!spec.tres_per_node.fits_within(config_.fidelity.node_capacity)) {
+    throw std::invalid_argument(
+        "Slurmctld::submit: TRES request exceeds node capacity");
   }
   const Qos* qos = find_qos(spec.qos);
   if (!spec.qos.empty() && qos_on_ && qos == nullptr)
@@ -216,40 +217,22 @@ void Slurmctld::set_node_down(NodeId id) {
   Node& node = nodes_.at(id);
   if (node.state == NodeState::kDown) return;
   if (node.state == NodeState::kAllocated) {
-    if (tres_on_) {
-      // Keep claimants off this node while its jobs collapse (a victim
-      // ending here must not complete a claim onto a dying node).
-      draining_[id] = true;
-      std::vector<JobId> doomed = node.running_jobs;
-      ++counters_.node_failures;
-      for (const JobId jid : doomed) {
-        const auto jit = jobs_.find(jid);
-        if (jit != jobs_.end() && jit->second.is_active())
-          finish_job(jit->second, EndReason::kNodeFailed);
-      }
-    } else {
-      JobRecord& rec = jobs_.at(node.running_job);
-      ++counters_.node_failures;
-      finish_job(rec, EndReason::kNodeFailed);
+    // Marked draining, so the last job out takes the node down in
+    // free_nodes (one `down`, no idle stamp), and a claim whose victim
+    // ends here requeues instead of launching onto the node.
+    draining_[id] = true;
+    ++counters_.node_failures;
+    const std::vector<JobId> doomed = node.running_jobs;
+    for (const JobId jid : doomed) {
+      JobRecord& rec = jobs_.at(jid);
+      if (rec.is_active()) finish_job(rec, EndReason::kNodeFailed);
     }
   }
-  // A pending launch claiming this node can no longer be satisfied here;
-  // requeue the claimant.
-  const auto claim = node_claims_.find(id);
-  if (claim != node_claims_.end()) {
-    const JobId claimant = claim->second;
-    drop_claim_tres(claimant);
-    JobRecord& rec = jobs_.at(claimant);
-    rec.state = JobState::kPending;
-    enqueue_pending(rec.priority_tier, rec);
+  requeue_claim_on(id);
+  if (node.state != NodeState::kDown) {
+    node.state = NodeState::kDown;
+    announce(id);
   }
-  node.state = NodeState::kDown;
-  node.running_job = 0;
-  if (tres_on_) {
-    node.allocated = TresVector{};
-    node.running_jobs.clear();
-  }
-  announce(id);
   request_schedule();
 }
 
@@ -265,26 +248,17 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
     set_node_down(id);
     return;
   }
-  if (tres_on_) {
-    ++counters_.node_failures;
-    draining_[id] = true;
-    std::vector<JobId> doomed = node.running_jobs;
-    for (const JobId jid : doomed) {
-      JobRecord& rec = jobs_.at(jid);
-      if (rec.state == JobState::kRunning)
-        begin_grace(rec, EndReason::kNodeFailed, grace);
-    }
-    return;
-  }
-  JobRecord& rec = jobs_.at(node.running_job);
   ++counters_.node_failures;
-  // Like a maintenance drain, the node leaves service once its job is
-  // gone — but here the job is being killed on a truncated clock.
+  // Like a maintenance drain, the node leaves service once its jobs are
+  // gone, but here they are killed on a truncated clock. kCompleting jobs
+  // keep their earlier-or-equal partition deadline.
   draining_[id] = true;
-  if (rec.state == JobState::kRunning)
-    begin_grace(rec, EndReason::kNodeFailed, grace);
-  // kCompleting: a grace window is already running with an earlier-or-
-  // equal partition deadline; the node goes down when the job leaves.
+  const std::vector<JobId> doomed = node.running_jobs;
+  for (const JobId jid : doomed) {
+    JobRecord& rec = jobs_.at(jid);
+    if (rec.state == JobState::kRunning)
+      begin_grace(rec, EndReason::kNodeFailed, grace);
+  }
 }
 
 void Slurmctld::set_node_up(NodeId id) {
@@ -353,19 +327,13 @@ ObservedNodeState Slurmctld::observed_state(NodeId id) const {
       return ObservedNodeState::kDown;
     case NodeState::kIdle:
       return ObservedNodeState::kIdle;
-    case NodeState::kAllocated: {
-      if (tres_on_) {
-        // Prime HPC work dominates the observed role: the paper's sinfo
-        // perspective reports a shared node as busy with HPC.
-        for (const JobId jid : node.running_jobs) {
-          if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
-        }
-        return ObservedNodeState::kPilot;
+    case NodeState::kAllocated:
+      // Prime HPC work dominates the observed role: the paper's sinfo
+      // perspective reports a shared node as busy with HPC.
+      for (const JobId jid : node.running_jobs) {
+        if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
       }
-      const JobRecord& rec = jobs_.at(node.running_job);
-      return rec.priority_tier == 0 ? ObservedNodeState::kPilot
-                                    : ObservedNodeState::kHpc;
-    }
+      return ObservedNodeState::kPilot;
   }
   return ObservedNodeState::kIdle;
 }
@@ -381,23 +349,6 @@ std::size_t Slurmctld::idle_node_count() const {
   std::size_t n = 0;
   for (const Node& node : nodes_)
     if (node.state == NodeState::kIdle) ++n;
-  return n;
-}
-
-std::size_t Slurmctld::available_node_count() const {
-  std::size_t n = 0;
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::kIdle) {
-      ++n;
-    } else if (node.state == NodeState::kAllocated) {
-      if (tres_on_) {
-        if (observed_state(node.id) == ObservedNodeState::kPilot) ++n;
-        continue;
-      }
-      const JobRecord& rec = jobs_.at(node.running_job);
-      if (rec.priority_tier == 0) ++n;
-    }
-  }
   return n;
 }
 
@@ -443,35 +394,22 @@ void Slurmctld::build_availability_into(std::int32_t tier,
     if (node.state == NodeState::kDown) {
       hpc_free = pilot_free = sim::SimTime::max();
     } else if (node.state == NodeState::kAllocated) {
-      if (tres_on_) {
-        // Free when the *last* co-resident job is expected out; the node
-        // is transparent to `tier` only if every job on it is
-        // preemptable by that tier.
-        sim::SimTime expected_max = now;
-        bool all_preemptable = true;
-        for (const JobId jid : node.running_jobs) {
-          const JobRecord& rec = jobs_.at(jid);
-          sim::SimTime expected = rec.expected_end();
-          if (rec.state == JobState::kCompleting)
-            expected = std::min(expected, rec.end_time);
-          expected_max = std::max(expected_max, std::max(expected, now));
-          if (!(rec.preemptible && rec.preempt_tier < tier))
-            all_preemptable = false;
-        }
-        pilot_free = expected_max;
-        hpc_free = all_preemptable ? now : expected_max;
-      } else {
-        const JobRecord& rec = jobs_.at(node.running_job);
+      // Free when the *last* co-resident job is expected out; the node is
+      // transparent to `tier` only if every job on it is preemptable by
+      // that tier.
+      sim::SimTime expected_max = now;
+      bool all_preemptable = true;
+      for (const JobId jid : node.running_jobs) {
+        const JobRecord& rec = jobs_.at(jid);
         sim::SimTime expected = rec.expected_end();
         if (rec.state == JobState::kCompleting)
           expected = std::min(expected, rec.end_time);
-        expected = std::max(expected, now);
-        pilot_free = expected;
-        // Preemptible lower-tier jobs are transparent to higher tiers.
-        const bool preemptable_by_us =
-            rec.preemptible && rec.priority_tier < tier;
-        hpc_free = preemptable_by_us ? now : expected;
+        expected_max = std::max(expected_max, expected);
+        if (!(rec.preemptible && rec.preempt_tier < tier))
+          all_preemptable = false;
       }
+      pilot_free = expected_max;
+      hpc_free = all_preemptable ? now : expected_max;
     }
     // Claimed nodes are spoken for until the claimant's expected end.
     if (any_claims) {
@@ -498,8 +436,8 @@ Slurmctld::Availability Slurmctld::availability_snapshot(
 
 void Slurmctld::run_sched_pass(bool periodic) {
   if (tres_on_) {
-    // TRES mode runs a parallel pass implementation; the legacy body
-    // below is never entered, so legacy decision logs cannot shift.
+    // The two passes are different policies over the same node and claim
+    // bookkeeping; the whole-node one continues below.
     run_sched_pass_tres(periodic);
     return;
   }
@@ -520,7 +458,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
     if (node.state == NodeState::kIdle) {
       cache.idle.push_back(node.id);
     } else if (node.state == NodeState::kAllocated) {
-      const JobRecord& rec = jobs_.at(node.running_job);
+      const JobRecord& rec = jobs_.at(node.running_jobs.front());
       if (rec.preemptible && rec.priority_tier == 0 &&
           rec.state == JobState::kRunning) {
         cache.pilot_held.push_back(node.id);
@@ -656,7 +594,7 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
   pilot_start.clear();
   pilot_start.reserve(cache.pilot_held.size());
   for (const NodeId n : cache.pilot_held)
-    pilot_start.push_back(jobs_.at(nodes_[n].running_job).start_time);
+    pilot_start.push_back(jobs_.at(nodes_[n].running_jobs.front()).start_time);
   std::vector<std::size_t>& pilot_order = pilot_order_scratch_;
   pilot_order.resize(cache.pilot_held.size());
   for (std::size_t i = 0; i < pilot_order.size(); ++i) pilot_order[i] = i;
@@ -664,15 +602,15 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
                    [&pilot_start](std::size_t a, std::size_t b) {
                      return pilot_start[a] > pilot_start[b];
                    });
-  std::vector<NodeId>& victim_nodes = victim_scratch_;
-  victim_nodes.clear();
+  std::vector<JobId>& victims = victim_scratch_;
+  victims.clear();
   std::vector<std::size_t>& taken_pilot_idx = taken_pilot_scratch_;
   taken_pilot_idx.clear();
   for (const std::size_t i : pilot_order) {
     if (chosen.size() == rec.spec.num_nodes) break;
     if (!usable(cache.pilot_held[i])) continue;
     chosen.push_back(cache.pilot_held[i]);
-    victim_nodes.push_back(cache.pilot_held[i]);
+    victims.push_back(nodes_[cache.pilot_held[i]].running_jobs.front());
     taken_pilot_idx.push_back(i);
   }
   std::sort(taken_pilot_idx.begin(), taken_pilot_idx.end());
@@ -698,27 +636,12 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
     }
   }
 
-  if (victim_nodes.empty()) {
+  if (victims.empty()) {
     launch(rec, std::move(chosen), granted);
     return true;
   }
 
-  // Preempt victims and park the job until its nodes drain.
-  PendingLaunch pl;
-  pl.id = rec.id;
-  pl.nodes = chosen;
-  pl.granted_limit = granted;
-  pl.nodes_missing = victim_nodes.size();
-  for (const NodeId n : chosen) node_claims_[n] = rec.id;
-  pending_launches_.push_back(std::move(pl));
-  notify_job(JobEventKind::kClaimed, rec);
-
-  for (const NodeId n : victim_nodes) {
-    JobRecord& victim = jobs_.at(nodes_.at(n).running_job);
-    if (victim.state == JobState::kRunning)
-      begin_grace(victim, EndReason::kPreempted);
-    // kCompleting victims are already draining; the claim waits for them.
-  }
+  claim(rec, chosen, granted, victims);
   return true;
 }
 
@@ -807,19 +730,12 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
   rec.nodes = std::move(nodes);
   for (const NodeId n : rec.nodes) {
     Node& node = nodes_.at(n);
-    if (tres_on_) {
-      const ObservedNodeState prev = observed_state(n);
-      node.allocated += rec.spec.tres_per_node;
-      node.running_jobs.push_back(rec.id);
-      node.state = NodeState::kAllocated;
-      node.running_job = node.running_jobs.front();
-      if (observed_state(n) != prev) announce(n);
-    } else {
-      assert(node.state == NodeState::kIdle);
-      node.state = NodeState::kAllocated;
-      node.running_job = rec.id;
-      announce(n);
-    }
+    assert(rec.spec.tres_per_node.fits_within(node.capacity - node.allocated));
+    const ObservedNodeState prev = observed_state(n);
+    node.allocated += rec.spec.tres_per_node;
+    node.running_jobs.push_back(rec.id);
+    node.state = NodeState::kAllocated;
+    if (observed_state(n) != prev) announce(n);
   }
   ++counters_.started;
   notify_job(JobEventKind::kLaunched, rec);
@@ -955,7 +871,7 @@ void Slurmctld::finish_job(JobRecord& rec, EndReason reason) {
              sim::SimTime::zero(), reason);
   if (was_active) free_nodes(rec);
   if (was_active && config_.fidelity.fair_share.enabled) charge_fair_share(rec);
-  if (tres_on_) victim_ended_tres(rec.id);
+  victim_ended(rec.id);
   if (rec.spec.on_end) rec.spec.on_end(rec, reason);
   if (was_active) request_schedule();
 }
@@ -964,62 +880,25 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
   for (const NodeId n : rec.nodes) {
     Node& node = nodes_.at(n);
     if (node.state == NodeState::kDown) continue;  // failed underneath us
-    if (tres_on_) {
-      auto& rj = node.running_jobs;
-      const auto it = std::find(rj.begin(), rj.end(), rec.id);
-      if (it == rj.end()) continue;
-      const ObservedNodeState prev = observed_state(n);
-      rj.erase(it);
-      node.allocated -= rec.spec.tres_per_node;
-      if (rj.empty()) {
-        node.allocated = TresVector{};
-        node.running_job = 0;
-        if (draining_[n]) {
-          node.state = NodeState::kDown;
-        } else {
-          node.state = NodeState::kIdle;
-          last_freed_[n] = sim_.now();
-        }
+    auto& rj = node.running_jobs;
+    const auto it = std::find(rj.begin(), rj.end(), rec.id);
+    if (it == rj.end()) continue;
+    const ObservedNodeState prev = observed_state(n);
+    rj.erase(it);
+    node.allocated -= rec.spec.tres_per_node;
+    if (rj.empty()) {
+      node.allocated = TresVector{};
+      if (draining_[n]) {
+        // Maintenance or failure hand-over: the node leaves service
+        // instead of going back to the pool.
+        node.state = NodeState::kDown;
       } else {
-        node.running_job = rj.front();
+        node.state = NodeState::kIdle;
+        last_freed_[n] = sim_.now();
       }
-      if (observed_state(n) != prev) announce(n);
-      // Claims complete via victim_ended_tres, not per-node node_freed.
-      continue;
     }
-    if (node.running_job != rec.id) continue;
-    if (draining_[n]) {
-      // Maintenance hand-over: the node leaves service instead of going
-      // back to the pool.
-      node.state = NodeState::kDown;
-      node.running_job = 0;
-      announce(n);
-      continue;
-    }
-    node.state = NodeState::kIdle;
-    node.running_job = 0;
-    last_freed_[n] = sim_.now();
-    announce(n);
-    node_freed(n);
-  }
-}
-
-void Slurmctld::node_freed(NodeId id) {
-  const auto claim = node_claims_.find(id);
-  if (claim == node_claims_.end()) return;
-  const JobId claimant = claim->second;
-  for (auto it = pending_launches_.begin(); it != pending_launches_.end();
-       ++it) {
-    if (it->id != claimant) continue;
-    assert(it->nodes_missing > 0);
-    if (--it->nodes_missing == 0) {
-      PendingLaunch pl = std::move(*it);
-      pending_launches_.erase(it);
-      for (const NodeId n : pl.nodes) node_claims_.erase(n);
-      JobRecord& rec = jobs_.at(pl.id);
-      launch(rec, std::move(pl.nodes), pl.granted_limit);
-    }
-    return;
+    if (observed_state(n) != prev) announce(n);
+    // Claims complete per victim job in victim_ended.
   }
 }
 
@@ -1200,22 +1079,7 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
     return true;
   }
 
-  PendingLaunch pl;
-  pl.id = rec.id;
-  pl.nodes = chosen;
-  pl.granted_limit = granted;
-  pl.nodes_missing = victims.size();  // victim *jobs* in TRES mode
-  for (const NodeId n : chosen) node_claims_[n] = rec.id;
-  for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
-  pending_launches_.push_back(std::move(pl));
-  notify_job(JobEventKind::kClaimed, rec);
-
-  for (const JobId v : victims) {
-    JobRecord& victim = jobs_.at(v);
-    if (victim.state == JobState::kRunning)
-      begin_grace(victim, EndReason::kPreempted);
-    // kCompleting victims are already draining; the claim waits for them.
-  }
+  claim(rec, chosen, granted, victims);
   return true;
 }
 
@@ -1344,32 +1208,52 @@ void Slurmctld::place_pilots_tres(
   }
 }
 
-void Slurmctld::victim_ended_tres(JobId victim) {
-  if (victim_claims_.empty()) return;
-  const auto range = victim_claims_.equal_range(victim);
-  if (range.first == range.second) return;
-  std::vector<JobId> claimants;
-  for (auto it = range.first; it != range.second; ++it)
-    claimants.push_back(it->second);
-  victim_claims_.erase(victim);
+// --- Claims ------------------------------------------------------------------
 
-  for (const JobId claimant : claimants) {
+void Slurmctld::claim(JobRecord& rec, const std::vector<NodeId>& nodes,
+                      sim::SimTime granted_limit,
+                      const std::vector<JobId>& victims) {
+  PendingLaunch pl;
+  pl.id = rec.id;
+  pl.nodes = nodes;
+  pl.granted_limit = granted_limit;
+  pl.victims_left = victims.size();
+  for (const NodeId n : nodes) node_claims_[n] = rec.id;
+  for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
+  pending_launches_.push_back(std::move(pl));
+  notify_job(JobEventKind::kClaimed, rec);
+
+  for (const JobId v : victims) {
+    JobRecord& victim = jobs_.at(v);
+    if (victim.state == JobState::kRunning)
+      begin_grace(victim, EndReason::kPreempted);
+    // kCompleting victims are already draining; the claim waits for them.
+  }
+}
+
+void Slurmctld::victim_ended(JobId victim) {
+  // Looked up afresh per claimant: a launch below can re-enter through
+  // job callbacks and drop other claims.
+  for (auto claim = victim_claims_.find(victim); claim != victim_claims_.end();
+       claim = victim_claims_.find(victim)) {
+    const JobId claimant = claim->second;
+    victim_claims_.erase(claim);
     const auto plit =
         std::find_if(pending_launches_.begin(), pending_launches_.end(),
                      [claimant](const PendingLaunch& p) {
                        return p.id == claimant;
                      });
     if (plit == pending_launches_.end()) continue;
-    assert(plit->nodes_missing > 0);
-    if (--plit->nodes_missing != 0) continue;
+    assert(plit->victims_left > 0);
+    if (--plit->victims_left != 0) continue;
 
     PendingLaunch pl = std::move(*plit);
     pending_launches_.erase(plit);
     for (const NodeId n : pl.nodes) node_claims_.erase(n);
     JobRecord& rec = jobs_.at(pl.id);
 
-    // Re-check the world: a reservation window or node failure may have
-    // closed in while the victims drained.
+    // Re-check the world: a reservation window, drain or node failure may
+    // have closed in while the victims drained.
     build_reservation_deadlines(res_deadline_scratch_);
     const Partition& part = partition_of(rec);
     const sim::SimTime fence = pl.granted_limit + part.grace_time;
@@ -1393,7 +1277,7 @@ void Slurmctld::victim_ended_tres(JobId victim) {
   }
 }
 
-void Slurmctld::drop_claim_tres(JobId claimant) {
+void Slurmctld::drop_claim(JobId claimant) {
   for (auto it = pending_launches_.begin(); it != pending_launches_.end();
        ++it) {
     if (it->id != claimant) continue;
@@ -1404,6 +1288,16 @@ void Slurmctld::drop_claim_tres(JobId claimant) {
   for (auto it = victim_claims_.begin(); it != victim_claims_.end();) {
     it = it->second == claimant ? victim_claims_.erase(it) : std::next(it);
   }
+}
+
+void Slurmctld::requeue_claim_on(NodeId id) {
+  const auto claim = node_claims_.find(id);
+  if (claim == node_claims_.end()) return;
+  const JobId claimant = claim->second;
+  drop_claim(claimant);
+  JobRecord& rec = jobs_.at(claimant);
+  rec.state = JobState::kPending;
+  enqueue_pending(rec.priority_tier, rec);
 }
 
 // --- Reservations -----------------------------------------------------------
@@ -1434,15 +1328,7 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     Node& node = nodes_.at(id);
     if (node.state == NodeState::kDown) continue;
     draining_[id] = true;
-    // A claimant waiting on this node can no longer be satisfied here.
-    const auto claim = node_claims_.find(id);
-    if (claim != node_claims_.end()) {
-      const JobId claimant = claim->second;
-      drop_claim_tres(claimant);
-      JobRecord& crec = jobs_.at(claimant);
-      crec.state = JobState::kPending;
-      enqueue_pending(crec.priority_tier, crec);
-    }
+    requeue_claim_on(id);
     if (node.state == NodeState::kIdle) {
       node.state = NodeState::kDown;
       announce(id);
@@ -1512,9 +1398,10 @@ void Slurmctld::charge_fair_share(const JobRecord& rec) {
   if (elapsed <= sim::SimTime::zero()) return;
   double node_seconds =
       elapsed.to_seconds() * static_cast<double>(rec.spec.num_nodes);
-  if (tres_on_ && config_.fidelity.node_capacity.cpus > 0) {
+  if (config_.fidelity.node_capacity.cpus > 0) {
     // Fractional allocations are charged in proportion to the cpu share
-    // actually held (cons_tres billing weights, cpu axis only).
+    // actually held (cons_tres billing weights, cpu axis only); a whole
+    // node's factor is exactly 1.
     node_seconds *= static_cast<double>(rec.spec.tres_per_node.cpus) /
                     static_cast<double>(config_.fidelity.node_capacity.cpus);
   }
@@ -1528,10 +1415,6 @@ void Slurmctld::charge_fair_share(const JobRecord& rec) {
 }
 
 // --- Fidelity introspection -------------------------------------------------
-
-const TresVector& Slurmctld::node_capacity(NodeId id) const {
-  return nodes_.at(id).capacity;
-}
 
 TresVector Slurmctld::node_free(NodeId id) const {
   const Node& node = nodes_.at(id);

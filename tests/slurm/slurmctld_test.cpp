@@ -203,6 +203,54 @@ TEST(Slurmctld, NodeObserverSeesTransitions) {
   EXPECT_EQ(transitions[1].when, SimTime::minutes(10));
 }
 
+/// Setting an allocated node down announces exactly one `down`, and the
+/// node is never treated as freshly idle: in both scheduling modes.
+class NodeDownTransitions : public ::testing::TestWithParam<bool> {};
+
+TEST_P(NodeDownTransitions, AllocatedNodeAnnouncesOneDownAndNoIdle) {
+  Simulation sim;
+  auto cfg = small_config(1);
+  cfg.pilot_min_idle = SimTime::minutes(5);
+  if (GetParam()) {
+    cfg.fidelity.tres_mode = true;
+    cfg.fidelity.node_capacity = TresVector{4, 16000, 0};
+  }
+  Slurmctld ctld{sim, cfg, default_partitions()};
+  std::vector<NodeTransition> transitions;
+  ctld.set_node_observer(
+      [&](const NodeTransition& t) { transitions.push_back(t); });
+  const JobId id =
+      ctld.submit(hpc_job(1, SimTime::minutes(60), SimTime::minutes(60)));
+  sim.run_until(SimTime::minutes(10));
+  ctld.set_node_down(0);
+  EXPECT_EQ(ctld.job(id).state, JobState::kNodeFailed);
+  ASSERT_EQ(transitions.size(), 2u);
+  EXPECT_EQ(transitions[0].state, ObservedNodeState::kHpc);
+  EXPECT_EQ(transitions[1].state, ObservedNodeState::kDown);
+  EXPECT_EQ(transitions[1].when, SimTime::minutes(10));
+
+  // The node was never freed, so the pilot_min_idle gate does not hold a
+  // pilot back once the node is repaired.
+  ctld.set_node_up(0);
+  JobSpec pilot;
+  pilot.partition = "pilot";
+  pilot.num_nodes = 1;
+  pilot.time_limit = SimTime::minutes(30);
+  pilot.actual_runtime = SimTime::max();
+  const JobId p = ctld.submit(pilot);
+  sim.run_until(SimTime::minutes(10) + SimTime::seconds(1));
+  EXPECT_EQ(ctld.job(p).state, JobState::kRunning);
+  ASSERT_EQ(transitions.size(), 4u);
+  EXPECT_EQ(transitions[2].state, ObservedNodeState::kIdle);
+  EXPECT_EQ(transitions[3].state, ObservedNodeState::kPilot);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, NodeDownTransitions,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Tres" : "Legacy";
+                         });
+
 TEST(Slurmctld, CountersAreConsistent) {
   Simulation sim;
   Slurmctld ctld{sim, small_config(2), default_partitions()};
