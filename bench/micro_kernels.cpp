@@ -255,25 +255,87 @@ void BM_slurm_sched_pass(benchmark::State& state) {
 }
 BENCHMARK(BM_slurm_sched_pass);
 
+/// A full invoker pool (24 containers over 8 functions, 16 of them
+/// busy). Each step probes another function for a warm idle container
+/// (the lease seam's ready() check), retires the oldest busy container
+/// and acquires one for the next function: mostly warm hits, some cold
+/// starts that evict the LRU idle container.
 void BM_container_pool_warm_path(benchmark::State& state) {
+  constexpr std::uint32_t kFunctions = 8;
+  constexpr std::size_t kBusy = 16;
   runtime::ContainerPool::Config cfg;
+  cfg.memory_mb = 8 * 1024;
+  cfg.max_containers = 24;
+  cfg.prewarm_count = 0;
   runtime::ContainerPool pool{cfg, runtime::RuntimeProfile::singularity(),
                               sim::Rng{1}};
-  // Prime a warm container.
-  const auto first = pool.acquire("fn", 256, sim::SimTime::zero());
-  pool.mark_running(first.container, sim::SimTime::zero());
-  pool.release(first.container, sim::SimTime::zero());
+  sim::Rng pick{3};
   sim::SimTime now = sim::SimTime::zero();
+  std::vector<runtime::ContainerId> busy(kBusy);
+  const auto start = [&](std::uint32_t fn) {
+    const auto r = pool.acquire(fn, 256, now);
+    pool.mark_running(r.container, now);
+    return r.container;
+  };
+  // Three containers per function; the first 8 go idle at once.
+  for (std::uint32_t k = 0; k < 24; ++k) {
+    const runtime::ContainerId id = start(k % kFunctions);
+    if (k < 24 - kBusy) {
+      pool.release(id, now);
+    } else {
+      busy[k - (24 - kBusy)] = id;
+    }
+  }
+  std::size_t oldest = 0;
+  std::uint64_t warm = 0;
   for (auto _ : state) {
     now += sim::SimTime::millis(1);
-    const auto r = pool.acquire("fn", 256, now);
-    pool.mark_running(r.container, now);
-    pool.release(r.container, now);
-    benchmark::DoNotOptimize(r.container);
+    const auto fn = static_cast<std::uint32_t>(pick.uniform_int(0, kFunctions - 1));
+    warm += pool.has_warm_idle((fn + 1) % kFunctions, 256) ? 1 : 0;
+    pool.release(busy[oldest], now);
+    busy[oldest] = start(fn);
+    oldest = (oldest + 1) % kBusy;
   }
+  benchmark::DoNotOptimize(warm);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["warm_share"] =
+      static_cast<double>(pool.counters().warm_hits) /
+      static_cast<double>(pool.counters().warm_hits + pool.counters().cold_starts);
 }
 BENCHMARK(BM_container_pool_warm_path);
+
+/// Activation timeouts at hot_lease's peak: 26,000 calls open, each
+/// with a 5 min timeout. Each iteration is one call: the oldest open
+/// call completes (its timeout is cancelled), a new call arms one, and
+/// two short execution events are scheduled and run, so every pop sees
+/// the timeouts next to the heap.
+void BM_timeout_arm_cancel(benchmark::State& state) {
+  constexpr std::size_t kOpen = 26'000;
+  const sim::SimTime timeout = sim::SimTime::minutes(5);
+  sim::Simulation simulation;
+  sim::Rng rng{5};
+  std::uint64_t work = 0;
+  std::vector<sim::EventId> open(kOpen);
+  for (sim::EventId& id : open) {
+    id = simulation.after_fixed(timeout, [&work] { ++work; });
+    simulation.run_until(simulation.now() + sim::SimTime::millis(1));
+  }
+  std::size_t oldest = 0;
+  for (auto _ : state) {
+    simulation.cancel(open[oldest]);
+    open[oldest] = simulation.after_fixed(timeout, [&work] { ++work; });
+    oldest = (oldest + 1) % kOpen;
+    for (int k = 0; k < 2; ++k) {
+      simulation.after(sim::SimTime::micros(rng.uniform_int(100, 900)),
+                       [&work] { ++work; });
+    }
+    simulation.run_until(simulation.now() + sim::SimTime::millis(1));
+  }
+  benchmark::DoNotOptimize(work);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["pending"] = static_cast<double>(simulation.pending_events());
+}
+BENCHMARK(BM_timeout_arm_cancel);
 
 void BM_bfs_scaling(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -21,12 +21,13 @@
 //
 // This module sits *below* whisk in the layer order (the controller
 // links against it), so worker ids are raw std::uint32_t, matching
-// sched::WorkerId / whisk::InvokerId width.
+// sched::WorkerId / whisk::InvokerId width, and functions are keyed by
+// their dense registry index (whisk::FunctionSpec::index): per-function
+// state lives in one vector, so the per-call lookups never hash.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "hpcwhisk/sim/time.hpp"
 
@@ -34,6 +35,8 @@ namespace hpcwhisk::lease {
 
 using WorkerId = std::uint32_t;
 using LeaseId = std::uint64_t;
+/// Dense function index (whisk::FunctionSpec::index).
+using FunctionKey = std::uint32_t;
 
 /// Per-function serving tier from arrival statistics.
 enum class Tier : std::uint8_t {
@@ -67,7 +70,7 @@ struct LeaseConfig {
 
 struct Lease {
   LeaseId id{0};
-  std::string function;
+  FunctionKey function{0};
   WorkerId worker{0};
   sim::SimTime granted_at;
   sim::SimTime expires_at;
@@ -83,40 +86,41 @@ class LeaseManager {
   LeaseManager& operator=(const LeaseManager&) = delete;
 
   /// Folds one arrival of `function` into its inter-arrival EWMA.
-  void observe_arrival(const std::string& function, sim::SimTime now);
+  void observe_arrival(FunctionKey function, sim::SimTime now);
 
   /// Current tier from the arrival stats (kCold until min_arrivals).
-  [[nodiscard]] Tier tier(const std::string& function) const;
+  [[nodiscard]] Tier tier(FunctionKey function) const;
 
   /// The active lease for `function`, or nullptr. An expired lease is
   /// lapsed here (counted in stats().expired) — expiry is lazy, there is
   /// no sweep event that could perturb the simulation's event count.
-  [[nodiscard]] const Lease* find(const std::string& function,
-                                  sim::SimTime now);
+  /// The pointer stays valid until a call that sees a new, higher
+  /// function key.
+  [[nodiscard]] const Lease* find(FunctionKey function, sim::SimTime now);
 
   /// Grants a lease pinning `function` to `worker`. Returns nullptr if
   /// the function already holds a lease or the worker is at its cap.
-  const Lease* acquire(const std::string& function, WorkerId worker,
+  const Lease* acquire(FunctionKey function, WorkerId worker,
                        sim::SimTime now);
 
   /// Extends the lease term from `now`. False if no lease exists.
-  bool renew(const std::string& function, sim::SimTime now);
+  bool renew(FunctionKey function, sim::SimTime now);
 
   /// A successful direct invoke through the lease: counts the hit and
   /// auto-renews when configured.
-  void on_hit(const std::string& function, sim::SimTime now);
+  void on_hit(FunctionKey function, sim::SimTime now);
 
   /// Drops the lease (backing invoker unusable). False if none existed.
-  bool revoke(const std::string& function);
+  bool revoke(FunctionKey function);
 
   /// Drops every lease pinned to `worker` — the pilot was preempted,
   /// drained, or the node died. Returns how many were revoked.
   std::size_t revoke_worker(WorkerId worker);
 
-  [[nodiscard]] std::size_t lease_count() const { return leases_.size(); }
+  [[nodiscard]] std::size_t lease_count() const { return lease_count_; }
   [[nodiscard]] std::size_t leases_on(WorkerId worker) const;
   /// Smoothed inter-arrival gap (zero until two arrivals).
-  [[nodiscard]] sim::SimTime interarrival(const std::string& function) const;
+  [[nodiscard]] sim::SimTime interarrival(FunctionKey function) const;
   [[nodiscard]] const LeaseConfig& config() const { return config_; }
 
   struct Stats {
@@ -134,13 +138,25 @@ class LeaseManager {
     double ewma_us{0.0};
     std::uint64_t count{0};
   };
+  /// Everything the manager knows about one function.
+  struct PerFunction {
+    Arrival arrival;
+    Lease lease;
+    bool leased{false};
+  };
 
-  void drop(const std::string& function);
+  /// The function's entry, growing the table on first sight.
+  PerFunction& entry(FunctionKey function);
+  /// The function's active lease, or nullptr (never grows the table).
+  [[nodiscard]] Lease* active(FunctionKey function);
+  void drop(PerFunction& f);
 
   LeaseConfig config_;
-  std::unordered_map<std::string, Arrival> arrivals_;
-  std::unordered_map<std::string, Lease> leases_;
-  std::unordered_map<WorkerId, std::size_t> per_worker_;
+  /// Indexed by FunctionKey.
+  std::vector<PerFunction> functions_;
+  /// Leases held per worker, indexed by WorkerId.
+  std::vector<std::size_t> per_worker_;
+  std::size_t lease_count_{0};
   LeaseId next_id_{1};
   Stats stats_;
 };

@@ -1,8 +1,5 @@
 #include "hpcwhisk/lease/lease_manager.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace hpcwhisk::lease {
 
 const char* to_string(Tier t) {
@@ -14,9 +11,19 @@ const char* to_string(Tier t) {
   return "?";
 }
 
-void LeaseManager::observe_arrival(const std::string& function,
-                                   sim::SimTime now) {
-  Arrival& a = arrivals_[function];
+LeaseManager::PerFunction& LeaseManager::entry(FunctionKey function) {
+  if (function >= functions_.size()) functions_.resize(function + 1);
+  return functions_[function];
+}
+
+Lease* LeaseManager::active(FunctionKey function) {
+  if (function >= functions_.size() || !functions_[function].leased)
+    return nullptr;
+  return &functions_[function].lease;
+}
+
+void LeaseManager::observe_arrival(FunctionKey function, sim::SimTime now) {
+  Arrival& a = entry(function).arrival;
   if (a.count > 0) {
     const auto gap = static_cast<double>((now - a.last).ticks());
     a.ewma_us = a.count == 1 ? gap : a.ewma_us + config_.alpha * (gap - a.ewma_us);
@@ -25,104 +32,103 @@ void LeaseManager::observe_arrival(const std::string& function,
   ++a.count;
 }
 
-Tier LeaseManager::tier(const std::string& function) const {
-  const auto it = arrivals_.find(function);
-  if (it == arrivals_.end() || it->second.count < config_.min_arrivals)
-    return Tier::kCold;
-  const auto ewma =
-      sim::SimTime::micros(static_cast<std::int64_t>(it->second.ewma_us));
+Tier LeaseManager::tier(FunctionKey function) const {
+  if (function >= functions_.size()) return Tier::kCold;
+  const Arrival& a = functions_[function].arrival;
+  if (a.count < config_.min_arrivals) return Tier::kCold;
+  const auto ewma = sim::SimTime::micros(static_cast<std::int64_t>(a.ewma_us));
   if (ewma <= config_.hot_interarrival) return Tier::kHot;
   if (ewma <= config_.warm_interarrival) return Tier::kWarm;
   return Tier::kCold;
 }
 
-const Lease* LeaseManager::find(const std::string& function, sim::SimTime now) {
-  const auto it = leases_.find(function);
-  if (it == leases_.end()) return nullptr;
-  if (it->second.expires_at < now) {
+const Lease* LeaseManager::find(FunctionKey function, sim::SimTime now) {
+  Lease* l = active(function);
+  if (l == nullptr) return nullptr;
+  if (l->expires_at < now) {
     ++stats_.expired;
-    drop(function);
+    drop(functions_[function]);
     return nullptr;
   }
-  return &it->second;
+  return l;
 }
 
-const Lease* LeaseManager::acquire(const std::string& function, WorkerId worker,
+const Lease* LeaseManager::acquire(FunctionKey function, WorkerId worker,
                                    sim::SimTime now) {
-  if (leases_.find(function) != leases_.end()) return nullptr;
+  PerFunction& f = entry(function);
+  if (f.leased) return nullptr;
+  if (worker >= per_worker_.size()) per_worker_.resize(worker + 1, 0);
   std::size_t& held = per_worker_[worker];
   if (held >= config_.max_leases_per_worker) return nullptr;
-  Lease l;
+  Lease& l = f.lease;
+  l = Lease{};
   l.id = next_id_++;
   l.function = function;
   l.worker = worker;
   l.granted_at = now;
   l.expires_at = now + config_.term;
+  f.leased = true;
   ++held;
+  ++lease_count_;
   ++stats_.granted;
-  return &leases_.emplace(function, std::move(l)).first->second;
+  return &l;
 }
 
-bool LeaseManager::renew(const std::string& function, sim::SimTime now) {
-  const auto it = leases_.find(function);
-  if (it == leases_.end()) return false;
-  it->second.expires_at = now + config_.term;
-  ++it->second.renewals;
+bool LeaseManager::renew(FunctionKey function, sim::SimTime now) {
+  Lease* l = active(function);
+  if (l == nullptr) return false;
+  l->expires_at = now + config_.term;
+  ++l->renewals;
   ++stats_.renewed;
   return true;
 }
 
-void LeaseManager::on_hit(const std::string& function, sim::SimTime now) {
-  const auto it = leases_.find(function);
-  if (it == leases_.end()) return;
-  ++it->second.hits;
+void LeaseManager::on_hit(FunctionKey function, sim::SimTime now) {
+  Lease* l = active(function);
+  if (l == nullptr) return;
+  ++l->hits;
   ++stats_.hits;
   if (config_.auto_renew) {
-    it->second.expires_at = now + config_.term;
-    ++it->second.renewals;
+    l->expires_at = now + config_.term;
+    ++l->renewals;
     ++stats_.renewed;
   }
 }
 
-bool LeaseManager::revoke(const std::string& function) {
-  if (leases_.find(function) == leases_.end()) return false;
+bool LeaseManager::revoke(FunctionKey function) {
+  if (active(function) == nullptr) return false;
   ++stats_.revoked;
-  drop(function);
+  drop(functions_[function]);
   return true;
 }
 
 std::size_t LeaseManager::revoke_worker(WorkerId worker) {
-  // Collect-then-erase in sorted order: leases_ is an unordered_map and
-  // nothing downstream may depend on its iteration order.
-  std::vector<std::string> victims;
-  for (const auto& [fn, l] : leases_) {
-    if (l.worker == worker) victims.push_back(fn);
-  }
-  std::sort(victims.begin(), victims.end());
-  for (const std::string& fn : victims) {
+  std::size_t revoked = 0;
+  for (PerFunction& f : functions_) {
+    if (!f.leased || f.lease.worker != worker) continue;
     ++stats_.revoked;
-    drop(fn);
+    drop(f);
+    ++revoked;
   }
-  return victims.size();
+  return revoked;
 }
 
 std::size_t LeaseManager::leases_on(WorkerId worker) const {
-  const auto it = per_worker_.find(worker);
-  return it == per_worker_.end() ? 0 : it->second;
+  return worker < per_worker_.size() ? per_worker_[worker] : 0;
 }
 
-sim::SimTime LeaseManager::interarrival(const std::string& function) const {
-  const auto it = arrivals_.find(function);
-  if (it == arrivals_.end() || it->second.count < 2) return sim::SimTime::zero();
-  return sim::SimTime::micros(static_cast<std::int64_t>(it->second.ewma_us));
+sim::SimTime LeaseManager::interarrival(FunctionKey function) const {
+  if (function >= functions_.size() || functions_[function].arrival.count < 2)
+    return sim::SimTime::zero();
+  return sim::SimTime::micros(
+      static_cast<std::int64_t>(functions_[function].arrival.ewma_us));
 }
 
-void LeaseManager::drop(const std::string& function) {
-  const auto it = leases_.find(function);
-  if (it == leases_.end()) return;
-  const auto held = per_worker_.find(it->second.worker);
-  if (held != per_worker_.end() && held->second > 0) --held->second;
-  leases_.erase(it);
+void LeaseManager::drop(PerFunction& f) {
+  std::size_t& held = per_worker_[f.lease.worker];
+  if (held > 0) --held;
+  f.leased = false;
+  --lease_count_;
 }
 
 }  // namespace hpcwhisk::lease

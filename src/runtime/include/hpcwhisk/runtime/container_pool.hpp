@@ -7,12 +7,14 @@
 // load-bearing for reproduction: Sec. V-C reports an episode (14:30-17:00)
 // where invokers hit "the upper limit of concurrently running container
 // processes which resulted in an increased number of failed invocations".
+//
+// Containers live in a dense slab with a free list, and the idle LRU and
+// the stem-cell FIFO are intrusive lists threaded through it: handles
+// resolve without hashing, and release() never allocates.
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hpcwhisk/runtime/runtime_profile.hpp"
@@ -21,24 +23,16 @@
 
 namespace hpcwhisk::runtime {
 
+/// A container's slab slot (low 32 bits) and the slot's generation (high
+/// 32 bits), so a handle to a destroyed container never finds its
+/// slot's next occupant. Never 0.
 using ContainerId = std::uint64_t;
 
-enum class ContainerState { kWarming, kIdle, kBusy, kRemoved };
+/// Dense function index (whisk::FunctionSpec::index): the pool keys
+/// warm reuse and keep-alive statistics by it, never by name.
+using FunctionKey = std::uint32_t;
 
-struct Container {
-  ContainerId id{0};
-  /// Function this container is specialized for; empty for prewarmed
-  /// ("stem cell") containers that only carry a runtime kind.
-  std::string function;
-  /// Runtime kind (image family), e.g. "python:3".
-  std::string kind;
-  std::int64_t memory_mb{0};
-  ContainerState state{ContainerState::kWarming};
-  sim::SimTime created_at;
-  sim::SimTime last_used;
-  /// Prewarmed containers finish booting at this instant.
-  sim::SimTime usable_at;
-};
+enum class ContainerState { kWarming, kIdle, kBusy, kRemoved };
 
 /// Result of asking the pool for an execution slot.
 struct AcquireResult {
@@ -123,11 +117,11 @@ class ContainerPool {
   /// a cold start, evicting idle containers (oldest-first) if the cap or
   /// memory budget requires. Rejected iff the node cannot host the
   /// container even after evicting everything idle.
-  AcquireResult acquire(const std::string& function, std::int64_t memory_mb,
+  AcquireResult acquire(FunctionKey function, std::int64_t memory_mb,
                         sim::SimTime now);
   /// As above, with the function's runtime kind: a booted stem cell of a
   /// matching kind is specialized in preference to a cold start.
-  AcquireResult acquire(const std::string& function, const std::string& kind,
+  AcquireResult acquire(FunctionKey function, const std::string& kind,
                         std::int64_t memory_mb, sim::SimTime now);
 
   /// Tops the stem-cell pool back up to prewarm_count (capacity
@@ -136,7 +130,7 @@ class ContainerPool {
   /// case — pool already topped up — returns after one inline size
   /// check, so the per-tick cost is a compare, not a call.
   void maintain_prewarm(sim::SimTime now) {
-    if (prewarmed_.size() >= config_.prewarm_count ||
+    if (stem_.size >= config_.prewarm_count ||
         config_.prewarm_kind.empty())
       return;
     refill_prewarm(now);
@@ -161,13 +155,14 @@ class ContainerPool {
   /// The keep-alive timeout currently in force for `function`: the
   /// fixed idle_timeout, or the per-function adaptive value (pressure-
   /// scaled under kHybrid). Exposed for tests and observability.
-  [[nodiscard]] sim::SimTime effective_idle_timeout(
-      const std::string& function) const;
+  [[nodiscard]] sim::SimTime effective_idle_timeout(FunctionKey function) const;
 
   /// True if an idle warm container for `function` (>= memory_mb) exists,
   /// i.e. an acquire right now would be a warm resume.
-  [[nodiscard]] bool has_warm_idle(const std::string& function,
-                                   std::int64_t memory_mb) const;
+  [[nodiscard]] bool has_warm_idle(FunctionKey function,
+                                   std::int64_t memory_mb) const {
+    return find_warm(function, memory_mb) != kNil;
+  }
 
   /// True if a new container of `memory_mb` fits without evicting
   /// anything (the same admission rule refill_prewarm uses). Conservative
@@ -175,19 +170,17 @@ class ContainerPool {
   /// call would evict warm containers or be rejected outright, so callers
   /// should fall back to the queue path instead.
   [[nodiscard]] bool can_admit(std::int64_t memory_mb) const {
-    return containers_.size() < config_.max_containers &&
+    return live_ < config_.max_containers &&
            memory_in_use_mb_ + memory_mb <= config_.memory_mb;
   }
 
   /// Destroys every container (node handed back to the HPC workload).
   void clear();
 
-  [[nodiscard]] std::size_t total_containers() const { return containers_.size(); }
+  [[nodiscard]] std::size_t total_containers() const { return live_; }
   [[nodiscard]] std::size_t busy_containers() const { return busy_count_; }
-  [[nodiscard]] std::size_t idle_containers() const;
-  [[nodiscard]] std::size_t prewarmed_containers() const {
-    return prewarmed_.size();
-  }
+  [[nodiscard]] std::size_t idle_containers() const { return idle_.size; }
+  [[nodiscard]] std::size_t prewarmed_containers() const { return stem_.size; }
   [[nodiscard]] std::int64_t memory_in_use_mb() const { return memory_in_use_mb_; }
 
   struct Counters {
@@ -200,6 +193,52 @@ class ContainerPool {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  /// FunctionKey of a stem cell: booted for a runtime kind, not yet
+  /// specialized for any function.
+  static constexpr FunctionKey kStemCell = 0xFFFFFFFFu;
+
+  /// One slab slot. A container sits on at most one intrusive list: the
+  /// idle LRU while idle and specialized, the stem-cell FIFO while an
+  /// unspecialized stem cell. A free slot links the free list via next.
+  struct Slot {
+    FunctionKey function{kStemCell};
+    std::uint32_t generation{1};
+    std::int64_t memory_mb{0};
+    sim::SimTime last_used;
+    /// Stem cells finish booting at this instant.
+    sim::SimTime usable_at;
+    std::uint32_t prev{kNil};
+    std::uint32_t next{kNil};
+    ContainerState state{ContainerState::kRemoved};
+  };
+
+  /// Doubly linked list threaded through Slot::prev/next; front is the
+  /// oldest entry.
+  struct List {
+    std::uint32_t head{kNil};
+    std::uint32_t tail{kNil};
+    std::size_t size{0};
+  };
+  void push_back(List& list, std::uint32_t slot);
+  void unlink(List& list, std::uint32_t slot);
+
+  /// The slot of `id`, or kNil when the container no longer exists.
+  [[nodiscard]] std::uint32_t slot_of(ContainerId id) const;
+  /// A free slot holding a new container of `memory_mb` (counted in
+  /// live_ and memory_in_use_mb_); the caller fills in the rest.
+  std::uint32_t create(std::int64_t memory_mb);
+  /// Destroys the container in `slot` (already off every list).
+  void destroy(std::uint32_t slot);
+  [[nodiscard]] ContainerId id_of(std::uint32_t slot) const {
+    return static_cast<ContainerId>(slots_[slot].generation) << 32 | slot;
+  }
+
+  /// Newest idle container of `function` with at least `memory_mb`, or
+  /// kNil: the container a warm acquire would reuse.
+  [[nodiscard]] std::uint32_t find_warm(FunctionKey function,
+                                        std::int64_t memory_mb) const;
+
   /// Evicts idle containers until `memory_mb` fits and the count cap
   /// allows one more. Returns total removal latency, or nullopt if
   /// impossible.
@@ -210,8 +249,8 @@ class ContainerPool {
   void refill_prewarm(sim::SimTime now);
 
   /// Folds an acquire into the function's inter-arrival EWMA (adaptive
-  /// keep-alive policies only; kFixed never touches the map).
-  void note_arrival(const std::string& function, sim::SimTime now);
+  /// keep-alive policies only; kFixed never touches the table).
+  void note_arrival(FunctionKey function, sim::SimTime now);
 
   struct InterArrival {
     sim::SimTime last;
@@ -222,17 +261,20 @@ class ContainerPool {
   Config config_;
   RuntimeProfile profile_;
   sim::Rng rng_;
-  std::unordered_map<ContainerId, Container> containers_;
-  /// Idle containers in LRU order (front = least recently used).
-  std::list<ContainerId> idle_lru_;
-  /// Booted (or booting) stem cells awaiting specialization.
-  std::list<ContainerId> prewarmed_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_{kNil};
+  /// Idle specialized containers in LRU order (front = least recently
+  /// used).
+  List idle_;
+  /// Booted (or booting) stem cells awaiting specialization, oldest
+  /// first.
+  List stem_;
+  std::size_t live_{0};
   std::size_t busy_count_{0};
   std::int64_t memory_in_use_mb_{0};
-  ContainerId next_id_{1};
-  /// Per-function arrival stats for the adaptive keep-alive policies;
-  /// empty (never populated) under kFixed.
-  std::unordered_map<std::string, InterArrival> arrivals_;
+  /// Per-function arrival stats for the adaptive keep-alive policies,
+  /// indexed by FunctionKey; empty (never populated) under kFixed.
+  std::vector<InterArrival> arrivals_;
   Counters counters_;
 };
 

@@ -25,8 +25,9 @@
 //
 // Recurring events skip the heap. A periodic series re-arms at
 // now + interval, so everything one interval's series schedule arrives
-// already sorted by (when, seq). Such entries are appended to a FIFO
-// ring ("lane") per interval; a pop takes the (when, seq) minimum over
+// already sorted by (when, seq); so do one-shots that share a fixed
+// delay (Simulation::after_fixed, e.g. activation timeouts). Such
+// entries are appended to a FIFO ring ("lane") per interval; a pop takes the (when, seq) minimum over
 // the stage, the heap front and the earliest lane head. The lane with
 // the earliest head, and a copy of that head, are cached and rescanned
 // only when a lane head moves; at most kMaxLanes lanes exist, and
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "hpcwhisk/sim/inplace_callback.hpp"
+#include "hpcwhisk/sim/ring.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::sim {
@@ -77,8 +79,9 @@ class EventQueue {
   /// Most lanes one queue opens; further intervals use the heap.
   static constexpr std::size_t kMaxLanes = 8;
 
-  /// Returns the lane of recurring events with period `interval`,
-  /// opening one on first use; kNoLane once kMaxLanes lanes exist.
+  /// Returns the lane of events scheduled `interval` after the current
+  /// time (periodic re-arms, fixed-delay one-shots), opening one on
+  /// first use; kNoLane once kMaxLanes lanes exist.
   Lane lane_for(SimTime interval);
 
   /// Schedules `cb` to fire at absolute time `when`. `when` must not be
@@ -150,23 +153,10 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Ring buffer of entries appended in (when, seq) order. Capacity is
-  /// zero or a power of two.
+  /// Entries of one interval, appended in (when, seq) order.
   struct LaneRing {
     SimTime interval;
-    std::vector<Entry> ring;
-    std::size_t head{0};
-    std::size_t count{0};
-
-    [[nodiscard]] const Entry& front() const { return ring[head]; }
-    [[nodiscard]] const Entry& back() const {
-      return ring[(head + count - 1) & (ring.size() - 1)];
-    }
-    void push_back(const Entry& e);
-    void pop_front() {
-      head = (head + 1) & (ring.size() - 1);
-      --count;
-    }
+    Ring<Entry> ring;
   };
 
   /// Where the earliest live entry sits.

@@ -73,6 +73,16 @@ class Simulation {
     return at(now_ + delay, std::move(cb));
   }
 
+  /// As after(), for a delay that many one-shots share (activation
+  /// timeouts): the entry joins the FIFO lane of `delay`, which stays
+  /// sorted because now() never goes backwards. Past the lane cap it
+  /// takes the heap. Fires exactly when after() would.
+  EventId after_fixed(SimTime delay, Callback cb) {
+    if (delay < SimTime::zero())
+      throw std::invalid_argument("Simulation::after_fixed: negative delay");
+    return queue_.schedule(now_ + delay, std::move(cb), queue_.lane_for(delay));
+  }
+
   /// Schedules `cb` every `interval`, starting one interval from now,
   /// until the returned handle is stopped or the simulation ends.
   PeriodicHandle every(SimTime interval, Callback cb);

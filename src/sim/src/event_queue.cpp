@@ -85,19 +85,6 @@ void EventQueue::rebuild_heap() {
 
 // --- Lanes -------------------------------------------------------------------
 
-void EventQueue::LaneRing::push_back(const Entry& e) {
-  if (count == ring.size()) {
-    // Grow by doubling, unrolling the ring so the head lands at 0.
-    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * ring.size()));
-    for (std::size_t i = 0; i < count; ++i)
-      grown[i] = ring[(head + i) & (ring.size() - 1)];
-    ring = std::move(grown);
-    head = 0;
-  }
-  ring[(head + count) & (ring.size() - 1)] = e;
-  ++count;
-}
-
 EventQueue::Lane EventQueue::lane_for(SimTime interval) {
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     if (lanes_[k].interval == interval) return static_cast<Lane>(k);
@@ -112,10 +99,10 @@ bool EventQueue::append_to_lane(Lane lane, const Entry& e) {
   LaneRing& l = lanes_[lane];
   // seq only grows, so the lane stays sorted iff `when` does not go
   // backwards; an out-of-order entry takes the heap instead.
-  if (l.count != 0 && e.when < l.back().when) return false;
-  l.push_back(e);
+  if (!l.ring.empty() && e.when < l.ring.back().when) return false;
+  l.ring.push_back(e);
   ++lane_entries_;
-  if (l.count == 1 &&
+  if (l.ring.size() == 1 &&
       (best_lane_ == kNoLane || entry_before(e, lane_head_))) {
     best_lane_ = lane;
     lane_head_ = e;
@@ -127,16 +114,16 @@ void EventQueue::rescan_lanes() const {
   best_lane_ = kNoLane;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     const LaneRing& l = lanes_[k];
-    if (l.count == 0) continue;
-    if (best_lane_ == kNoLane || entry_before(l.front(), lane_head_)) {
+    if (l.ring.empty()) continue;
+    if (best_lane_ == kNoLane || entry_before(l.ring.front(), lane_head_)) {
       best_lane_ = static_cast<Lane>(k);
-      lane_head_ = l.front();
+      lane_head_ = l.ring.front();
     }
   }
 }
 
 void EventQueue::pop_lane_front() const {
-  lanes_[best_lane_].pop_front();
+  lanes_[best_lane_].ring.pop_front();
   --lane_entries_;
   rescan_lanes();
 }
@@ -235,13 +222,12 @@ void EventQueue::maybe_compact() {
   // trails the read cursor around the ring.
   lane_entries_ = 0;
   for (LaneRing& l : lanes_) {
-    const std::size_t mask = l.ring.size() - 1;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < l.count; ++i) {
-      const Entry& e = l.ring[(l.head + i) & mask];
-      if (entry_live(e)) l.ring[(l.head + kept++) & mask] = e;
+    for (std::size_t i = 0; i < l.ring.size(); ++i) {
+      const Entry e = l.ring[i];
+      if (entry_live(e)) l.ring[kept++] = e;
     }
-    l.count = kept;
+    l.ring.truncate(kept);
     lane_entries_ += kept;
   }
   rescan_lanes();

@@ -35,6 +35,8 @@ struct ActivationRecord {
   ActivationId id{0};
   std::string function;
   ActivationState state{ActivationState::kQueued};
+  /// FunctionSpec::index of `function`, resolved once at submit.
+  std::uint32_t function_index{0};
   sim::SimTime submit_time;
   /// Most recent execution attempt began (zero if never executed). After
   /// a drain interruption + fast-lane reroute this is the restart time;

@@ -23,6 +23,7 @@
 #include "hpcwhisk/lease/lease_manager.hpp"
 #include "hpcwhisk/mq/broker.hpp"
 #include "hpcwhisk/sched/scheduler.hpp"
+#include "hpcwhisk/sim/ring.hpp"
 #include "hpcwhisk/sim/simulation.hpp"
 #include "hpcwhisk/whisk/activation.hpp"
 #include "hpcwhisk/whisk/function.hpp"
@@ -260,12 +261,36 @@ class Controller {
   /// Serves an accepted call (records_.back()) through its lease's
   /// direct seam: same bookkeeping, trace chain and decision-log entry
   /// as the queue path, minus the topic publish.
-  SubmitResult submit_leased(const std::string& function,
-                             const FunctionSpec& spec, const lease::Lease& l,
+  SubmitResult submit_leased(const FunctionSpec& spec, const lease::Lease& l,
                              const DirectSeam& seam);
 
   /// Arms the client-visible timeout for an accepted activation.
   void arm_timeout(const FunctionSpec& spec, ActivationId id);
+
+  /// Pending timeout events of the accepted calls that are not yet
+  /// terminal, indexed by id - base. Ids arm in ascending order:
+  /// arm_timeout() is the last step of submit(), and nothing inside
+  /// submit() submits again (sequence chains start from a fresh event).
+  /// So arming appends; 503 ids between two accepted calls leave empty
+  /// slots, and the front is popped while its slot is empty.
+  class TimeoutRing {
+   public:
+    void arm(ActivationId id, sim::EventId event);
+    /// Empties `id`'s slot; returns the event it held (invalid if none).
+    sim::EventId take(ActivationId id);
+    /// Calls `f(id)` for every armed id, ascending.
+    template <class F>
+    void for_each_armed(F&& f) const {
+      for (std::size_t k = 0; k < slots_.size(); ++k) {
+        if (slots_[k].valid()) f(base_ + k);
+      }
+    }
+
+   private:
+    /// Slot k holds the timeout of id base_ + k.
+    sim::Ring<sim::EventId> slots_;
+    ActivationId base_{0};
+  };
 
   /// Drops every lease on `id` and forgets its direct seam (drain,
   /// deregistration, watchdog kill). No-op when leasing is off.
@@ -298,7 +323,7 @@ class Controller {
   mutable std::vector<InvokerId> healthy_cache_;
   mutable bool healthy_dirty_{true};
   std::vector<ActivationRecord> records_;       // index == ActivationId
-  std::unordered_map<ActivationId, sim::EventId> timeout_events_;
+  TimeoutRing timeouts_;
   std::unordered_map<ActivationId, std::vector<CompletionCallback>>
       completion_callbacks_;
   /// Present only for data-driven route modes.

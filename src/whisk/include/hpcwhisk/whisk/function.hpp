@@ -5,6 +5,7 @@
 // to scheduling and to the paper's experiments.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -42,6 +43,11 @@ struct FunctionSpec {
   /// no chaining. The chained invocation is a fresh activation routed
   /// like any other.
   std::string next;
+
+  /// Dense registry index, assigned by FunctionRegistry::put and stable
+  /// for the name. Layers below whisk (leases, container pools) key
+  /// their per-function state by it.
+  std::uint32_t index{0};
 };
 
 /// Convenience: a function that always takes exactly `d`.
@@ -51,18 +57,27 @@ struct FunctionSpec {
 
 class FunctionRegistry {
  public:
-  /// Registers (or replaces) a function.
+  /// Registers a function, or replaces the one of the same name in
+  /// place (keeping its index). References to specs stay valid.
   void put(FunctionSpec spec);
 
   [[nodiscard]] const FunctionSpec* find(const std::string& name) const;
   /// Throws std::out_of_range if absent.
   [[nodiscard]] const FunctionSpec& at(const std::string& name) const;
+  /// The spec with FunctionSpec::index `index` (< size()): no hashing.
+  [[nodiscard]] const FunctionSpec& spec(std::uint32_t index) const {
+    return specs_[index];
+  }
 
-  [[nodiscard]] std::size_t size() const { return functions_.size(); }
+  [[nodiscard]] std::size_t size() const { return specs_.size(); }
+  /// Names in index (registration) order.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  std::unordered_map<std::string, FunctionSpec> functions_;
+  /// Indexed by FunctionSpec::index; a deque so growth never moves a
+  /// spec that callers hold a reference to.
+  std::deque<FunctionSpec> specs_;
+  std::unordered_map<std::string, std::uint32_t> index_;
 };
 
 /// FNV-1a hash of the function name; OpenWhisk derives the "home" invoker

@@ -109,7 +109,7 @@ class Invoker {
   [[nodiscard]] bool can_direct_invoke(const FunctionSpec& spec) const {
     return started_ && !draining_ && !dead_ && !stalled_ &&
            running_.size() < config_.max_concurrent &&
-           (pool_.has_warm_idle(spec.name, spec.memory_mb) ||
+           (pool_.has_warm_idle(spec.index, spec.memory_mb) ||
             pool_.can_admit(spec.memory_mb));
   }
   /// Direct hand-over of a leased call: starts execution immediately,
@@ -138,6 +138,8 @@ class Invoker {
   enum class ExecPhase { kStarting, kRunning };
   struct Exec {
     mq::Message msg;
+    /// Resolved once in begin_execution().
+    const FunctionSpec* spec{nullptr};
     runtime::ContainerId container{0};
     ExecPhase phase{ExecPhase::kStarting};
     sim::EventId event;       ///< pending start or completion event

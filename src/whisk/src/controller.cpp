@@ -1,6 +1,7 @@
 #include "hpcwhisk/whisk/controller.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "hpcwhisk/obs/observability.hpp"
@@ -128,6 +129,7 @@ SubmitResult Controller::submit(const std::string& function) {
   ActivationRecord rec;
   rec.id = records_.size();
   rec.function = function;
+  rec.function_index = spec.index;
   rec.submit_time = sim_.now();
 
   const std::vector<InvokerId>& healthy = healthy_view();
@@ -151,8 +153,8 @@ SubmitResult Controller::submit(const std::string& function) {
   ++counters_.accepted;
 
   if (leases_) {
-    leases_->observe_arrival(function, sim_.now());
-    if (const lease::Lease* l = leases_->find(function, sim_.now())) {
+    leases_->observe_arrival(spec.index, sim_.now());
+    if (const lease::Lease* l = leases_->find(spec.index, sim_.now())) {
       const InvokerId worker = l->worker;
       const bool usable = worker < invokers_.size() &&
                           invokers_[worker].health == InvokerHealth::kHealthy &&
@@ -160,14 +162,14 @@ SubmitResult Controller::submit(const std::string& function) {
       if (!usable) {
         // The leased worker is gone (or never exposed a seam): the lease
         // is stale, not merely busy — revoke it and route normally.
-        leases_->revoke(function);
+        leases_->revoke(spec.index);
         ++counters_.lease_fallback;
       } else if (!direct_[worker].ready(spec)) {
         // Worker alive but saturated: keep the lease (the burst will
         // pass) and pay the queue path for this call only.
         ++counters_.lease_fallback;
       } else {
-        return submit_leased(function, spec, *l, direct_[worker]);
+        return submit_leased(spec, *l, direct_[worker]);
       }
     }
   }
@@ -233,8 +235,8 @@ SubmitResult Controller::submit(const std::string& function) {
 
   // A hot function earns a lease on the invoker it just routed to, so
   // its next call skips the queue entirely.
-  if (leases_ && leases_->tier(function) == lease::Tier::kHot &&
-      leases_->acquire(function, target, sim_.now()) != nullptr) {
+  if (leases_ && leases_->tier(spec.index) == lease::Tier::kHot &&
+      leases_->acquire(spec.index, target, sim_.now()) != nullptr) {
     ++counters_.lease_granted;
   }
 
@@ -242,10 +244,10 @@ SubmitResult Controller::submit(const std::string& function) {
   return SubmitResult{true, rec.id};
 }
 
-SubmitResult Controller::submit_leased(const std::string& function,
-                                       const FunctionSpec& spec,
+SubmitResult Controller::submit_leased(const FunctionSpec& spec,
                                        const lease::Lease& l,
                                        const DirectSeam& seam) {
+  const std::string& function = spec.name;
   ActivationRecord& rec = records_.back();
   const ActivationId act_id = rec.id;
   const InvokerId target = l.worker;
@@ -280,7 +282,7 @@ SubmitResult Controller::submit_leased(const std::string& function,
   mq::Message msg;
   msg.id = act_id;
   msg.key = function;
-  leases_->on_hit(function, sim_.now());
+  leases_->on_hit(spec.index, sim_.now());
   ++counters_.lease_hits;
   seam.invoke(std::move(msg));
   arm_timeout(spec, act_id);
@@ -288,15 +290,35 @@ SubmitResult Controller::submit_leased(const std::string& function,
 }
 
 void Controller::arm_timeout(const FunctionSpec& spec, ActivationId act_id) {
-  timeout_events_[act_id] =
-      sim_.after(spec.timeout, [this, act_id] {
-        timeout_events_.erase(act_id);
-        ActivationRecord& r = record(act_id);
-        if (!is_terminal(r.state)) {
-          ++counters_.timed_out;
-          finish(r, ActivationState::kTimedOut);
-        }
-      });
+  // One lane per distinct timeout: every call of a timeout value fires in
+  // arming order, so the entry appends to a FIFO instead of the heap.
+  timeouts_.arm(act_id, sim_.after_fixed(spec.timeout, [this, act_id] {
+    (void)timeouts_.take(act_id);
+    ActivationRecord& r = record(act_id);
+    if (!is_terminal(r.state)) {
+      ++counters_.timed_out;
+      finish(r, ActivationState::kTimedOut);
+    }
+  }));
+}
+
+void Controller::TimeoutRing::arm(ActivationId id, sim::EventId event) {
+  assert(slots_.empty() || id >= base_ + slots_.size());
+  if (slots_.empty()) base_ = id;
+  while (base_ + slots_.size() < id) slots_.push_back(sim::EventId{});  // 503 gap
+  slots_.push_back(event);
+}
+
+sim::EventId Controller::TimeoutRing::take(ActivationId id) {
+  if (id < base_ || id >= base_ + slots_.size()) return {};
+  sim::EventId& slot = slots_[id - base_];
+  const sim::EventId event = slot;
+  slot = sim::EventId{};
+  while (!slots_.empty() && !slots_.front().valid()) {
+    slots_.pop_front();
+    ++base_;
+  }
+  return event;
 }
 
 InvokerId Controller::route(const std::string& function,
@@ -448,24 +470,27 @@ std::vector<ActivationId> Controller::move_backlog_to_fast_lane(InvokerId id) {
 
 void Controller::rescue_in_flight(
     InvokerId id, const std::vector<ActivationId>& already_rescued) {
-  for (ActivationRecord& rec : records_) {
-    if (is_terminal(rec.state)) continue;
-    if (rec.routed_to != id) continue;
+  // Every accepted call that is not yet terminal still has its timeout
+  // armed, so the ring's armed ids are the only candidates, ascending.
+  timeouts_.for_each_armed([&](ActivationId act) {
+    const ActivationRecord& rec = records_[act];
+    if (is_terminal(rec.state)) return;
+    if (rec.routed_to != id) return;
     // Only work the dead invoker actually held: pulled into its buffer
     // (never started, executed_by unset) or mid-execution there. An
     // activation it interrupted earlier and handed back carries someone
     // else's executed_by — or none but lives in the fast lane already;
     // re-publishing such ids is harmless (at-least-once + deliverable()
     // dedup) but the backlog we just drained must not go out twice.
-    if (rec.executed_by != kNoInvoker && rec.executed_by != id) continue;
+    if (rec.executed_by != kNoInvoker && rec.executed_by != id) return;
     if (std::find(already_rescued.begin(), already_rescued.end(), rec.id) !=
         already_rescued.end())
-      continue;
+      return;
     mq::Message msg;
     msg.id = rec.id;
     msg.key = rec.function;
     requeue_to_fast_lane(std::move(msg));
-  }
+  });
 }
 
 void Controller::requeue_to_fast_lane(mq::Message msg) {
@@ -612,20 +637,17 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
       invokers_[rec.routed_to].in_flight > 0) {
     --invokers_[rec.routed_to].in_flight;
   }
-  const auto evt = timeout_events_.find(rec.id);
-  if (evt != timeout_events_.end()) {
-    sim_.cancel(evt->second);
-    timeout_events_.erase(evt);
-  }
+  if (const sim::EventId timeout = timeouts_.take(rec.id); timeout.valid())
+    sim_.cancel(timeout);
 
   // Action sequence: chain the next function on success.
   if (state == ActivationState::kCompleted) {
-    const FunctionSpec* spec = registry_.find(rec.function);
-    if (spec != nullptr && !spec->next.empty()) {
+    const FunctionSpec& spec = registry_.spec(rec.function_index);
+    if (!spec.next.empty()) {
       ++counters_.sequence_invocations;
       // Defer to a fresh event: finish() may be running deep inside an
       // invoker's completion chain and submit() re-enters routing state.
-      const std::string next = spec->next;
+      const std::string next = spec.next;
       const ActivationId origin = rec.id;
       sim_.at(sim_.now(), [this, next, origin] {
         const auto result = submit(next);

@@ -18,26 +18,32 @@ void FunctionRegistry::put(FunctionSpec spec) {
     throw std::invalid_argument("FunctionRegistry::put: empty name");
   if (!spec.duration)
     throw std::invalid_argument("FunctionRegistry::put: missing duration model");
-  const std::string name = spec.name;
-  functions_[name] = std::move(spec);
+  const auto [it, fresh] = index_.try_emplace(
+      spec.name, static_cast<std::uint32_t>(specs_.size()));
+  spec.index = it->second;
+  if (fresh) {
+    specs_.push_back(std::move(spec));
+  } else {
+    specs_[it->second] = std::move(spec);
+  }
 }
 
 const FunctionSpec* FunctionRegistry::find(const std::string& name) const {
-  const auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &specs_[it->second];
 }
 
 const FunctionSpec& FunctionRegistry::at(const std::string& name) const {
-  const auto it = functions_.find(name);
-  if (it == functions_.end())
+  const auto it = index_.find(name);
+  if (it == index_.end())
     throw std::out_of_range("FunctionRegistry: unknown function " + name);
-  return it->second;
+  return specs_[it->second];
 }
 
 std::vector<std::string> FunctionRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(functions_.size());
-  for (const auto& [name, _] : functions_) out.push_back(name);
+  out.reserve(specs_.size());
+  for (const FunctionSpec& spec : specs_) out.push_back(spec.name);
   return out;
 }
 

@@ -158,9 +158,12 @@ void Invoker::begin_execution(mq::Message msg) {
     HW_OBS_IF(config_.obs) { c_dropped_->add(); }
     return;
   }
-  const FunctionSpec& spec = registry_.at(msg.key);
+  // The record carries the registry index resolved at submit: no name
+  // lookup on the execution path.
+  const FunctionSpec& spec =
+      registry_.spec(controller_.activation(msg.id).function_index);
   const auto acquired =
-      pool_.acquire(spec.name, spec.kind, spec.memory_mb, sim_.now());
+      pool_.acquire(spec.index, spec.kind, spec.memory_mb, sim_.now());
   if (acquired.kind == runtime::AcquireResult::Kind::kRejected) {
     // Node-level container saturation: the invocation fails (the episode
     // of Sec. V-C where invokers hit the concurrent-container limit).
@@ -178,6 +181,7 @@ void Invoker::begin_execution(mq::Message msg) {
   const ActivationId act = msg.id;
   Exec exec;
   exec.msg = std::move(msg);
+  exec.spec = &spec;
   exec.container = acquired.container;
   exec.cold = acquired.kind == runtime::AcquireResult::Kind::kCold;
   exec.phase = ExecPhase::kStarting;
@@ -214,8 +218,7 @@ void Invoker::on_exec_event(ActivationId act) {
     pool_.mark_running(e.container, sim_.now());
     controller_.activation_started(act, id_, e.cold);
 
-    const FunctionSpec& fn = registry_.at(e.msg.key);
-    sim::SimTime duration = fn.duration(rng_);
+    sim::SimTime duration = e.spec->duration(rng_);
     if (config_.cpu_dilation && pool_.busy_containers() > config_.cores) {
       const double factor = static_cast<double>(pool_.busy_containers()) /
                             static_cast<double>(config_.cores);
@@ -323,8 +326,7 @@ void Invoker::sigterm(std::function<void()> on_drained) {
   // 3. Interrupt running executions of interruptible functions.
   std::vector<ActivationId> to_interrupt;
   for (const auto& [act, exec] : running_) {
-    const FunctionSpec& fn = registry_.at(exec.msg.key);
-    if (fn.interruptible || exec.phase == ExecPhase::kStarting)
+    if (exec.spec->interruptible || exec.phase == ExecPhase::kStarting)
       to_interrupt.push_back(act);
   }
   for (const ActivationId act : to_interrupt) {

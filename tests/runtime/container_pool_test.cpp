@@ -8,6 +8,14 @@ namespace {
 using sim::Rng;
 using sim::SimTime;
 
+// Functions are keyed by their dense registry index.
+constexpr FunctionKey kF = 0;
+constexpr FunctionKey kG = 1;
+constexpr FunctionKey kA = 2;
+constexpr FunctionKey kB = 3;
+constexpr FunctionKey kC = 4;
+constexpr FunctionKey kHuge = 5;
+
 ContainerPool make_pool(std::size_t max_containers = 4,
                         std::int64_t memory_mb = 4096) {
   ContainerPool::Config cfg;
@@ -19,7 +27,7 @@ ContainerPool make_pool(std::size_t max_containers = 4,
 
 TEST(ContainerPool, FirstAcquireIsColdStart) {
   auto pool = make_pool();
-  const auto r = pool.acquire("f", 256, SimTime::zero());
+  const auto r = pool.acquire(kF, 256, SimTime::zero());
   EXPECT_EQ(r.kind, AcquireResult::Kind::kCold);
   EXPECT_GT(r.start_latency, SimTime::zero());
   EXPECT_EQ(pool.total_containers(), 1u);
@@ -27,10 +35,10 @@ TEST(ContainerPool, FirstAcquireIsColdStart) {
 
 TEST(ContainerPool, WarmReuseAfterRelease) {
   auto pool = make_pool();
-  const auto r1 = pool.acquire("f", 256, SimTime::zero());
+  const auto r1 = pool.acquire(kF, 256, SimTime::zero());
   pool.mark_running(r1.container, SimTime::zero());
   pool.release(r1.container, SimTime::seconds(1));
-  const auto r2 = pool.acquire("f", 256, SimTime::seconds(2));
+  const auto r2 = pool.acquire(kF, 256, SimTime::seconds(2));
   EXPECT_EQ(r2.kind, AcquireResult::Kind::kWarm);
   EXPECT_EQ(r2.container, r1.container);
   // Warm start is much cheaper than a cold start.
@@ -39,58 +47,58 @@ TEST(ContainerPool, WarmReuseAfterRelease) {
 
 TEST(ContainerPool, DifferentFunctionGetsDifferentContainer) {
   auto pool = make_pool();
-  const auto r1 = pool.acquire("f", 256, SimTime::zero());
+  const auto r1 = pool.acquire(kF, 256, SimTime::zero());
   pool.mark_running(r1.container, SimTime::zero());
   pool.release(r1.container, SimTime::zero());
-  const auto r2 = pool.acquire("g", 256, SimTime::zero());
+  const auto r2 = pool.acquire(kG, 256, SimTime::zero());
   EXPECT_EQ(r2.kind, AcquireResult::Kind::kCold);
   EXPECT_NE(r2.container, r1.container);
 }
 
 TEST(ContainerPool, EvictsIdleLruWhenCapReached) {
   auto pool = make_pool(/*max_containers=*/2);
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
   pool.release(a.container, SimTime::seconds(1));
-  const auto b = pool.acquire("b", 256, SimTime::seconds(2));
+  const auto b = pool.acquire(kB, 256, SimTime::seconds(2));
   pool.mark_running(b.container, SimTime::seconds(2));
   pool.release(b.container, SimTime::seconds(3));
   // Cap is 2; acquiring c must evict the LRU (a).
-  const auto c = pool.acquire("c", 256, SimTime::seconds(4));
+  const auto c = pool.acquire(kC, 256, SimTime::seconds(4));
   EXPECT_EQ(c.kind, AcquireResult::Kind::kCold);
   EXPECT_EQ(pool.total_containers(), 2u);
   EXPECT_EQ(pool.counters().evictions, 1u);
   // a is gone: next acquire of a is cold again.
-  const auto a2 = pool.acquire("a", 256, SimTime::seconds(5));
+  const auto a2 = pool.acquire(kA, 256, SimTime::seconds(5));
   EXPECT_EQ(a2.kind, AcquireResult::Kind::kCold);
 }
 
 TEST(ContainerPool, RejectsWhenAllBusy) {
   auto pool = make_pool(/*max_containers=*/2);
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
-  const auto b = pool.acquire("b", 256, SimTime::zero());
+  const auto b = pool.acquire(kB, 256, SimTime::zero());
   pool.mark_running(b.container, SimTime::zero());
-  const auto c = pool.acquire("c", 256, SimTime::zero());
+  const auto c = pool.acquire(kC, 256, SimTime::zero());
   EXPECT_EQ(c.kind, AcquireResult::Kind::kRejected);
   EXPECT_EQ(pool.counters().rejections, 1u);
 }
 
 TEST(ContainerPool, RejectsOversizedFunction) {
   auto pool = make_pool(4, /*memory_mb=*/1024);
-  const auto r = pool.acquire("huge", 2048, SimTime::zero());
+  const auto r = pool.acquire(kHuge, 2048, SimTime::zero());
   EXPECT_EQ(r.kind, AcquireResult::Kind::kRejected);
 }
 
 TEST(ContainerPool, MemoryBudgetForcesEviction) {
   auto pool = make_pool(/*max_containers=*/10, /*memory_mb=*/1024);
-  const auto a = pool.acquire("a", 512, SimTime::zero());
+  const auto a = pool.acquire(kA, 512, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
   pool.release(a.container, SimTime::zero());
-  const auto b = pool.acquire("b", 512, SimTime::zero());
+  const auto b = pool.acquire(kB, 512, SimTime::zero());
   pool.mark_running(b.container, SimTime::zero());
   // 1024 MB used; c (512) requires evicting the idle a.
-  const auto c = pool.acquire("c", 512, SimTime::zero());
+  const auto c = pool.acquire(kC, 512, SimTime::zero());
   EXPECT_EQ(c.kind, AcquireResult::Kind::kCold);
   EXPECT_EQ(pool.memory_in_use_mb(), 1024);
   EXPECT_EQ(pool.counters().evictions, 1u);
@@ -98,10 +106,10 @@ TEST(ContainerPool, MemoryBudgetForcesEviction) {
 
 TEST(ContainerPool, ReapIdleRemovesOnlyStale) {
   auto pool = make_pool();
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
   pool.release(a.container, SimTime::minutes(1));
-  const auto b = pool.acquire("b", 256, SimTime::minutes(12));
+  const auto b = pool.acquire(kB, 256, SimTime::minutes(12));
   pool.mark_running(b.container, SimTime::minutes(12));
   pool.release(b.container, SimTime::minutes(12));
   // a idle since minute 1 (> 10 min ago), b fresh.
@@ -111,9 +119,9 @@ TEST(ContainerPool, ReapIdleRemovesOnlyStale) {
 
 TEST(ContainerPool, ClearDropsEverything) {
   auto pool = make_pool();
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
-  (void)pool.acquire("b", 256, SimTime::zero());
+  (void)pool.acquire(kB, 256, SimTime::zero());
   pool.clear();
   EXPECT_EQ(pool.total_containers(), 0u);
   EXPECT_EQ(pool.busy_containers(), 0u);
@@ -122,7 +130,7 @@ TEST(ContainerPool, ClearDropsEverything) {
 
 TEST(ContainerPool, RemoveBusyContainer) {
   auto pool = make_pool();
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
   EXPECT_EQ(pool.busy_containers(), 1u);
   pool.remove(a.container);
@@ -132,10 +140,10 @@ TEST(ContainerPool, RemoveBusyContainer) {
 
 TEST(ContainerPool, CountersTrackKinds) {
   auto pool = make_pool();
-  const auto a = pool.acquire("a", 256, SimTime::zero());
+  const auto a = pool.acquire(kA, 256, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
   pool.release(a.container, SimTime::zero());
-  (void)pool.acquire("a", 256, SimTime::zero());
+  (void)pool.acquire(kA, 256, SimTime::zero());
   EXPECT_EQ(pool.counters().cold_starts, 1u);
   EXPECT_EQ(pool.counters().warm_hits, 1u);
 }

@@ -10,6 +10,13 @@ namespace {
 using sim::Rng;
 using sim::SimTime;
 
+// Functions are keyed by their dense registry index.
+constexpr FunctionKey kNewFn = 0;
+constexpr FunctionKey kFn = 1;
+constexpr FunctionKey kA = 2;
+constexpr FunctionKey kB = 3;
+constexpr FunctionKey kC = 4;
+
 ContainerPool make_pool(std::size_t prewarm = 2, std::size_t cap = 8) {
   ContainerPool::Config cfg;
   cfg.max_containers = cap;
@@ -35,7 +42,7 @@ TEST(Prewarm, MatchingKindSpecializesInsteadOfColdStart) {
   auto pool = make_pool(2);
   pool.maintain_prewarm(SimTime::zero());
   // After boot (a few hundred ms) the stem cell is usable.
-  const auto r = pool.acquire("new-fn", "python:3", 128, SimTime::seconds(5));
+  const auto r = pool.acquire(kNewFn, "python:3", 128, SimTime::seconds(5));
   EXPECT_EQ(r.kind, AcquireResult::Kind::kPrewarmed);
   EXPECT_LT(r.start_latency, SimTime::millis(100));  // near-warm
   EXPECT_EQ(pool.prewarmed_containers(), 1u);
@@ -46,14 +53,14 @@ TEST(Prewarm, BootingStemCellNotUsableYet) {
   auto pool = make_pool(1);
   pool.maintain_prewarm(SimTime::zero());
   // Immediately after creation the stem cell is still booting: cold path.
-  const auto r = pool.acquire("fn", "python:3", 128, SimTime::millis(1));
+  const auto r = pool.acquire(kFn, "python:3", 128, SimTime::millis(1));
   EXPECT_EQ(r.kind, AcquireResult::Kind::kCold);
 }
 
 TEST(Prewarm, MismatchedKindGoesCold) {
   auto pool = make_pool(2);
   pool.maintain_prewarm(SimTime::zero());
-  const auto r = pool.acquire("fn", "nodejs:18", 128, SimTime::seconds(5));
+  const auto r = pool.acquire(kFn, "nodejs:18", 128, SimTime::seconds(5));
   EXPECT_EQ(r.kind, AcquireResult::Kind::kCold);
   EXPECT_EQ(pool.prewarmed_containers(), 2u);
 }
@@ -61,10 +68,10 @@ TEST(Prewarm, MismatchedKindGoesCold) {
 TEST(Prewarm, WarmHitStillPreferredOverStemCell) {
   auto pool = make_pool(2);
   pool.maintain_prewarm(SimTime::zero());
-  const auto first = pool.acquire("fn", "python:3", 128, SimTime::seconds(5));
+  const auto first = pool.acquire(kFn, "python:3", 128, SimTime::seconds(5));
   pool.mark_running(first.container, SimTime::seconds(5));
   pool.release(first.container, SimTime::seconds(6));
-  const auto second = pool.acquire("fn", "python:3", 128, SimTime::seconds(7));
+  const auto second = pool.acquire(kFn, "python:3", 128, SimTime::seconds(7));
   EXPECT_EQ(second.kind, AcquireResult::Kind::kWarm);
   EXPECT_EQ(second.container, first.container);
 }
@@ -74,11 +81,11 @@ TEST(Prewarm, StemCellsEvictedFirstUnderPressure) {
   pool.maintain_prewarm(SimTime::zero());
   // Fill the cap with busy containers of another kind: stem cells are
   // sacrificed first.
-  const auto a = pool.acquire("a", "go:1", 512, SimTime::seconds(5));
+  const auto a = pool.acquire(kA, "go:1", 512, SimTime::seconds(5));
   pool.mark_running(a.container, SimTime::seconds(5));
-  const auto b = pool.acquire("b", "go:1", 512, SimTime::seconds(5));
+  const auto b = pool.acquire(kB, "go:1", 512, SimTime::seconds(5));
   pool.mark_running(b.container, SimTime::seconds(5));
-  const auto c = pool.acquire("c", "go:1", 512, SimTime::seconds(5));
+  const auto c = pool.acquire(kC, "go:1", 512, SimTime::seconds(5));
   EXPECT_NE(c.kind, AcquireResult::Kind::kRejected);
   EXPECT_EQ(pool.prewarmed_containers(), 0u);
   EXPECT_GE(pool.counters().evictions, 2u);
@@ -86,9 +93,9 @@ TEST(Prewarm, StemCellsEvictedFirstUnderPressure) {
 
 TEST(Prewarm, NeverEvictsToCreateStemCells) {
   auto pool = make_pool(2, /*cap=*/2);
-  const auto a = pool.acquire("a", "go:1", 512, SimTime::zero());
+  const auto a = pool.acquire(kA, "go:1", 512, SimTime::zero());
   pool.mark_running(a.container, SimTime::zero());
-  const auto b = pool.acquire("b", "go:1", 512, SimTime::zero());
+  const auto b = pool.acquire(kB, "go:1", 512, SimTime::zero());
   pool.mark_running(b.container, SimTime::zero());
   pool.maintain_prewarm(SimTime::seconds(1));
   EXPECT_EQ(pool.prewarmed_containers(), 0u);  // no room, no eviction

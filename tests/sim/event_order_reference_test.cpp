@@ -7,11 +7,14 @@
 // The mix covers what the event queue's lanes must get right: periodic
 // series at more distinct intervals than there are lanes, one-shots at
 // the same instant as a lane head, cancel() and PeriodicHandle::stop()
-// from inside callbacks (including a series stopping itself), and
-// settle_to() followed by same-instant scheduling.
+// from inside callbacks (including a series stopping itself),
+// settle_to() followed by same-instant scheduling, and fixed-delay
+// one-shots (after_fixed) at three delays — one shared with a series
+// interval, so a lane holds both — cancelled from inside callbacks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -66,6 +69,9 @@ class RefSim {
   }
   Id after(SimTime delay, std::function<void()> cb) {
     return at(now_ + delay, std::move(cb));
+  }
+  Id after_fixed(SimTime delay, std::function<void()> cb) {
+    return after(delay, std::move(cb));
   }
   bool cancel(Id id) {
     const auto it = calls_.find(id);
@@ -131,6 +137,9 @@ using Firing = std::tuple<int, std::int64_t>;
 constexpr std::int64_t kIntervalsMs[] = {100, 2000, 250, 1000, 50,
                                          700, 3000, 150, 400, 1300};
 
+/// Delays of the fixed-delay one-shots; 1300 ms is also a series interval.
+constexpr std::int64_t kFixedDelaysMs[] = {300, 1300, 5000};
+
 template <class Sim>
 class Script {
  public:
@@ -140,6 +149,9 @@ class Script {
   Script(Sim& sim, std::uint64_t seed) : sim_{sim}, rng_{seed} {}
 
   std::vector<Firing> run(SimTime horizon) {
+    // Fixed delays first, so they open lanes before the series take the
+    // rest; later series intervals then ride the heap.
+    for (int i = 0; i < 8; ++i) start_fixed();
     for (int i = 0; i < 12; ++i) start_series();
     for (int i = 0; i < 8; ++i) start_oneshot();
     const SimTime chunk = SimTime::millis(1'700);
@@ -160,6 +172,9 @@ class Script {
     return log_;
   }
 
+  [[nodiscard]] int fixed_started() const { return fixed_started_; }
+  [[nodiscard]] int fixed_cancelled() const { return fixed_cancelled_; }
+
  private:
   void start_series() {
     const int tag = next_tag_++;
@@ -178,6 +193,15 @@ class Script {
         : roll == 1 ? SimTime::millis(kIntervalsMs[rng_.uniform_int(0, 9)])
                     : SimTime::micros(rng_.uniform_int(1, 3'000'000));
     oneshots_.push_back(sim_.after(delay, [this, tag] { fire(tag); }));
+  }
+
+  void start_fixed() {
+    const int tag = next_tag_++;
+    const SimTime delay = SimTime::millis(kFixedDelaysMs[rng_.uniform_int(0, 2)]);
+    const Id id = sim_.after_fixed(delay, [this, tag] { fire(tag); });
+    oneshots_.push_back(id);
+    fixed_.push_back(id);
+    ++fixed_started_;
   }
 
   void fire(int tag) {
@@ -200,6 +224,15 @@ class Script {
       }
     } else if (roll < 40) {
       start_series();
+    } else if (roll < 55) {
+      start_fixed();
+    } else if (roll < 60) {  // cancel a recent fixed one-shot, often pending
+      const std::size_t n = fixed_.size();
+      const auto back = static_cast<std::size_t>(
+          rng_.uniform_int(0, std::min<std::int64_t>(7, static_cast<std::int64_t>(n) - 1)));
+      const bool cancelled = sim_.cancel(fixed_[n - 1 - back]);
+      fixed_cancelled_ += cancelled ? 1 : 0;
+      log_.emplace_back(-6, cancelled ? 1 : 0);
     }
   }
 
@@ -209,6 +242,9 @@ class Script {
   std::vector<Handle> series_;
   std::vector<int> series_tags_;
   std::vector<Id> oneshots_;
+  std::vector<Id> fixed_;
+  int fixed_started_{0};
+  int fixed_cancelled_{0};
   std::vector<Firing> log_;
 };
 
@@ -217,9 +253,13 @@ TEST(EventOrderReference, SimulationFiresInWhenSeqOrder) {
     Simulation sim;
     RefSim ref;
     const SimTime horizon = SimTime::seconds(90);
-    const std::vector<Firing> got = Script<Simulation>{sim, seed}.run(horizon);
-    const std::vector<Firing> want = Script<RefSim>{ref, seed}.run(horizon);
+    Script<Simulation> got_script{sim, seed};
+    Script<RefSim> want_script{ref, seed};
+    const std::vector<Firing> got = got_script.run(horizon);
+    const std::vector<Firing> want = want_script.run(horizon);
     ASSERT_GT(want.size(), 1'000u) << "seed " << seed;
+    ASSERT_GT(want_script.fixed_started(), 100) << "seed " << seed;
+    ASSERT_GT(want_script.fixed_cancelled(), 10) << "seed " << seed;
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", firing " << i;
