@@ -157,11 +157,12 @@ core::HpcWhiskSystem::Config system_config(const ScenarioSpec& spec,
     }
     cfg.manager.pilot_tres = pilot_tres;
     if (spec.qos_preempt) {
-      // Two pilot tiers below every HPC partition tier: low dies first,
-      // high (the longest fib class / all var pilots' partition default
-      // stays tier 0) is preempted only when low supply is exhausted.
+      // pilot-low is sacrificial (dies before plain tier-0 pilots);
+      // pilot-high matches the HPC partition tier, so the longest-fib
+      // pilots are protected from HPC preemption (DESIGN.md §17) — the
+      // same regime the benches run.
       fid.qos.push_back({"pilot-low", -1, 0, 1.0});
-      fid.qos.push_back({"pilot-high", 0, 0, 1.0});
+      fid.qos.push_back({"pilot-high", 1, 0, 1.0});
       cfg.manager.pilot_qos = "pilot-low";
       cfg.manager.pilot_qos_long = "pilot-high";
     }
