@@ -30,8 +30,8 @@ int main() {
   // Independent runs: fan out, gather rows in sweep order.
   const auto rows = exec::parallel_trials(
       sweep, [](const Variant& variant, std::ostream&) {
-        bench::ExperimentConfig cfg;
-        cfg.window = sim::SimTime::hours(16);
+        check::ScenarioSpec cfg = bench::base_scenario();
+        cfg.horizon = cfg.measure_start + sim::SimTime::hours(16);
         cfg = bench::apply_env(cfg);
 
         sim::Simulation simulation;
@@ -61,18 +61,18 @@ int main() {
         core::HpcWhiskSystem system{simulation, sys_cfg};
         trace::HpcWorkloadGenerator workload{
             simulation, system.slurm(), {},
-            sim::Rng{cfg.seed ^ 0x9E3779B9ULL}};
+            sim::Rng{cfg.hpc_seed}};
         system.slurm().set_node_observer(
             [&log](const slurm::NodeTransition& t) { log.record(t); });
         workload.start();
         system.start();
-        const auto end = cfg.burn_in + cfg.window;
+        const sim::SimTime end = cfg.horizon;
         simulation.run_until(end);
         log.finalize(end);
 
         std::vector<analysis::StateCounts> samples;
         for (const auto& s : log.sample_counts(sim::SimTime::seconds(10)))
-          if (s.at >= cfg.burn_in) samples.push_back(s);
+          if (s.at >= cfg.measure_start) samples.push_back(s);
         const auto report = analysis::slurm_level_report(samples);
 
         std::string lengths;

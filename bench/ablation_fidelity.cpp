@@ -80,25 +80,29 @@ struct LegResult {
 };
 
 LegResult run_leg(const Leg& leg, bool quick, std::ostream&) {
-  bench::ExperimentConfig cfg;
-  cfg.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.supply = core::SupplyModel::kFib;
   cfg.nodes = quick ? 64 : 512;
-  cfg.burn_in = quick ? sim::SimTime::minutes(15) : sim::SimTime::hours(1);
-  cfg.window = quick ? sim::SimTime::minutes(30) : sim::SimTime::hours(2);
+  cfg.measure_start =
+      quick ? sim::SimTime::minutes(15) : sim::SimTime::hours(1);
+  cfg.horizon = cfg.measure_start +
+                (quick ? sim::SimTime::minutes(30) : sim::SimTime::hours(2));
   cfg.faas_qps = quick ? 30.0 : 120.0;
   cfg.faas_functions = 40;
-  cfg.seed = leg.seed;
+  bench::reseed(cfg, leg.seed);
 
-  cfg.fidelity.tres = leg.regime != Regime::kLegacy;
-  cfg.fidelity.reservations = leg.regime == Regime::kTresResv ||
-                              leg.regime == Regime::kTresResvQos;
-  cfg.fidelity.qos_preempt = leg.regime == Regime::kTresResvQos;
-  // Rolling maintenance windows sized to the run: several windows must
-  // fall inside the measured window for the knob to matter.
-  cfg.fidelity.reservation_period =
+  cfg.tres_mode = leg.regime != Regime::kLegacy;
+  cfg.reservation = leg.regime == Regime::kTresResv ||
+                    leg.regime == Regime::kTresResvQos;
+  cfg.qos_preempt = leg.regime == Regime::kTresResvQos;
+  // Rolling maintenance windows over the first nodes/16 nodes, sized to
+  // the run: several windows must fall inside the measured window for the
+  // knob to matter.
+  cfg.res_period =
       quick ? sim::SimTime::minutes(12) : sim::SimTime::minutes(40);
-  cfg.fidelity.reservation_length =
-      quick ? sim::SimTime::minutes(6) : sim::SimTime::minutes(15);
+  cfg.res_start = cfg.res_period;
+  cfg.res_length = quick ? sim::SimTime::minutes(6) : sim::SimTime::minutes(15);
+  cfg.res_nodes = std::max<std::uint32_t>(1, cfg.nodes / 16);
 
   const bench::ExperimentResult result = bench::run_experiment(cfg);
 
@@ -109,9 +113,9 @@ LegResult run_leg(const Leg& leg, bool quick, std::ostream&) {
 
   // A legacy pilot owns its whole node; a TRES pilot owns a fraction.
   const double node_fraction =
-      cfg.fidelity.tres
-          ? static_cast<double>(cfg.fidelity.pilot_tres.cpus) /
-                static_cast<double>(cfg.fidelity.node_capacity.cpus)
+      cfg.tres_mode
+          ? static_cast<double>(cfg.pilot_cpus) /
+                static_cast<double>(cfg.node_cpus)
           : 1.0;
   const auto& harvest = result.system->manager().harvest();
   out.harvested_node_s = harvest.harvested.to_seconds() * node_fraction;
@@ -197,8 +201,8 @@ int main() {
   const bool quick = std::getenv("HW_BENCH_QUICK") != nullptr;
   const std::string out_path =
       env_or("HW_FIDELITY_OUT", "BENCH_fidelity.json");
-  const bench::ExperimentConfig env_cfg = bench::apply_env({});
-  const std::uint64_t base_seed = env_cfg.seed;
+  const std::uint64_t base_seed =
+      bench::apply_env(bench::base_scenario()).seed;
   const std::size_t trials = bench::trial_count();
 
   std::vector<Leg> legs;

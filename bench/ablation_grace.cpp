@@ -16,10 +16,10 @@ int main() {
   // Independent runs: fan out, gather rows in sweep order.
   const auto rows = exec::parallel_trials(
       sweep, [](const double grace_min, std::ostream&) {
-        bench::ExperimentConfig cfg;
-        cfg.pilots = core::SupplyModel::kFib;
+        check::ScenarioSpec cfg = bench::base_scenario();
+        cfg.supply = core::SupplyModel::kFib;
         cfg.grace = sim::SimTime::minutes(grace_min);
-        cfg.window = sim::SimTime::hours(12);
+        cfg.horizon = cfg.measure_start + sim::SimTime::hours(12);
         cfg.faas_qps = 10.0;
         cfg = bench::apply_env(cfg);
         const auto result = bench::run_experiment(cfg);

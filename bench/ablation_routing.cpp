@@ -75,11 +75,12 @@ struct LegResult {
 };
 
 LegResult run_leg(const Leg& leg, bool quick, std::ostream&) {
-  bench::ExperimentConfig cfg;
-  cfg.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.supply = core::SupplyModel::kFib;
   cfg.nodes = quick ? 48 : 96;
-  cfg.burn_in = sim::SimTime::minutes(quick ? 15 : 30);
-  cfg.window = quick ? sim::SimTime::minutes(45) : sim::SimTime::hours(2);
+  cfg.measure_start = sim::SimTime::minutes(quick ? 15 : 30);
+  cfg.horizon = cfg.measure_start +
+                (quick ? sim::SimTime::minutes(45) : sim::SimTime::hours(2));
   cfg.faas_qps = quick ? 6.0 : 12.0;
   cfg.faas_functions = 40;
   // The heterogeneous mix: 2.5 % of the traffic is 30 s interruptible
@@ -90,13 +91,13 @@ LegResult run_leg(const Leg& leg, bool quick, std::ostream&) {
   cfg.faas_long_duration = sim::SimTime::seconds(kLongDurationS);
   // Deadline classes are part of the data-driven subsystem under test:
   // predicted-short calls may jump queue position at publish time.
-  cfg.sched.deadline_classes = true;
+  cfg.deadline_classes = true;
   // A 4-wide dispatch gate makes queueing real (one long execution is a
   // quarter of an invoker); probing gets the matching slot count so the
   // baseline saturates exactly when the invoker does.
   cfg.invoker_concurrency = 4;
   cfg.invoker_slots = 4;
-  cfg.seed = leg.seed;
+  bench::reseed(cfg, leg.seed);
   cfg.route_mode = leg.mode;
 
   const bench::ExperimentResult result = bench::run_experiment(cfg);
@@ -182,8 +183,8 @@ struct Aggregate {
 int main() {
   const bool quick = std::getenv("HW_BENCH_QUICK") != nullptr;
   const std::string out_path = env_or("HW_ROUTING_OUT", "BENCH_routing.json");
-  const bench::ExperimentConfig env_cfg = bench::apply_env({});
-  const std::uint64_t base_seed = env_cfg.seed;
+  const std::uint64_t base_seed =
+      bench::apply_env(bench::base_scenario()).seed;
   const std::size_t trials = bench::trial_count();
 
   const std::vector<whisk::RouteMode> sweep{

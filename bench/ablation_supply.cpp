@@ -20,11 +20,11 @@ int main() {
   // Independent runs: fan out, gather rows in sweep order.
   const auto rows =
       exec::parallel_trials(sweep, [](const Point& p, std::ostream&) {
-        bench::ExperimentConfig cfg;
-        cfg.pilots = core::SupplyModel::kFib;
+        check::ScenarioSpec cfg = bench::base_scenario();
+        cfg.supply = core::SupplyModel::kFib;
         cfg.fib_per_length = p.per_length;
         cfg.replenish_interval = sim::SimTime::seconds(p.replenish_s);
-        cfg.window = sim::SimTime::hours(12);
+        cfg.horizon = cfg.measure_start + sim::SimTime::hours(12);
         cfg = bench::apply_env(cfg);
         const auto result = bench::run_experiment(cfg);
         const auto report = analysis::slurm_level_report(result.samples);

@@ -1,10 +1,15 @@
 #include "experiment.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <iostream>
 #include <ostream>
+#include <stdexcept>
 
 #include "common/alloc_probe.hpp"
+#include "hpcwhisk/check/runner.hpp"
 
 namespace hpcwhisk::bench {
 
@@ -14,67 +19,126 @@ namespace hpcwhisk::bench {
 __attribute__((weak)) std::uint64_t alloc_probe_count() { return 0; }
 __attribute__((weak)) bool alloc_probe_enabled() { return false; }
 
-ExperimentConfig apply_env(ExperimentConfig cfg) {
+namespace {
+
+[[noreturn]] void reject_env(const char* name, const char* value,
+                             const char* accepted) {
+  std::cerr << name << "=\"" << value << "\" is not valid; accepted: "
+            << accepted << "\n";
+  std::exit(2);
+}
+
+}  // namespace
+
+check::ScenarioSpec base_scenario() {
+  check::ScenarioSpec spec;
+  spec.nodes = 2239;
+  spec.supply.reset();
+  spec.length_set = "A1";
+  spec.fib_per_length = 10;
+  spec.measure_start = sim::SimTime::hours(4);
+  spec.horizon = spec.measure_start + sim::SimTime::hours(24);
+  spec.settle = sim::SimTime::zero();
+  spec.faas_qps = 0.0;
+  spec.faas_functions = 100;
+  spec.faas_duration = sim::SimTime::millis(10);
+  spec.hpc_backlog = trace::HpcWorkloadGenerator::Config{}.backlog_target;
+  spec.pilot_cpus = 2;
+  spec.pilot_mem_mb = 8000;
+  reseed(spec, 1);
+  return spec;
+}
+
+void reseed(check::ScenarioSpec& spec, std::uint64_t seed) {
+  spec.seed = seed;
+  spec.system_seed = seed;
+  spec.hpc_seed = seed ^ 0x9E3779B9ULL;
+  spec.faas_seed = seed ^ 0xC0FFEEULL;
+  spec.gateway_seed = seed;
+}
+
+std::optional<std::uint64_t> env_uint(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return std::nullopt;
+  std::uint64_t out = 0;
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc{} || ptr != end || ptr == value) {
+    reject_env(name, value, "a non-negative integer");
+  }
+  return out;
+}
+
+check::ScenarioSpec apply_env(check::ScenarioSpec spec) {
   if (std::getenv("HW_BENCH_QUICK") != nullptr) {
-    cfg.nodes = std::max<std::uint32_t>(64, cfg.nodes / 4);
-    cfg.window = sim::SimTime::seconds(cfg.window.to_seconds() / 4.0);
-    cfg.burn_in = sim::SimTime::hours(2);
+    const sim::SimTime window = spec.horizon - spec.measure_start;
+    spec.nodes = std::max<std::uint32_t>(64, spec.nodes / 4);
+    spec.measure_start = sim::SimTime::hours(2);
+    spec.horizon =
+        spec.measure_start + sim::SimTime::seconds(window.to_seconds() / 4.0);
   }
-  if (const char* seed = std::getenv("HW_SEED")) {
-    cfg.seed = static_cast<std::uint64_t>(std::strtoull(seed, nullptr, 10));
-  }
-  if (const char* fed = std::getenv("HW_FED_CLUSTERS")) {
-    const unsigned long n = std::strtoul(fed, nullptr, 10);
-    if (n > 0) cfg.fed_clusters = static_cast<std::size_t>(n);
-  }
+  if (const auto seed = env_uint("HW_SEED")) reseed(spec, *seed);
   if (const char* mode = std::getenv("HW_ROUTE_MODE")) {
-    if (const auto parsed = whisk::route_mode_from_string(mode))
-      cfg.route_mode = *parsed;
+    const auto parsed = whisk::route_mode_from_string(mode);
+    if (!parsed) {
+      reject_env("HW_ROUTE_MODE", mode,
+                 "hash-probing, hash-only, round-robin, least-loaded, "
+                 "least-expected-work, sjf-affinity");
+    }
+    spec.route_mode = *parsed;
   }
-  if (std::getenv("HW_LEASE") != nullptr) cfg.lease.enabled = true;
+  if (std::getenv("HW_LEASE") != nullptr) spec.lease_mode = true;
   if (const char* ka = std::getenv("HW_KEEPALIVE")) {
-    if (const auto parsed = runtime::keep_alive_policy_from_string(ka))
-      cfg.keep_alive.policy = *parsed;
+    const auto parsed = runtime::keep_alive_policy_from_string(ka);
+    if (!parsed) reject_env("HW_KEEPALIVE", ka, "fixed, adaptive, hybrid");
+    spec.keep_alive = *parsed;
   }
-  if (std::getenv("HW_TRES") != nullptr) cfg.fidelity.tres = true;
+  if (std::getenv("HW_TRES") != nullptr) spec.tres_mode = true;
   if (std::getenv("HW_RESV") != nullptr) {
-    cfg.fidelity.tres = true;
-    cfg.fidelity.reservations = true;
+    // Rolling maintenance: every 2 h, the first nodes/16 nodes leave both
+    // supplies for 15 min.
+    spec.tres_mode = true;
+    spec.reservation = true;
+    spec.res_period = sim::SimTime::hours(2);
+    spec.res_start = spec.res_period;
+    spec.res_length = sim::SimTime::minutes(15);
+    spec.res_nodes = std::max<std::uint32_t>(1, spec.nodes / 16);
   }
   if (std::getenv("HW_QOS") != nullptr) {
-    cfg.fidelity.tres = true;
-    cfg.fidelity.qos_preempt = true;
+    spec.tres_mode = true;
+    spec.qos_preempt = true;
   }
-  return cfg;
+  return spec;
 }
 
 std::size_t trial_count() {
-  if (const char* env = std::getenv("HW_BENCH_TRIALS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
+  const auto n = env_uint("HW_BENCH_TRIALS");
+  if (n == 0u) {
+    reject_env("HW_BENCH_TRIALS", "0", "a positive integer");
   }
-  return 1;
+  return static_cast<std::size_t>(n.value_or(1));
 }
 
-std::vector<ExperimentConfig> seed_sweep(ExperimentConfig base,
-                                         std::size_t n) {
-  std::vector<ExperimentConfig> configs;
-  configs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    configs.push_back(base);
-    configs.back().seed = base.seed + i;
-  }
-  return configs;
+std::vector<check::ScenarioSpec> seed_sweep(check::ScenarioSpec base,
+                                            std::size_t n) {
+  std::vector<check::ScenarioSpec> specs(n, base);
+  for (std::size_t i = 0; i < n; ++i) reseed(specs[i], base.seed + i);
+  return specs;
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& cfg) {
+ExperimentResult run_experiment(const check::ScenarioSpec& spec,
+                                std::size_t trace_capacity) {
+  if (spec.clusters != 1) {
+    throw std::invalid_argument(
+        "run_experiment: single-cluster scenarios only");
+  }
   ExperimentResult result;
   result.simulation = std::make_unique<sim::Simulation>();
   sim::Simulation& simulation = *result.simulation;
 
-  if (cfg.observe) {
+  if (trace_capacity > 0) {
     obs::Observability::Config obs_cfg;
-    obs_cfg.trace_capacity = cfg.trace_capacity;
+    obs_cfg.trace_capacity = trace_capacity;
     result.obs = std::make_unique<obs::Observability>(obs_cfg);
     result.obs->metrics.add_collector(
         [sim = &simulation](obs::MetricsRegistry& m) {
@@ -85,88 +149,19 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         });
   }
 
-  core::HpcWhiskSystem::Config sys_cfg;
-  sys_cfg.obs = result.obs.get();
-  sys_cfg.seed = cfg.seed;
-  sys_cfg.slurm.node_count = cfg.nodes;
-  sys_cfg.partitions = core::default_partitions(cfg.grace);
-  sys_cfg.slurm.pilot_placement = cfg.placement;
-  sys_cfg.controller.route_mode = cfg.route_mode;
-  sys_cfg.controller.sched = cfg.sched;
-  sys_cfg.controller.lease = cfg.lease;
-  sys_cfg.manager.invoker.pool.keep_alive = cfg.keep_alive;
-  if (cfg.invoker_concurrency > 0)
-    sys_cfg.manager.invoker.max_concurrent = cfg.invoker_concurrency;
-  if (cfg.invoker_slots > 0)
-    sys_cfg.controller.invoker_slots = cfg.invoker_slots;
-  sys_cfg.manager.model = cfg.pilots.value_or(core::SupplyModel::kFib);
-  sys_cfg.manager.fib_per_length = cfg.fib_per_length;
-  sys_cfg.manager.replenish_interval = cfg.replenish_interval;
-  if (!cfg.fib_lengths.empty()) sys_cfg.manager.fib_lengths = cfg.fib_lengths;
+  check::Scenario scenario =
+      check::build_scenario(simulation, spec, result.obs.get());
+  core::HpcWhiskSystem& system = *scenario.system;
 
-  // Slurm-fidelity layer: nothing below runs unless fidelity.tres is on,
-  // so legacy configs keep their exact construction (golden-pinned).
-  if (cfg.fidelity.tres) {
-    sys_cfg.slurm.fidelity.tres_mode = true;
-    sys_cfg.slurm.fidelity.node_capacity = cfg.fidelity.node_capacity;
-    sys_cfg.manager.pilot_tres = cfg.fidelity.pilot_tres;
-    if (cfg.fidelity.qos_preempt) {
-      // pilot-low is sacrificial (dies before plain tier-0 pilots);
-      // pilot-high matches the HPC partition tier, so the longest-fib
-      // pilots are protected from HPC preemption (DESIGN.md §17).
-      sys_cfg.slurm.fidelity.qos.push_back({"pilot-low", -1, 0, 1.0});
-      sys_cfg.slurm.fidelity.qos.push_back({"pilot-high", 1, 0, 1.0});
-      sys_cfg.manager.pilot_qos = "pilot-low";
-      sys_cfg.manager.pilot_qos_long = "pilot-high";
-    }
-    if (cfg.fidelity.reservations) {
-      const std::uint32_t width =
-          cfg.fidelity.reservation_nodes > 0
-              ? cfg.fidelity.reservation_nodes
-              : std::max<std::uint32_t>(1, cfg.nodes / 16);
-      const sim::SimTime end_of_run = cfg.burn_in + cfg.window;
-      for (sim::SimTime at = cfg.fidelity.reservation_period; at < end_of_run;
-           at += cfg.fidelity.reservation_period) {
-        slurm::Reservation r;
-        r.name = "maint-" + std::to_string(at.ticks());
-        r.start = at;
-        r.end = at + cfg.fidelity.reservation_length;
-        r.nodes.resize(std::min(width, cfg.nodes));
-        for (std::uint32_t n = 0; n < r.nodes.size(); ++n) r.nodes[n] = n;
-        sys_cfg.slurm.fidelity.reservations.push_back(std::move(r));
-      }
-    }
-  }
-  result.system = std::make_unique<core::HpcWhiskSystem>(simulation, sys_cfg);
-  core::HpcWhiskSystem& system = *result.system;
-
-  trace::HpcWorkloadGenerator::Config wl_cfg;
-  if (cfg.fidelity.tres) {
-    // Whole/half/quarter-node HPC mix: the partial nodes whose leftover
-    // TRES the fractional pilots harvest.
-    const slurm::TresVector full = cfg.fidelity.node_capacity;
-    const slurm::TresVector half{std::max(1u, full.cpus / 2),
-                                 std::max(1u, full.mem_mb / 2), full.gres / 2};
-    const slurm::TresVector quarter{std::max(1u, full.cpus / 4),
-                                    std::max(1u, full.mem_mb / 4),
-                                    full.gres / 4};
-    wl_cfg.tres_buckets = {{full, 0.5}, {half, 0.3}, {quarter, 0.2}};
-  }
-  result.workload = std::make_unique<trace::HpcWorkloadGenerator>(
-      simulation, system.slurm(), wl_cfg, sim::Rng{cfg.seed ^ 0x9E3779B9ULL});
-
-  result.log =
-      std::make_unique<analysis::NodeStateLog>(cfg.nodes, sim::SimTime::zero());
+  result.log = std::make_unique<analysis::NodeStateLog>(spec.nodes,
+                                                       sim::SimTime::zero());
   system.slurm().set_node_observer(
       [log = result.log.get()](const slurm::NodeTransition& t) {
         log->record(t);
       });
 
-  result.measure_start = cfg.burn_in;
-  result.measure_end = cfg.burn_in + cfg.window;
-
-  result.workload->start();
-  if (cfg.pilots.has_value()) system.start();
+  result.measure_start = spec.measure_start;
+  result.measure_end = spec.horizon;
 
   // Time-series tier: sampled signals registered against the recorder,
   // polled by the existing 10 s OW sampler below. Sampling must never
@@ -265,7 +260,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // must not be captured by reference in pending events.
   auto ow_samples = std::make_shared<std::vector<ExperimentResult::OwSample>>();
   const sim::SimTime measure_end = result.measure_end;
-  if (cfg.pilots.has_value()) {
+  if (scenario.pilots) {
     obs::Observability* obs = result.obs.get();
     simulation.at(result.measure_start, [&simulation, &system, ow_samples,
                                          measure_end, obs] {
@@ -294,37 +289,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     });
   }
 
-  // FaaS load during the measurement window.
-  std::shared_ptr<trace::FaasLoadGenerator> faas;
-  if (cfg.faas_qps > 0) {
-    const auto names = trace::register_sleep_functions(system.functions(),
-                                                       cfg.faas_functions);
-    // Re-register a share of the fleet as long-running interruptible
-    // actions: long executions are the ones live drains interrupt and
-    // reroute, which 10 ms sleeps essentially never exercise.
-    if (cfg.faas_long_share > 0) {
-      const std::size_t n_long = std::min(
-          names.size(), static_cast<std::size_t>(
-                            cfg.faas_long_share *
-                            static_cast<double>(names.size())));
-      for (std::size_t i = 0; i < n_long; ++i) {
-        system.functions().put(
-            whisk::fixed_duration_function(names[i], cfg.faas_long_duration));
-      }
-    }
-    trace::FaasLoadGenerator::Config faas_cfg;
-    faas_cfg.rate_qps = cfg.faas_qps;
-    faas_cfg.functions = names;
-    faas_cfg.hot_share = cfg.faas_hot_share;
-    faas_cfg.hot_count = cfg.faas_hot_functions;
-    faas = std::make_shared<trace::FaasLoadGenerator>(
-        simulation, faas_cfg,
-        [&system](const std::string& fn) { (void)system.controller().submit(fn); },
-        sim::Rng{cfg.seed ^ 0xC0FFEEULL});
-    simulation.at(result.measure_start,
-                  [faas, measure_end] { faas->start(measure_end); });
-  }
-
+  // Start only now: the window baseline and the OW sampler must run
+  // before the FaaS window opens at the same instant, so the opening
+  // counts toward events_in_window.
+  scenario.start();
   simulation.run_until(result.measure_end);
   result.alloc_probe_active = alloc_probe_enabled();
   result.allocs_in_window = alloc_probe_count() - window_base->first;
@@ -332,7 +300,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       simulation.executed_events() - window_base->second;
   result.log->finalize(result.measure_end);
   result.ow_samples = std::move(*ow_samples);
-  if (faas) result.faas_issued = faas->issued();
+  if (scenario.faas) result.faas_issued = scenario.faas->issued();
+  result.system = std::move(scenario.system);
+  result.workload = std::move(scenario.hpc_load);
 
   const auto all = result.log->sample_counts(sim::SimTime::seconds(10));
   result.samples.reserve(all.size());

@@ -1,13 +1,17 @@
 #pragma once
-// Shared experiment driver for the reproduction benches: wires the full
-// HPC-Whisk system (Fig. 4) to the calibrated Prometheus-like workload,
-// runs a burn-in plus a measured window, and returns every log the
-// paper's three perspectives need.
+// Shared experiment driver for the reproduction benches: a bench fills a
+// check::ScenarioSpec, check::build_scenario wires it (the same path
+// SimCheck runs), and run_experiment adds the run instrumentation — the
+// ground-truth node log, the OW-level sampler, the time-series tier and
+// the steady-state window counters — then returns every log the paper's
+// three perspectives need.
 //
-// Environment knobs (all optional):
+// Environment knobs (all optional; a value that does not parse exits 2
+// with the accepted values):
 //   HW_BENCH_QUICK=1    quarter-scale cluster and window (smoke runs)
-//   HW_SEED=<n>         base RNG seed (default 1)
-//   HW_BENCH_TRIALS=<n> seed-sweep width for the table benches (default 1)
+//   HW_SEED=<n>         base RNG seed, a non-negative integer (default 1)
+//   HW_BENCH_TRIALS=<n> seed-sweep width for the table benches, a
+//                       positive integer (default 1)
 //   HW_BENCH_JOBS=<n>   worker threads for independent trials (default
 //                       hardware concurrency; 1 = serial)
 //   HW_ROUTE_MODE=<m>   controller routing policy by to_string name
@@ -19,6 +23,8 @@
 //   HW_TRES=1           per-TRES packing (fractional-node harvesting)
 //   HW_RESV=1           rolling maintenance reservations (implies TRES)
 //   HW_QOS=1            two-tier QOS pilot preemption (implies TRES)
+// HW_SEED, HW_BENCH_TRIALS and HW_FED_CLUSTERS (the federation bench's
+// width) go through env_uint below.
 
 #include <cstdint>
 #include <memory>
@@ -32,6 +38,7 @@
 #include "hpcwhisk/analysis/node_state_log.hpp"
 #include "hpcwhisk/analysis/report.hpp"
 #include "hpcwhisk/analysis/stats.hpp"
+#include "hpcwhisk/check/scenario.hpp"
 #include "hpcwhisk/core/job_manager.hpp"
 #include "hpcwhisk/core/system.hpp"
 #include "hpcwhisk/lease/lease_manager.hpp"
@@ -42,111 +49,33 @@
 
 namespace hpcwhisk::bench {
 
-struct ExperimentConfig {
-  /// Cluster size (Prometheus main partition).
-  std::uint32_t nodes{2239};
-  /// Burn-in discarded before measurement (cluster fill-up).
-  sim::SimTime burn_in{sim::SimTime::hours(4)};
-  /// Measured window (the paper's experiments run 24 h).
-  sim::SimTime window{sim::SimTime::hours(24)};
-  /// Pilot supply model; nullopt = no pilots (baseline idleness runs).
-  std::optional<core::SupplyModel> pilots;
-  /// FaaS load (the responsiveness experiment): QPS over `faas_functions`
-  /// distinct 10 ms sleep functions; 0 = no FaaS load.
-  double faas_qps{0.0};
-  std::size_t faas_functions{100};
-  std::uint64_t seed{1};
-  /// Extra tuning hooks.
-  slurm::PilotPlacement placement{slurm::PilotPlacement::kPreemptAware};
-  sim::SimTime grace{sim::SimTime::minutes(3)};
-  std::size_t fib_per_length{10};
-  std::vector<sim::SimTime> fib_lengths;  // empty => set A1
-  sim::SimTime replenish_interval{sim::SimTime::seconds(15)};
+/// The benches' base scenario: the paper's Prometheus day — 2,239 nodes,
+/// a 4 h burn-in then a 24 h measured window, A1 fib lengths at 10 jobs
+/// per length, 10 ms sleep functions, the calibrated HPC load, 2-cpu
+/// fractional pilots once TRES is on — with no pilot supply and no FaaS
+/// load until the bench asks for them, seeded by reseed(1).
+check::ScenarioSpec base_scenario();
 
-  /// Observability: when true the run carries a per-trial
-  /// obs::Observability sink (span trace + metrics) wired into every
-  /// component; the result owns it. Per-trial sinks — never a shared
-  /// one — keep exec::parallel_trials byte-identical with serial runs.
-  bool observe{false};
-  std::size_t trace_capacity{obs::TraceCollector::kDefaultCapacity};
+/// Sets `spec.seed` and the benches' per-stream seeds derived from it.
+void reseed(check::ScenarioSpec& spec, std::uint64_t seed);
 
-  /// Federation width for the federation bench: number of HPC-Whisk
-  /// clusters behind one fed::FederatedGateway (HW_FED_CLUSTERS
-  /// overrides). 0 means the bench's own default sweep.
-  std::size_t fed_clusters{0};
+/// Reads a non-negative integer environment variable: nullopt when
+/// unset; exits 2 with a message when set to anything but digits.
+std::optional<std::uint64_t> env_uint(const char* name);
 
-  /// Controller routing policy (the routing-ablation axis). The
-  /// data-driven modes also honor `sched`. HW_ROUTE_MODE overrides.
-  whisk::RouteMode route_mode{whisk::RouteMode::kHashProbing};
-  /// Estimator / policy knobs for the data-driven route modes.
-  sched::SchedConfig sched{};
-  /// Invoker dispatch gate (whisk::Invoker::Config::max_concurrent);
-  /// 0 keeps the component default. The routing ablation shrinks it so
-  /// queueing — the thing the policies differ on — actually occurs.
-  std::size_t invoker_concurrency{0};
-  /// kHashProbing saturation threshold (Controller::Config::
-  /// invoker_slots); 0 keeps the component default.
-  std::uint32_t invoker_slots{0};
-
-  /// Share of the FaaS functions re-registered as long-running
-  /// (interruptible) actions of `faas_long_duration`: long executions
-  /// are what drains actually interrupt, so this exercises the
-  /// fast-lane reroute path that 10 ms sleeps almost never hit.
-  double faas_long_share{0.0};
-  sim::SimTime faas_long_duration{sim::SimTime::seconds(30)};
-
-  /// Lease-based serving tier (Controller::Config::lease); disabled by
-  /// default. HW_LEASE=1 flips `lease.enabled`.
-  lease::LeaseConfig lease{};
-  /// Container keep-alive policy for every invoker pool
-  /// (ContainerPool::Config::keep_alive). HW_KEEPALIVE overrides the
-  /// policy by name.
-  runtime::KeepAliveConfig keep_alive{};
-  /// Skewed FaaS popularity: share of arrivals drawn from the first
-  /// `faas_hot_functions` names (0 keeps the uniform round-robin and an
-  /// unchanged arrival sequence). The hot-function mix the lease tier
-  /// is designed for.
-  double faas_hot_share{0.0};
-  std::size_t faas_hot_functions{8};
-
-  /// Slurm-fidelity layer (ROADMAP item 4). Everything defaults OFF:
-  /// with `tres` false none of the other members are read and legacy
-  /// configs stay byte-identical (the golden decision-log pin enforces
-  /// this). The geometry mirrors the SimCheck sampler's center draw.
-  struct FidelityKnobs {
-    /// Per-TRES packing: nodes carry a capacity vector, HPC jobs draw a
-    /// whole/half/quarter-node mix, and pilots become fractional slices
-    /// that co-reside with prime work (fractional-node harvesting).
-    bool tres{false};
-    slurm::TresVector node_capacity{8, 32000, 0};
-    slurm::TresVector pilot_tres{2, 8000, 0};
-    /// Rolling maintenance windows: every `reservation_period`, the
-    /// first `reservation_nodes` nodes leave both supplies for
-    /// `reservation_length`. Requires `tres`.
-    bool reservations{false};
-    sim::SimTime reservation_period{sim::SimTime::hours(2)};
-    sim::SimTime reservation_length{sim::SimTime::minutes(15)};
-    std::uint32_t reservation_nodes{0};  ///< 0 = nodes/16
-    /// Two-tier QOS for pilots: short fib lengths ride "pilot-low",
-    /// the longest rides "pilot-high" (never evicted by a lower tier).
-    /// Requires `tres`.
-    bool qos_preempt{false};
-  };
-  FidelityKnobs fidelity{};
-};
-
-/// Applies HW_BENCH_QUICK / HW_SEED to a config.
-ExperimentConfig apply_env(ExperimentConfig cfg);
+/// Applies the HW_* knobs above to a scenario.
+check::ScenarioSpec apply_env(check::ScenarioSpec spec);
 
 /// Seed-sweep width for the table benches: HW_BENCH_TRIALS, default 1.
 std::size_t trial_count();
 
-/// `n` copies of `base` with seeds base.seed, base.seed+1, ... — the unit
+/// `n` copies of `base` reseeded base.seed, base.seed+1, ... — the unit
 /// of work for exec::parallel_trials.
-std::vector<ExperimentConfig> seed_sweep(ExperimentConfig base, std::size_t n);
+std::vector<check::ScenarioSpec> seed_sweep(check::ScenarioSpec base,
+                                            std::size_t n);
 
 struct ExperimentResult {
-  /// Trace + metrics sink for this trial (null unless cfg.observe).
+  /// Trace + metrics sink for this trial (null unless traced).
   /// Declared first: components record into it from their destructors
   /// (drain hand-offs in pilot teardown), so it must be destroyed last.
   std::unique_ptr<obs::Observability> obs;
@@ -184,8 +113,14 @@ struct ExperimentResult {
   std::vector<OwSample> ow_samples;
 };
 
-/// Runs the experiment to completion and collects all perspectives.
-ExperimentResult run_experiment(const ExperimentConfig& cfg);
+/// Runs a single-cluster scenario to its horizon and collects all
+/// perspectives. A non-zero `trace_capacity` gives the run its own
+/// obs::Observability sink (span trace of that many slots + metrics +
+/// time series) wired into every component; the result owns it.
+/// Per-trial sinks — never a shared one — keep exec::parallel_trials
+/// byte-identical with serial runs.
+ExperimentResult run_experiment(const check::ScenarioSpec& spec,
+                                std::size_t trace_capacity = 0);
 
 /// The paper's three-perspective coverage summary (Tables II/III).
 struct CoverageSummary {

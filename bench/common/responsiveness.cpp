@@ -6,15 +6,15 @@ namespace hpcwhisk::bench {
 
 int run_responsiveness(std::ostream& os, core::SupplyModel model,
                        double paper_invoked_pct, double paper_success_pct) {
-  ExperimentConfig cfg;
-  cfg.pilots = model;
+  check::ScenarioSpec cfg = base_scenario();
+  cfg.supply = model;
   cfg.faas_qps = 10.0;
   cfg.faas_functions = 100;
   cfg = apply_env(cfg);
 
   os << "bench: responsiveness (" << core::to_string(model) << ", seed "
      << cfg.seed << ", " << cfg.nodes << " nodes, 10 QPS x "
-     << cfg.window.to_string() << ")\n\n";
+     << (cfg.horizon - cfg.measure_start).to_string() << ")\n\n";
 
   const auto result = run_experiment(cfg);
   const auto& activations = result.system->controller().activations();

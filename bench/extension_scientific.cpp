@@ -16,8 +16,8 @@
 using namespace hpcwhisk;
 
 int main() {
-  bench::ExperimentConfig env;
-  env.window = sim::SimTime::hours(12);
+  check::ScenarioSpec env = bench::base_scenario();
+  env.horizon = env.measure_start + sim::SimTime::hours(12);
   env = bench::apply_env(env);
 
   sim::Simulation simulation;
@@ -26,7 +26,7 @@ int main() {
   sys_cfg.slurm.node_count = env.nodes;
   core::HpcWhiskSystem system{simulation, sys_cfg};
   trace::HpcWorkloadGenerator workload{simulation, system.slurm(), {},
-                                       sim::Rng{env.seed ^ 0x9E3779B9ULL}};
+                                       sim::Rng{env.hpc_seed}};
 
   // --- the scientific function mix ---------------------------------------
   sim::Rng mix_rng{env.seed ^ 0x5C1ULL};
@@ -71,12 +71,13 @@ int main() {
 
   workload.start();
   system.start();
-  const auto end = env.burn_in + env.window;
-  simulation.at(env.burn_in, [&faas, end] { faas.start(end); });
+  const sim::SimTime end = env.horizon;
+  simulation.at(env.measure_start, [&faas, end] { faas.start(end); });
   simulation.run_until(end + sim::SimTime::hours(1));  // settle
 
   std::cout << "bench: extension_scientific (seed " << env.seed << ", "
-            << env.nodes << " nodes, " << env.window.to_string()
+            << env.nodes << " nodes, "
+            << (env.horizon - env.measure_start).to_string()
             << ", 2 QPS Poisson scientific mix)\n\n";
 
   struct ClassStats {
@@ -91,7 +92,7 @@ int main() {
     return "long (sim chunks)";
   };
   for (const auto& rec : system.controller().activations()) {
-    if (rec.submit_time < env.burn_in) continue;
+    if (rec.submit_time < env.measure_start) continue;
     auto& cls = classes[class_of(rec.function)];
     ++cls.total;
     cls.interruptions += rec.interruptions;

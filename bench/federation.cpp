@@ -224,12 +224,14 @@ struct Aggregate {
 int main() {
   const bool quick = std::getenv("HW_BENCH_QUICK") != nullptr;
   const std::string out_path = env_or("HW_FED_OUT", "BENCH_federation.json");
-  bench::ExperimentConfig env_cfg = bench::apply_env({});
-  const std::uint64_t base_seed = env_cfg.seed;
+  const std::uint64_t base_seed =
+      bench::apply_env(bench::base_scenario()).seed;
   const std::size_t trials = bench::trial_count();
 
   std::vector<std::size_t> cluster_counts = {1, 2, 4};
-  if (env_cfg.fed_clusters > 0) cluster_counts = {env_cfg.fed_clusters};
+  if (const auto n = bench::env_uint("HW_FED_CLUSTERS"); n > 0u) {
+    cluster_counts = {static_cast<std::size_t>(*n)};
+  }
   const fed::FedPolicy policies[] = {fed::FedPolicy::kRoundRobin,
                                      fed::FedPolicy::kLeastOutstanding,
                                      fed::FedPolicy::kPowerOfTwo};

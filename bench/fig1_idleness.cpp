@@ -16,14 +16,15 @@
 using namespace hpcwhisk;
 
 int main() {
-  bench::ExperimentConfig cfg;
-  cfg.window = sim::SimTime::days(7);
-  cfg.pilots.reset();  // baseline idleness: no HPC-Whisk
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.horizon = cfg.measure_start + sim::SimTime::days(7);
+  cfg.supply.reset();  // baseline idleness: no HPC-Whisk
   cfg = bench::apply_env(cfg);
 
   std::cout << "bench: fig1_idleness (seed " << cfg.seed << ", "
-            << cfg.nodes << " nodes, window " << cfg.window.to_string()
-            << " after " << cfg.burn_in.to_string() << " burn-in)\n\n";
+            << cfg.nodes << " nodes, window "
+            << (cfg.horizon - cfg.measure_start).to_string()
+            << " after " << cfg.measure_start.to_string() << " burn-in)\n\n";
 
   const auto result = bench::run_experiment(cfg);
 

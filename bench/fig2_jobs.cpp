@@ -10,7 +10,7 @@
 using namespace hpcwhisk;
 
 int main() {
-  bench::ExperimentConfig env = bench::apply_env({});
+  const check::ScenarioSpec env = bench::apply_env(bench::base_scenario());
   const std::size_t kJobs =
       std::getenv("HW_BENCH_QUICK") != nullptr ? 10'000 : 74'000;
 

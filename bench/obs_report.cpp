@@ -119,8 +119,9 @@ struct RunOutcome {
 /// noise). Best-of-N is the standard single-core noise killer: OS jitter
 /// only ever adds time, so the minimum is the closest estimate of the
 /// true cost of the run.
-void measure_rep(RunOutcome& out, const bench::ExperimentConfig& cfg,
-                 int rep) {
+/// `trace_capacity` 0 runs the untraced arm.
+void measure_rep(RunOutcome& out, const check::ScenarioSpec& cfg,
+                 std::size_t trace_capacity, int rep) {
   {
     // Free the prior rep untimed. Move it out and let the destructor
     // run: member destruction order (reverse declaration) keeps obs
@@ -130,7 +131,7 @@ void measure_rep(RunOutcome& out, const bench::ExperimentConfig& cfg,
     const bench::ExperimentResult dead = std::move(out.result);
   }
   const double start = now_seconds();
-  out.result = bench::run_experiment(cfg);
+  out.result = bench::run_experiment(cfg, trace_capacity);
   const double wall = now_seconds() - start;
   if (rep == 0 || wall < out.wall_s) out.wall_s = wall;
 }
@@ -175,20 +176,15 @@ int main() {
   // share of long interruptible functions: live drains then interrupt
   // in-flight executions and reroute them through the fast lane, the
   // path the coverage check below demands.
-  bench::ExperimentConfig cfg;
-  cfg.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.supply = core::SupplyModel::kFib;
   cfg.faas_qps = 10.0;
   cfg.faas_functions = 100;
   cfg.faas_long_share = 0.3;
   cfg.faas_long_duration = sim::SimTime::seconds(45);
   cfg = bench::apply_env(cfg);
-  cfg.trace_capacity = quick ? (1u << 21) : (1u << 23);
-  if (std::getenv("HW_OBS_DIAG_TINY_TRACE") != nullptr) cfg.trace_capacity = 1;
-
-  bench::ExperimentConfig untraced_cfg = cfg;
-  untraced_cfg.observe = false;
-  bench::ExperimentConfig traced_cfg = cfg;
-  traced_cfg.observe = true;
+  std::size_t trace_capacity = quick ? (1u << 21) : (1u << 23);
+  if (std::getenv("HW_OBS_DIAG_TINY_TRACE") != nullptr) trace_capacity = 1;
 
   // Interleave the arms rep by rep so slow host drift (thermal,
   // background load) hits both equally instead of biasing whichever arm
@@ -199,9 +195,9 @@ int main() {
   RunOutcome traced;
   for (int rep = 0; rep < reps; ++rep) {
     std::cout << "rep " << (rep + 1) << "/" << reps << ": untraced...\n";
-    measure_rep(untraced, untraced_cfg, rep);
+    measure_rep(untraced, cfg, 0, rep);
     std::cout << "rep " << (rep + 1) << "/" << reps << ": traced...\n";
-    measure_rep(traced, traced_cfg, rep);
+    measure_rep(traced, cfg, trace_capacity, rep);
   }
   finalize_log(untraced);
   finalize_log(traced);

@@ -62,17 +62,17 @@ int main() {
 
   // The canonical fib day with the heterogeneous FaaS mix, routed by the
   // data-driven policy so every decision carries a full "why" record.
-  bench::ExperimentConfig cfg;
-  cfg.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.supply = core::SupplyModel::kFib;
   cfg.faas_qps = 10.0;
   cfg.faas_functions = 100;
   cfg.faas_long_share = 0.3;
   cfg.faas_long_duration = sim::SimTime::seconds(45);
   cfg.route_mode = whisk::RouteMode::kLeastExpectedWork;
-  cfg.observe = true;
   cfg = bench::apply_env(cfg);
 
-  const bench::ExperimentResult result = bench::run_experiment(cfg);
+  const bench::ExperimentResult result =
+      bench::run_experiment(cfg, obs::TraceCollector::kDefaultCapacity);
   const obs::Observability& obs = *result.obs;
   const core::JobManager::HarvestStats& hv = result.system->manager().harvest();
   sim::SimTime cloud_offload;

@@ -63,7 +63,7 @@ struct ExperimentPerf {
 };
 
 ExperimentPerf measure(const std::string& name,
-                       const bench::ExperimentConfig& cfg, std::size_t reps) {
+                       const check::ScenarioSpec& cfg, std::size_t reps) {
   ExperimentPerf perf;
   perf.name = name;
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -102,7 +102,7 @@ struct SweepPerf {
 /// Times the same 8-trial seed sweep serial (jobs=1) and parallel
 /// (hardware threads, capped at the trial count; HW_BENCH_JOBS
 /// overrides), asserting byte-identical serialized output.
-SweepPerf measure_sweep(const bench::ExperimentConfig& base) {
+SweepPerf measure_sweep(const check::ScenarioSpec& base) {
   SweepPerf sweep;
   sweep.trials = 8;
   const std::size_t hw = std::max<std::size_t>(
@@ -115,7 +115,7 @@ SweepPerf measure_sweep(const bench::ExperimentConfig& base) {
                             : (hw > 1 ? std::min(hw, sweep.trials)
                                       : std::size_t{8});
   const auto configs = bench::seed_sweep(base, sweep.trials);
-  const auto trial = [](const bench::ExperimentConfig& cfg,
+  const auto trial = [](const check::ScenarioSpec& cfg,
                         std::ostream& os) {
     const auto result = bench::run_experiment(cfg);
     const auto report = analysis::slurm_level_report(result.samples);
@@ -157,27 +157,28 @@ int main() {
   // production day (table3) — the two headline runs of the paper.
   std::vector<ExperimentPerf> experiments;
   {
-    bench::ExperimentConfig cfg;
-    cfg.pilots = core::SupplyModel::kFib;
+    check::ScenarioSpec cfg = bench::base_scenario();
+    cfg.supply = core::SupplyModel::kFib;
     cfg = bench::apply_env(cfg);
     experiments.push_back(measure("table2_fib", cfg, reps));
   }
   {
-    bench::ExperimentConfig cfg;
-    cfg.pilots = core::SupplyModel::kVar;
+    check::ScenarioSpec cfg = bench::base_scenario();
+    cfg.supply = core::SupplyModel::kVar;
     cfg = bench::apply_env(cfg);
     experiments.push_back(measure("table3_var", cfg, reps));
   }
 
   // The sweep always runs at quarter scale so the serial leg stays
   // tractable (8 full production days would dominate the report).
-  bench::ExperimentConfig sweep_base;
-  sweep_base.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec sweep_base = bench::base_scenario();
+  sweep_base.supply = core::SupplyModel::kFib;
   sweep_base.nodes = std::max<std::uint32_t>(64, sweep_base.nodes / 4);
-  sweep_base.window = sim::SimTime::hours(6);
-  sweep_base.burn_in = sim::SimTime::hours(2);
-  if (const char* seed = std::getenv("HW_SEED"))
-    sweep_base.seed = std::strtoull(seed, nullptr, 10);
+  sweep_base.measure_start = sim::SimTime::hours(2);
+  sweep_base.horizon = sweep_base.measure_start + sim::SimTime::hours(6);
+  if (const auto seed = bench::env_uint("HW_SEED")) {
+    bench::reseed(sweep_base, *seed);
+  }
   const SweepPerf sweep = measure_sweep(sweep_base);
   const double speedup = sweep.wall_parallel_s > 0
                              ? sweep.wall_serial_s / sweep.wall_parallel_s

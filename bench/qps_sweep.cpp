@@ -74,24 +74,25 @@ struct LegResult {
 };
 
 LegResult run_leg(const Leg& leg, bool quick, std::ostream&) {
-  bench::ExperimentConfig cfg;
-  cfg.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec cfg = bench::base_scenario();
+  cfg.supply = core::SupplyModel::kFib;
   cfg.nodes = quick ? 64 : 2239;
-  cfg.burn_in = quick ? sim::SimTime::minutes(15) : sim::SimTime::hours(2);
-  cfg.window = sim::SimTime::minutes(30);
+  cfg.measure_start =
+      quick ? sim::SimTime::minutes(15) : sim::SimTime::hours(2);
+  cfg.horizon = cfg.measure_start + sim::SimTime::minutes(30);
   cfg.faas_qps = leg.qps;
   cfg.faas_functions = kFunctions;
   cfg.faas_hot_share = kHotShare;
   cfg.faas_hot_functions = kHotFunctions;
-  cfg.seed = leg.seed;
+  bench::reseed(cfg, leg.seed);
   if (leg.lease) {
-    cfg.lease.enabled = true;
+    cfg.lease_mode = true;
     // The keep-alive engine rides the lease leg: hybrid policy (adaptive
     // per-function timeouts, pressure-scaled) with the periodic reaper
     // on. The floor stays comfortably above the hot functions' bursts.
-    cfg.keep_alive.policy = runtime::KeepAlivePolicy::kHybrid;
-    cfg.keep_alive.floor = sim::SimTime::seconds(60);
-    cfg.keep_alive.reap_interval = sim::SimTime::seconds(30);
+    cfg.keep_alive = runtime::KeepAlivePolicy::kHybrid;
+    cfg.keep_alive_floor = sim::SimTime::seconds(60);
+    cfg.keep_alive_reap = sim::SimTime::seconds(30);
   }
 
   const bench::ExperimentResult result = bench::run_experiment(cfg);
@@ -192,8 +193,8 @@ struct Aggregate {
 int main() {
   const bool quick = std::getenv("HW_BENCH_QUICK") != nullptr;
   const std::string out_path = env_or("HW_SERVING_OUT", "BENCH_serving.json");
-  const bench::ExperimentConfig env_cfg = bench::apply_env({});
-  const std::uint64_t base_seed = env_cfg.seed;
+  const std::uint64_t base_seed =
+      bench::apply_env(bench::base_scenario()).seed;
   const std::size_t trials = bench::trial_count();
 
   const std::vector<double> steps = quick

@@ -18,9 +18,10 @@ using namespace hpcwhisk;
 
 namespace {
 
-void run_one(const bench::ExperimentConfig& cfg, std::ostream& os) {
+void run_one(const check::ScenarioSpec& cfg, std::ostream& os) {
   os << "bench: table1_lengths (seed " << cfg.seed << ", " << cfg.nodes
-     << " nodes, " << cfg.window.to_string() << " window)\n\n";
+     << " nodes, " << (cfg.horizon - cfg.measure_start).to_string()
+     << " window)\n\n";
 
   const auto result = bench::run_experiment(cfg);
   // The paper computes Table I from the 10-second sampled node lists —
@@ -67,14 +68,14 @@ void run_one(const bench::ExperimentConfig& cfg, std::ostream& os) {
 }  // namespace
 
 int main() {
-  bench::ExperimentConfig base;
-  base.window = sim::SimTime::days(7);
-  base.pilots.reset();  // Table I is computed over the raw idle log
+  check::ScenarioSpec base = bench::base_scenario();
+  base.horizon = base.measure_start + sim::SimTime::days(7);
+  base.supply.reset();  // Table I is computed over the raw idle log
   base = bench::apply_env(base);
 
   const auto configs = bench::seed_sweep(base, bench::trial_count());
   exec::parallel_trials(configs,
-                        [](const bench::ExperimentConfig& cfg,
+                        [](const check::ScenarioSpec& cfg,
                            std::ostream& os) { run_one(cfg, os); });
   return 0;
 }

@@ -19,9 +19,10 @@ using namespace hpcwhisk;
 
 namespace {
 
-void run_one(const bench::ExperimentConfig& cfg, std::ostream& os) {
+void run_one(const check::ScenarioSpec& cfg, std::ostream& os) {
   os << "bench: table2_fib (seed " << cfg.seed << ", " << cfg.nodes
-     << " nodes, " << cfg.window.to_string() << " window)\n\n";
+     << " nodes, " << (cfg.horizon - cfg.measure_start).to_string()
+     << " window)\n\n";
 
   const auto result = bench::run_experiment(cfg);
   const auto summary = bench::summarize_coverage(
@@ -105,13 +106,13 @@ void run_one(const bench::ExperimentConfig& cfg, std::ostream& os) {
 }  // namespace
 
 int main() {
-  bench::ExperimentConfig base;
-  base.pilots = core::SupplyModel::kFib;
+  check::ScenarioSpec base = bench::base_scenario();
+  base.supply = core::SupplyModel::kFib;
   base = bench::apply_env(base);
 
   const auto configs = bench::seed_sweep(base, bench::trial_count());
   exec::parallel_trials(configs,
-                        [](const bench::ExperimentConfig& cfg,
+                        [](const check::ScenarioSpec& cfg,
                            std::ostream& os) { run_one(cfg, os); });
   return 0;
 }

@@ -1,12 +1,15 @@
 #pragma once
-// Shared spec -> fidelity-regime derivations. The runner builds the
+// Shared spec -> fidelity-regime derivations. build_scenario builds the
 // system from these and the invariant suite re-derives the same values
 // when checking, so the promised TRES capacity and the reservation
-// window never need to be smuggled through the observation — they are a
-// pure function of the ScenarioSpec.
+// windows never need to be smuggled through the observation — they are
+// a pure function of the ScenarioSpec.
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hpcwhisk/check/scenario.hpp"
 #include "hpcwhisk/slurm/reservation.hpp"
@@ -22,21 +25,28 @@ namespace hpcwhisk::check {
   return {s.node_cpus, s.node_mem_mb, 0};
 }
 
-/// The single advance reservation a tres_mode+reservation spec declares:
-/// the first min(res_nodes, nodes) node ids, opening at res_start_frac
-/// of the horizon, for res_duration_min minutes. (The node-count clamp
+/// The maintenance windows a tres_mode+reservation spec declares, each
+/// over the first min(res_nodes, nodes) node ids: one window at
+/// res_start when res_period is zero, else one every res_period from
+/// res_start while it opens before the horizon. (The node-count clamp
 /// matters under shrinking: the ddmin geometry step halves spec.nodes
 /// without touching res_nodes.)
-[[nodiscard]] inline slurm::Reservation spec_reservation(
+[[nodiscard]] inline std::vector<slurm::Reservation> spec_reservations(
     const ScenarioSpec& s) {
-  slurm::Reservation r;
-  r.name = "maint";
-  r.start = sim::SimTime::seconds(s.horizon.to_seconds() * s.res_start_frac);
-  r.end = r.start + sim::SimTime::minutes(s.res_duration_min);
-  const std::uint32_t count = std::min(s.res_nodes, s.nodes);
-  r.nodes.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) r.nodes.push_back(i);
-  return r;
+  std::vector<slurm::Reservation> out;
+  const bool rolling = s.res_period > sim::SimTime::zero();
+  for (sim::SimTime at = s.res_start; !rolling || at < s.horizon;
+       at += s.res_period) {
+    slurm::Reservation r;
+    r.name = "maint-" + std::to_string(at.ticks());
+    r.start = at;
+    r.end = at + s.res_length;
+    r.nodes.resize(std::min(s.res_nodes, s.nodes));
+    for (std::uint32_t n = 0; n < r.nodes.size(); ++n) r.nodes[n] = n;
+    out.push_back(std::move(r));
+    if (!rolling) break;
+  }
+  return out;
 }
 
 }  // namespace hpcwhisk::check

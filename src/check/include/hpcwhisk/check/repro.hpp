@@ -13,7 +13,11 @@
 
 namespace hpcwhisk::check {
 
-inline constexpr std::string_view kReproFormat = "hpcwhisk-simcheck-repro-v1";
+/// Written format. v2 carries every ScenarioSpec field, the per-stream
+/// seeds included; v1 files (no seed streams, the reservation window as
+/// a share of the horizon) still parse and replay.
+inline constexpr std::string_view kReproFormat = "hpcwhisk-simcheck-repro-v2";
+inline constexpr std::string_view kReproFormatV1 = "hpcwhisk-simcheck-repro-v1";
 
 struct Repro {
   std::string invariant;       ///< violated invariant name

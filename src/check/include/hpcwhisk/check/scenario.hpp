@@ -1,22 +1,29 @@
 #pragma once
-// ScenarioSpec: a whole experiment sampled from one seed.
+// ScenarioSpec: the one plain-data description of a run.
 //
-// SimCheck explores the system's behavior space the way QuickCheck
-// explores an input space: a seed deterministically expands into a full
-// experiment — cluster size, pilot supply model, FaaS load mix, HPC
-// churn, an optional fault plan, and optionally an N-cluster federation
-// topology. The spec is plain data: it serializes to the JSON repro
+// Every experiment in the tree — a SimCheck scenario, a paper table, an
+// ablation leg — is a ScenarioSpec turned into live components by
+// check::build_scenario (runner.hpp). SimCheck explores the system's
+// behavior space the way QuickCheck explores an input space: a seed
+// deterministically expands into a full experiment (ScenarioSpec::sample)
+// — cluster size, pilot supply model, FaaS load mix, HPC churn, an
+// optional fault plan, and optionally an N-cluster federation topology.
+// The benches fill the same struct from their own defaults
+// (bench/common/experiment.hpp). The spec serializes to the JSON repro
 // format (repro.hpp), compares for equality (shrinker bookkeeping), and
 // two runs of the same spec replay byte-identically.
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "hpcwhisk/core/job_manager.hpp"
 #include "hpcwhisk/fault/fault_plan.hpp"
+#include "hpcwhisk/runtime/container_pool.hpp"
+#include "hpcwhisk/slurm/slurmctld.hpp"
 #include "hpcwhisk/sim/time.hpp"
 #include "hpcwhisk/whisk/controller.hpp"
 
@@ -68,20 +75,46 @@ struct SampleOptions {
 
 struct ScenarioSpec {
   std::uint64_t seed{1};
+  /// Per-stream RNG seeds, stored as plain data so each front end keeps
+  /// its own derivation: sample() (and every v1 repro) derives them from
+  /// `seed` with check_streams(), the benches with bench::reseed().
+  /// Cluster i of a federation runs system_seed + 1000003*i and
+  /// hpc_seed + i. The defaults are check_streams() of seed 1.
+  std::uint64_t system_seed{1};
+  std::uint64_t hpc_seed{78};
+  std::uint64_t faas_seed{79};
+  std::uint64_t gateway_seed{82};  ///< federated scenarios only
   std::uint32_t nodes{12};     ///< per cluster
   std::uint32_t clusters{1};   ///< 1 = plain system, >1 = federation
-  core::SupplyModel supply{core::SupplyModel::kFib};
+  /// Pilot supply model; nullopt runs no pilots at all (the baseline
+  /// idleness runs). Single-cluster only.
+  std::optional<core::SupplyModel> supply{core::SupplyModel::kFib};
   std::string length_set{"C1"};
   std::size_t fib_per_length{3};
+  sim::SimTime replenish_interval{sim::SimTime::seconds(15)};
+  slurm::PilotPlacement placement{slurm::PilotPlacement::kPreemptAware};
+  /// The FaaS load runs over [measure_start, horizon); the benches
+  /// measure that window after a burn-in, SimCheck loads from t = 0.
+  sim::SimTime measure_start{sim::SimTime::zero()};
   sim::SimTime horizon{sim::SimTime::minutes(24)};
   /// Drain window past the horizon; must exceed the activation timeout
   /// (5 min default) so every accepted activation can reach a terminal
   /// state before the invariants run.
   sim::SimTime settle{sim::SimTime::minutes(7)};
-  double faas_qps{4.0};
+  double faas_qps{4.0};  ///< 0 = no FaaS load
   std::uint32_t faas_functions{10};
   sim::SimTime faas_duration{sim::SimTime::seconds(2)};
   bool faas_poisson{false};
+  /// Skewed popularity: share of arrivals drawn from the first
+  /// `faas_hot_functions` names (0 keeps the uniform round-robin and
+  /// makes no RNG draws) — the hot-function mix the lease tier serves.
+  double faas_hot_share{0.0};
+  std::uint32_t faas_hot_functions{8};
+  /// Share of the functions registered as long-running interruptible
+  /// actions of `faas_long_duration` — the executions live drains
+  /// interrupt and reroute.
+  double faas_long_share{0.0};
+  sim::SimTime faas_long_duration{sim::SimTime::seconds(30)};
   std::size_t hpc_backlog{20};
   double lull_probability{0.005};
   /// Pilot-partition preemption grace the scenario promises (the
@@ -99,6 +132,14 @@ struct ScenarioSpec {
   /// and bypass the topic via direct invoke. Every invariant (call
   /// conservation, grace, backlog hygiene) must hold with it on.
   bool lease_mode{false};
+  /// Invoker dispatch gate and kHashProbing saturation threshold; 0
+  /// keeps the component defaults.
+  std::uint32_t invoker_concurrency{0};
+  std::uint32_t invoker_slots{0};
+  /// Container keep-alive engine of every invoker pool.
+  runtime::KeepAlivePolicy keep_alive{runtime::KeepAlivePolicy::kFixed};
+  sim::SimTime keep_alive_floor{sim::SimTime::seconds(30)};
+  sim::SimTime keep_alive_reap{sim::SimTime::zero()};
   /// --- Slurm fidelity regime (sampled unconditionally, applied only
   /// when tres_mode; defaults reproduce the legacy whole-node system) ---
   /// Per-TRES scheduling: nodes carry a {cpus, mem} capacity vector,
@@ -108,15 +149,17 @@ struct ScenarioSpec {
   std::uint32_t node_mem_mb{32000};
   std::uint32_t pilot_cpus{0};    ///< 0 = whole-node pilots
   std::uint32_t pilot_mem_mb{0};
-  /// QOS preemption tiers: two pilot QOS classes (low preemptible first)
-  /// instead of the binary partition flag.
+  /// QOS preemption tiers: two pilot QOS classes (low preemptible first,
+  /// high protected at the HPC tier) instead of the binary partition flag.
   bool qos_preempt{false};
-  /// One advance reservation carving `res_nodes` nodes out of both
-  /// supplies for `res_duration_min` starting at `res_start_frac` of the
-  /// horizon.
+  /// Maintenance reservations carving the first `res_nodes` nodes out of
+  /// both supplies for `res_length`: one window at `res_start` when
+  /// `res_period` is zero, else a rolling window every `res_period`
+  /// from `res_start` until the horizon.
   bool reservation{false};
-  double res_start_frac{0.3};
-  std::uint32_t res_duration_min{6};
+  sim::SimTime res_start{sim::SimTime::seconds(432)};  ///< 30 % of 24 min
+  sim::SimTime res_period{sim::SimTime::zero()};
+  sim::SimTime res_length{sim::SimTime::minutes(6)};
   std::uint32_t res_nodes{1};
   std::vector<ScenarioFault> faults;
   BugPlant plant{BugPlant::kNone};
@@ -137,5 +180,9 @@ struct ScenarioSpec {
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
+
+/// SimCheck's per-stream seed derivation from `spec.seed` (what sample()
+/// stores, and what a v1 repro — which has no seed fields — replays).
+void check_streams(ScenarioSpec& spec);
 
 }  // namespace hpcwhisk::check

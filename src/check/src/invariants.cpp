@@ -373,39 +373,40 @@ void check_reservation_exclusion(const ScenarioSpec& spec,
                                  const RunObservation& obs,
                                  std::vector<Violation>& out) {
   if (!spec.tres_mode || !spec.reservation) return;
-  const slurm::Reservation r = spec_reservation(spec);
   const sim::SimTime hpc_grace = sim::SimTime::minutes(3);
-  for (std::size_t c = 0; c < obs.clusters.size(); ++c) {
-    for (const JobInfo& j : obs.clusters[c].jobs) {
-      if (j.start == sim::SimTime::max()) continue;
-      const bool on_reserved =
-          std::any_of(j.nodes.begin(), j.nodes.end(), [&](slurm::NodeId n) {
-            return std::find(r.nodes.begin(), r.nodes.end(), n) !=
-                   r.nodes.end();
-          });
-      if (!on_reserved) continue;
-      if (j.start >= r.start && j.start < r.end) {
-        out.push_back({"reservation-exclusion",
-                       job_tag(c, j) + " started at " +
-                           std::to_string(j.start.ticks()) +
-                           " ticks inside the reservation window [" +
-                           std::to_string(r.start.ticks()) + ", " +
-                           std::to_string(r.end.ticks()) + ")"});
-        continue;
-      }
-      if (j.start < r.start) {
-        // Running at window-open: must be preempted away within the
-        // partition grace.
-        const sim::SimTime grace =
-            j.partition == "pilot" ? spec.grace : hpc_grace;
-        const sim::SimTime deadline = r.start + grace;
-        const sim::SimTime gone = j.ended ? j.end : obs.end_time;
-        if (gone > deadline) {
-          out.push_back(
-              {"reservation-exclusion",
-               job_tag(c, j) + " survived " +
-                   std::to_string((gone - deadline).ticks()) +
-                   " ticks past the reservation-open grace deadline"});
+  for (const slurm::Reservation& r : spec_reservations(spec)) {
+    for (std::size_t c = 0; c < obs.clusters.size(); ++c) {
+      for (const JobInfo& j : obs.clusters[c].jobs) {
+        if (j.start == sim::SimTime::max()) continue;
+        const bool on_reserved =
+            std::any_of(j.nodes.begin(), j.nodes.end(), [&](slurm::NodeId n) {
+              return std::find(r.nodes.begin(), r.nodes.end(), n) !=
+                     r.nodes.end();
+            });
+        if (!on_reserved) continue;
+        if (j.start >= r.start && j.start < r.end) {
+          out.push_back({"reservation-exclusion",
+                         job_tag(c, j) + " started at " +
+                             std::to_string(j.start.ticks()) +
+                             " ticks inside the reservation window [" +
+                             std::to_string(r.start.ticks()) + ", " +
+                             std::to_string(r.end.ticks()) + ")"});
+          continue;
+        }
+        if (j.start < r.start) {
+          // Running at window-open: must be preempted away within the
+          // partition grace.
+          const sim::SimTime grace =
+              j.partition == "pilot" ? spec.grace : hpc_grace;
+          const sim::SimTime deadline = r.start + grace;
+          const sim::SimTime gone = j.ended ? j.end : obs.end_time;
+          if (gone > deadline) {
+            out.push_back(
+                {"reservation-exclusion",
+                 job_tag(c, j) + " survived " +
+                     std::to_string((gone - deadline).ticks()) +
+                     " ticks past the reservation-open grace deadline"});
+          }
         }
       }
     }

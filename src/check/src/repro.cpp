@@ -1,499 +1,387 @@
 #include "hpcwhisk/check/repro.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
-#include <vector>
+
+#include "hpcwhisk/obs/json.hpp"
 
 namespace hpcwhisk::check {
 namespace {
 
+using obs::JsonValue;
+
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument("repro JSON: " + what);
+}
+
+// Enum <-> name tables for the fields the component headers do not name.
+constexpr std::pair<slurm::PilotPlacement, std::string_view> kPlacements[] = {
+    {slurm::PilotPlacement::kPreemptAware, "preempt-aware"},
+    {slurm::PilotPlacement::kHoleFitting, "hole-fitting"},
+};
+constexpr std::pair<core::SupplyModel, std::string_view> kSupplies[] = {
+    {core::SupplyModel::kFib, "fib"},
+    {core::SupplyModel::kVar, "var"},
+};
+
 // --- Writer ----------------------------------------------------------------
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
+/// Appends `"key": value` pairs, `sep` between them.
+struct Writer {
+  std::string& out;
+  std::string_view sep;
+  bool first{true};
+
+  void key(std::string_view k) {
+    if (!first) out += sep;
+    first = false;
+    out += '"';
+    out += k;
+    out += "\": ";
+  }
+  void quoted(std::string_view s) {
+    out += '"';
+    for (const char ch : s) {
+      switch (ch) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        default: out += ch;
+      }
+    }
+    out += '"';
+  }
+  template <class T>
+  void number(const char* fmt, T v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    out += buf;
+  }
+
+  template <std::unsigned_integral T>
+  void operator()(std::string_view k, T v) {
+    key(k);
+    number("%" PRIu64, static_cast<std::uint64_t>(v));
+  }
+  void operator()(std::string_view k, double v) {
+    key(k);
+    number("%.17g", v);  // round-trip precision
+  }
+  void operator()(std::string_view k, bool v) {
+    key(k);
+    out += v ? "true" : "false";
+  }
+  void operator()(std::string_view k, std::string_view v) {
+    key(k);
+    quoted(v);
+  }
+  void operator()(std::string_view k, sim::SimTime v) {
+    key(k);
+    number("%" PRId64, v.ticks());
+  }
+  void operator()(std::string_view k,
+                  const std::optional<core::SupplyModel>& v) {
+    (*this)(k, std::string_view{v ? core::to_string(*v) : "none"});
+  }
+  void operator()(std::string_view k, slurm::PilotPlacement v) {
+    for (const auto& [p, name] : kPlacements) {
+      if (p == v) (*this)(k, name);
     }
   }
-  out += '"';
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_time(std::string& out, sim::SimTime t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, t.ticks());
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_fault(std::string& out, const ScenarioFault& f) {
-  const fault::FaultEvent& e = f.event;
-  out += "{\"cluster\": ";
-  append_u64(out, f.cluster);
-  out += ", \"kind\": ";
-  append_escaped(out, fault::to_string(e.kind));
-  out += ", \"at_us\": ";
-  append_time(out, e.at);
-  out += ", \"grace_us\": ";
-  append_time(out, e.grace);
-  out += ", \"outage_us\": ";
-  append_time(out, e.outage);
-  out += ", \"stall_us\": ";
-  append_time(out, e.stall);
-  out += ", \"window_us\": ";
-  append_time(out, e.window);
-  out += ", \"probability\": ";
-  append_double(out, e.probability);
-  out += ", \"delay_us\": ";
-  append_time(out, e.delay);
-  out += ", \"copies\": ";
-  append_u64(out, e.copies);
-  out += ", \"target\": ";
-  append_u64(out, e.target);
-  out += "}";
-}
-
-// --- Minimal JSON parser ---------------------------------------------------
-// Just enough for the repro grammar: objects, arrays, strings (with the
-// escapes the writer emits), numbers, true/false.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind{Kind::kNull};
-  bool boolean{false};
-  std::string text;  ///< kString: decoded; kNumber: raw literal
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+  void operator()(std::string_view k, whisk::RouteMode v) {
+    (*this)(k, std::string_view{whisk::to_string(v)});
+  }
+  void operator()(std::string_view k, runtime::KeepAlivePolicy v) {
+    (*this)(k, std::string_view{runtime::to_string(v)});
+  }
+  void operator()(std::string_view k, fault::FaultKind v) {
+    (*this)(k, std::string_view{fault::to_string(v)});
+  }
+  void operator()(std::string_view k, BugPlant v) {
+    (*this)(k, std::string_view{to_string(v)});
   }
 };
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_{text} {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("repro JSON: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string{"expected '"} + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string_value();
-      case 't':
-      case 'f': return bool_value();
-      default: return number();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = string_value();
-      skip_ws();
-      expect(':');
-      v.fields.emplace_back(std::move(key.text), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': v.text += '"'; break;
-          case '\\': v.text += '\\'; break;
-          case 'n': v.text += '\n'; break;
-          case 't': v.text += '\t'; break;
-          case '/': v.text += '/'; break;
-          default: fail("unsupported escape");
-        }
-      } else {
-        v.text += c;
-      }
-    }
-  }
-
-  JsonValue bool_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("expected boolean");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    v.text = std::string{text_.substr(start, pos_ - start)};
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_{0};
-};
-
-// --- Typed field access ----------------------------------------------------
+// --- Reader ----------------------------------------------------------------
 
 const JsonValue& require(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    throw std::invalid_argument("repro JSON: missing field '" +
-                                std::string{key} + "'");
-  }
+  if (v == nullptr) fail("missing field '" + std::string{key} + "'");
   return *v;
 }
 
-std::uint64_t as_u64(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    throw std::invalid_argument("repro JSON: expected a number");
-  }
-  return std::strtoull(v.text.c_str(), nullptr, 10);
-}
-
-std::int64_t as_i64(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    throw std::invalid_argument("repro JSON: expected a number");
-  }
-  return std::strtoll(v.text.c_str(), nullptr, 10);
-}
-
-double as_double(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    throw std::invalid_argument("repro JSON: expected a number");
-  }
-  return std::strtod(v.text.c_str(), nullptr);
-}
-
-bool as_bool(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kBool) {
-    throw std::invalid_argument("repro JSON: expected a boolean");
-  }
-  return v.boolean;
-}
-
 const std::string& as_string(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kString) {
-    throw std::invalid_argument("repro JSON: expected a string");
+  if (v.kind != JsonValue::Kind::kString) fail("expected a string");
+  return v.string;
+}
+
+/// Plain non-negative integer literals only: a sign, fraction or
+/// exponent is rejected, never rounded or wrapped.
+std::uint64_t as_uint(const JsonValue& v, std::uint64_t max) {
+  if (v.kind != JsonValue::Kind::kNumber) fail("expected a number");
+  const std::string& lit = v.string;
+  std::uint64_t out = 0;
+  const auto [end, ec] =
+      std::from_chars(lit.data(), lit.data() + lit.size(), out);
+  if (ec != std::errc{} || end != lit.data() + lit.size() || out > max) {
+    fail("'" + lit + "' is not an integer in [0, " + std::to_string(max) +
+         "]");
   }
-  return v.text;
+  return out;
 }
 
 sim::SimTime as_time(const JsonValue& v) {
-  return sim::SimTime::micros(as_i64(v));
+  return sim::SimTime::micros(static_cast<std::int64_t>(
+      as_uint(v, std::numeric_limits<std::int64_t>::max())));
 }
 
-ScenarioFault parse_fault(const JsonValue& v) {
-  ScenarioFault f;
-  f.cluster = static_cast<std::uint32_t>(as_u64(require(v, "cluster")));
-  f.event.kind = fault::fault_kind_from_string(as_string(require(v, "kind")));
-  f.event.at = as_time(require(v, "at_us"));
-  f.event.grace = as_time(require(v, "grace_us"));
-  f.event.outage = as_time(require(v, "outage_us"));
-  f.event.stall = as_time(require(v, "stall_us"));
-  f.event.window = as_time(require(v, "window_us"));
-  f.event.probability = as_double(require(v, "probability"));
-  f.event.delay = as_time(require(v, "delay_us"));
-  f.event.copies = static_cast<std::uint32_t>(as_u64(require(v, "copies")));
-  f.event.target = static_cast<std::uint32_t>(as_u64(require(v, "target")));
-  return f;
+double as_double(const JsonValue& v) {
+  if (v.kind != JsonValue::Kind::kNumber) fail("expected a number");
+  return std::strtod(v.string.c_str(), nullptr);
+}
+
+template <class Enum, std::size_t N>
+Enum from_table(const std::pair<Enum, std::string_view> (&table)[N],
+                const std::string& name, const char* what) {
+  for (const auto& [e, n] : table) {
+    if (n == name) return e;
+  }
+  fail(std::string{"unknown "} + what + " '" + name + "'");
+}
+
+// Fields a v1 file must carry; every other spec field postdates the
+// first v1 writer and keeps its default when absent. A v2 file must
+// carry every field.
+constexpr std::string_view kV1Required[] = {
+    "seed",           "nodes",           "clusters",
+    "supply",         "length_set",      "fib_per_length",
+    "horizon_us",     "settle_us",       "faas_qps",
+    "faas_functions", "faas_duration_us", "faas_poisson",
+    "hpc_backlog",    "lull_probability", "grace_us",
+    "plant",
+};
+
+struct Reader {
+  const JsonValue& obj;
+  bool v1;
+
+  /// Null only for a v1 file's optional fields.
+  const JsonValue* find(std::string_view k) const {
+    const JsonValue* v = obj.find(k);
+    const bool required =
+        !v1 || std::find(std::begin(kV1Required), std::end(kV1Required), k) !=
+                   std::end(kV1Required);
+    if (v == nullptr && required) fail("missing field '" + std::string{k} + "'");
+    return v;
+  }
+
+  template <std::unsigned_integral T>
+  void operator()(std::string_view k, T& v) const {
+    if (const JsonValue* j = find(k))
+      v = static_cast<T>(as_uint(*j, std::numeric_limits<T>::max()));
+  }
+  void operator()(std::string_view k, double& v) const {
+    if (const JsonValue* j = find(k)) v = as_double(*j);
+  }
+  void operator()(std::string_view k, bool& v) const {
+    const JsonValue* j = find(k);
+    if (j == nullptr) return;
+    if (j->kind != JsonValue::Kind::kBool) fail("expected a boolean");
+    v = j->boolean;
+  }
+  void operator()(std::string_view k, std::string& v) const {
+    if (const JsonValue* j = find(k)) v = as_string(*j);
+  }
+  void operator()(std::string_view k, sim::SimTime& v) const {
+    if (const JsonValue* j = find(k)) v = as_time(*j);
+  }
+  void operator()(std::string_view k,
+                  std::optional<core::SupplyModel>& v) const {
+    const JsonValue* j = find(k);
+    if (j == nullptr) return;
+    const std::string& name = as_string(*j);
+    v = name == "none" ? std::nullopt
+                       : std::optional{from_table(kSupplies, name,
+                                                  "supply model")};
+  }
+  void operator()(std::string_view k, slurm::PilotPlacement& v) const {
+    if (const JsonValue* j = find(k))
+      v = from_table(kPlacements, as_string(*j), "pilot placement");
+  }
+  void operator()(std::string_view k, whisk::RouteMode& v) const {
+    const JsonValue* j = find(k);
+    if (j == nullptr) return;
+    const auto mode = whisk::route_mode_from_string(as_string(*j));
+    if (!mode) fail("unknown route mode '" + as_string(*j) + "'");
+    v = *mode;
+  }
+  void operator()(std::string_view k, runtime::KeepAlivePolicy& v) const {
+    const JsonValue* j = find(k);
+    if (j == nullptr) return;
+    const auto policy = runtime::keep_alive_policy_from_string(as_string(*j));
+    if (!policy) fail("unknown keep-alive policy '" + as_string(*j) + "'");
+    v = *policy;
+  }
+  void operator()(std::string_view k, fault::FaultKind& v) const {
+    if (const JsonValue* j = find(k))
+      v = fault::fault_kind_from_string(as_string(*j));
+  }
+  void operator()(std::string_view k, BugPlant& v) const {
+    if (const JsonValue* j = find(k)) v = bug_plant_from_string(as_string(*j));
+  }
+};
+
+/// The one field list both directions walk, so the writer and the
+/// reader cannot drift apart. The reservation geometry and the seed
+/// streams are v2 fields; parse_repro derives them for v1 files.
+template <class Spec, class Visit>
+void visit_spec(Spec& s, Visit&& v) {
+  v("seed", s.seed);
+  v("system_seed", s.system_seed);
+  v("hpc_seed", s.hpc_seed);
+  v("faas_seed", s.faas_seed);
+  v("gateway_seed", s.gateway_seed);
+  v("nodes", s.nodes);
+  v("clusters", s.clusters);
+  v("supply", s.supply);
+  v("length_set", s.length_set);
+  v("fib_per_length", s.fib_per_length);
+  v("replenish_interval_us", s.replenish_interval);
+  v("placement", s.placement);
+  v("measure_start_us", s.measure_start);
+  v("horizon_us", s.horizon);
+  v("settle_us", s.settle);
+  v("faas_qps", s.faas_qps);
+  v("faas_functions", s.faas_functions);
+  v("faas_duration_us", s.faas_duration);
+  v("faas_poisson", s.faas_poisson);
+  v("faas_hot_share", s.faas_hot_share);
+  v("faas_hot_functions", s.faas_hot_functions);
+  v("faas_long_share", s.faas_long_share);
+  v("faas_long_duration_us", s.faas_long_duration);
+  v("hpc_backlog", s.hpc_backlog);
+  v("lull_probability", s.lull_probability);
+  v("grace_us", s.grace);
+  v("route_mode", s.route_mode);
+  v("deadline_classes", s.deadline_classes);
+  v("lease_mode", s.lease_mode);
+  v("invoker_concurrency", s.invoker_concurrency);
+  v("invoker_slots", s.invoker_slots);
+  v("keep_alive", s.keep_alive);
+  v("keep_alive_floor_us", s.keep_alive_floor);
+  v("keep_alive_reap_us", s.keep_alive_reap);
+  v("tres_mode", s.tres_mode);
+  v("node_cpus", s.node_cpus);
+  v("node_mem_mb", s.node_mem_mb);
+  v("pilot_cpus", s.pilot_cpus);
+  v("pilot_mem_mb", s.pilot_mem_mb);
+  v("qos_preempt", s.qos_preempt);
+  v("reservation", s.reservation);
+  v("res_start_us", s.res_start);
+  v("res_period_us", s.res_period);
+  v("res_length_us", s.res_length);
+  v("res_nodes", s.res_nodes);
+  v("plant", s.plant);
+}
+
+template <class Fault, class Visit>
+void visit_fault(Fault& f, Visit&& v) {
+  v("cluster", f.cluster);
+  v("kind", f.event.kind);
+  v("at_us", f.event.at);
+  v("grace_us", f.event.grace);
+  v("outage_us", f.event.outage);
+  v("stall_us", f.event.stall);
+  v("window_us", f.event.window);
+  v("probability", f.event.probability);
+  v("delay_us", f.event.delay);
+  v("copies", f.event.copies);
+  v("target", f.event.target);
 }
 
 }  // namespace
 
 std::string write_repro(const Repro& repro) {
-  const ScenarioSpec& s = repro.spec;
   std::string out;
-  out.reserve(1024);
-  out += "{\n  \"format\": ";
-  append_escaped(out, kReproFormat);
-  out += ",\n  \"invariant\": ";
-  append_escaped(out, repro.invariant);
-  out += ",\n  \"message\": ";
-  append_escaped(out, repro.message);
-  out += ",\n  \"decision_hash\": ";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "\"0x%016" PRIx64 "\"",
-                  repro.decision_hash);
-    out += buf;
+  out.reserve(2048);
+  out += "{\n  ";
+  Writer top{out, ",\n  "};
+  top("format", kReproFormat);
+  top("invariant", std::string_view{repro.invariant});
+  top("message", std::string_view{repro.message});
+  top.key("decision_hash");
+  top.number("\"0x%016" PRIx64 "\"", repro.decision_hash);
+  top.key("spec");
+  out += "{\n    ";
+  Writer spec{out, ",\n    "};
+  visit_spec(repro.spec, spec);
+  spec.key("faults");
+  out += '[';
+  for (std::size_t i = 0; i < repro.spec.faults.size(); ++i) {
+    out += i == 0 ? "\n      {" : ",\n      {";
+    visit_fault(repro.spec.faults[i], Writer{out, ", "});
+    out += '}';
   }
-  out += ",\n  \"spec\": {\n    \"seed\": ";
-  append_u64(out, s.seed);
-  out += ",\n    \"nodes\": ";
-  append_u64(out, s.nodes);
-  out += ",\n    \"clusters\": ";
-  append_u64(out, s.clusters);
-  out += ",\n    \"supply\": ";
-  append_escaped(out, core::to_string(s.supply));
-  out += ",\n    \"length_set\": ";
-  append_escaped(out, s.length_set);
-  out += ",\n    \"fib_per_length\": ";
-  append_u64(out, s.fib_per_length);
-  out += ",\n    \"horizon_us\": ";
-  append_time(out, s.horizon);
-  out += ",\n    \"settle_us\": ";
-  append_time(out, s.settle);
-  out += ",\n    \"faas_qps\": ";
-  append_double(out, s.faas_qps);
-  out += ",\n    \"faas_functions\": ";
-  append_u64(out, s.faas_functions);
-  out += ",\n    \"faas_duration_us\": ";
-  append_time(out, s.faas_duration);
-  out += ",\n    \"faas_poisson\": ";
-  out += s.faas_poisson ? "true" : "false";
-  out += ",\n    \"hpc_backlog\": ";
-  append_u64(out, s.hpc_backlog);
-  out += ",\n    \"lull_probability\": ";
-  append_double(out, s.lull_probability);
-  out += ",\n    \"grace_us\": ";
-  append_time(out, s.grace);
-  out += ",\n    \"route_mode\": ";
-  append_escaped(out, whisk::to_string(s.route_mode));
-  out += ",\n    \"deadline_classes\": ";
-  out += s.deadline_classes ? "true" : "false";
-  out += ",\n    \"lease_mode\": ";
-  out += s.lease_mode ? "true" : "false";
-  out += ",\n    \"tres_mode\": ";
-  out += s.tres_mode ? "true" : "false";
-  out += ",\n    \"node_cpus\": ";
-  append_u64(out, s.node_cpus);
-  out += ",\n    \"node_mem_mb\": ";
-  append_u64(out, s.node_mem_mb);
-  out += ",\n    \"pilot_cpus\": ";
-  append_u64(out, s.pilot_cpus);
-  out += ",\n    \"pilot_mem_mb\": ";
-  append_u64(out, s.pilot_mem_mb);
-  out += ",\n    \"qos_preempt\": ";
-  out += s.qos_preempt ? "true" : "false";
-  out += ",\n    \"reservation\": ";
-  out += s.reservation ? "true" : "false";
-  out += ",\n    \"res_start_frac\": ";
-  append_double(out, s.res_start_frac);
-  out += ",\n    \"res_duration_min\": ";
-  append_u64(out, s.res_duration_min);
-  out += ",\n    \"res_nodes\": ";
-  append_u64(out, s.res_nodes);
-  out += ",\n    \"plant\": ";
-  append_escaped(out, to_string(s.plant));
-  out += ",\n    \"faults\": [";
-  for (std::size_t i = 0; i < s.faults.size(); ++i) {
-    out += i == 0 ? "\n      " : ",\n      ";
-    append_fault(out, s.faults[i]);
-  }
-  out += s.faults.empty() ? "]" : "\n    ]";
+  out += repro.spec.faults.empty() ? "]" : "\n    ]";
   out += "\n  }\n}\n";
   return out;
 }
 
 Repro parse_repro(std::string_view json) {
-  const JsonValue doc = Parser{json}.parse();
+  JsonValue doc;
+  obs::JsonParser parser{json};
+  if (!parser.parse(doc)) fail(parser.error());
   if (doc.kind != JsonValue::Kind::kObject) {
-    throw std::invalid_argument("repro JSON: top level must be an object");
+    fail("top level must be an object");
   }
-  if (as_string(require(doc, "format")) != kReproFormat) {
-    throw std::invalid_argument("repro JSON: unknown format '" +
-                                as_string(require(doc, "format")) + "'");
+  const std::string& format = as_string(require(doc, "format"));
+  if (format != kReproFormat && format != kReproFormatV1) {
+    fail("unknown format '" + format + "'");
   }
+  const bool v1 = format == kReproFormatV1;
   Repro repro;
   repro.invariant = as_string(require(doc, "invariant"));
   repro.message = as_string(require(doc, "message"));
-  repro.decision_hash = std::strtoull(
-      as_string(require(doc, "decision_hash")).c_str(), nullptr, 16);
+  const std::string& hash = as_string(require(doc, "decision_hash"));
+  const char* const last = hash.data() + hash.size();
+  if (hash.size() < 3 || hash.size() > 18 || hash.compare(0, 2, "0x") != 0 ||
+      std::from_chars(hash.data() + 2, last, repro.decision_hash, 16).ptr !=
+          last) {
+    fail("decision_hash '" + hash + "' is not 0x-prefixed 64-bit hex");
+  }
 
   const JsonValue& spec = require(doc, "spec");
   ScenarioSpec& s = repro.spec;
-  s.seed = as_u64(require(spec, "seed"));
-  s.nodes = static_cast<std::uint32_t>(as_u64(require(spec, "nodes")));
-  s.clusters = static_cast<std::uint32_t>(as_u64(require(spec, "clusters")));
-  const std::string& supply = as_string(require(spec, "supply"));
-  if (supply == core::to_string(core::SupplyModel::kFib)) {
-    s.supply = core::SupplyModel::kFib;
-  } else if (supply == core::to_string(core::SupplyModel::kVar)) {
-    s.supply = core::SupplyModel::kVar;
-  } else {
-    throw std::invalid_argument("repro JSON: unknown supply model '" +
-                                supply + "'");
+  visit_spec(s, Reader{spec, v1});
+  if (v1) {
+    // v1 had no seed streams (SimCheck's derivation was implied) and
+    // stored the single reservation window relative to the horizon.
+    check_streams(s);
+    const Reader v1_reader{spec, true};
+    double res_start_frac = 0.3;
+    std::uint32_t res_duration_min = 6;
+    v1_reader("res_start_frac", res_start_frac);
+    v1_reader("res_duration_min", res_duration_min);
+    s.res_start =
+        sim::SimTime::seconds(s.horizon.to_seconds() * res_start_frac);
+    s.res_length = sim::SimTime::minutes(res_duration_min);
   }
-  s.length_set = as_string(require(spec, "length_set"));
-  s.fib_per_length =
-      static_cast<std::size_t>(as_u64(require(spec, "fib_per_length")));
-  s.horizon = as_time(require(spec, "horizon_us"));
-  s.settle = as_time(require(spec, "settle_us"));
-  s.faas_qps = as_double(require(spec, "faas_qps"));
-  s.faas_functions =
-      static_cast<std::uint32_t>(as_u64(require(spec, "faas_functions")));
-  s.faas_duration = as_time(require(spec, "faas_duration_us"));
-  s.faas_poisson = as_bool(require(spec, "faas_poisson"));
-  s.hpc_backlog =
-      static_cast<std::size_t>(as_u64(require(spec, "hpc_backlog")));
-  s.lull_probability = as_double(require(spec, "lull_probability"));
-  s.grace = as_time(require(spec, "grace_us"));
-  // Route-mode fields postdate the v1 format: optional-with-default so
-  // repros written before data-driven scheduling still parse (and still
-  // mean what they meant — the defaults match the old hard-wired modes).
-  if (const JsonValue* rm = spec.find("route_mode")) {
-    const auto mode = whisk::route_mode_from_string(as_string(*rm));
-    if (!mode.has_value()) {
-      throw std::invalid_argument("repro JSON: unknown route mode '" +
-                                  as_string(*rm) + "'");
-    }
-    s.route_mode = *mode;
-  }
-  if (const JsonValue* dl = spec.find("deadline_classes")) {
-    s.deadline_classes = as_bool(*dl);
-  }
-  if (const JsonValue* lm = spec.find("lease_mode")) {
-    s.lease_mode = as_bool(*lm);
-  }
-  // Slurm-fidelity fields postdate the v1 format too: each is optional
-  // with a legacy-meaning default (tres_mode off = the whole-node system
-  // every pre-fidelity repro was recorded against).
-  if (const JsonValue* v = spec.find("tres_mode")) s.tres_mode = as_bool(*v);
-  if (const JsonValue* v = spec.find("node_cpus")) {
-    s.node_cpus = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  if (const JsonValue* v = spec.find("node_mem_mb")) {
-    s.node_mem_mb = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  if (const JsonValue* v = spec.find("pilot_cpus")) {
-    s.pilot_cpus = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  if (const JsonValue* v = spec.find("pilot_mem_mb")) {
-    s.pilot_mem_mb = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  if (const JsonValue* v = spec.find("qos_preempt")) {
-    s.qos_preempt = as_bool(*v);
-  }
-  if (const JsonValue* v = spec.find("reservation")) {
-    s.reservation = as_bool(*v);
-  }
-  if (const JsonValue* v = spec.find("res_start_frac")) {
-    s.res_start_frac = as_double(*v);
-  }
-  if (const JsonValue* v = spec.find("res_duration_min")) {
-    s.res_duration_min = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  if (const JsonValue* v = spec.find("res_nodes")) {
-    s.res_nodes = static_cast<std::uint32_t>(as_u64(*v));
-  }
-  s.plant = bug_plant_from_string(as_string(require(spec, "plant")));
   const JsonValue& faults = require(spec, "faults");
-  if (faults.kind != JsonValue::Kind::kArray) {
-    throw std::invalid_argument("repro JSON: 'faults' must be an array");
+  if (faults.kind != JsonValue::Kind::kArray) fail("'faults' must be an array");
+  s.faults.resize(faults.items.size());
+  for (std::size_t i = 0; i < faults.items.size(); ++i) {
+    visit_fault(s.faults[i], Reader{faults.items[i], false});
   }
-  s.faults.reserve(faults.items.size());
-  for (const JsonValue& f : faults.items) s.faults.push_back(parse_fault(f));
   return repro;
 }
 

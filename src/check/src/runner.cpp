@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "hpcwhisk/check/fidelity.hpp"
 
 #include "hpcwhisk/obs/trace.hpp"
-#include "hpcwhisk/sim/simulation.hpp"
-#include "hpcwhisk/trace/faas_workload.hpp"
-#include "hpcwhisk/trace/hpc_workload.hpp"
 #include "hpcwhisk/whisk/function.hpp"
 
 namespace hpcwhisk::check {
@@ -130,80 +128,6 @@ void attach_probe(ClusterProbe& probe, std::size_t cluster_index,
       system.controller());
 }
 
-core::HpcWhiskSystem::Config system_config(const ScenarioSpec& spec,
-                                           std::uint32_t cluster) {
-  core::HpcWhiskSystem::Config cfg;
-  cfg.seed = spec.seed + 1000003ULL * cluster;
-  cfg.slurm.node_count = spec.nodes;
-  cfg.partitions = core::default_partitions(
-      spec.plant == BugPlant::kTruncateGrace ? sim::SimTime::seconds(5)
-                                             : spec.grace);
-  cfg.manager.model = spec.supply;
-  cfg.manager.fib_lengths = core::job_length_set(spec.length_set);
-  cfg.manager.fib_per_length = spec.fib_per_length;
-  cfg.controller.route_mode = spec.route_mode;
-  cfg.controller.sched.deadline_classes = spec.deadline_classes;
-  cfg.controller.lease.enabled = spec.lease_mode;
-  if (spec.tres_mode) {
-    auto& fid = cfg.slurm.fidelity;
-    fid.tres_mode = true;
-    fid.node_capacity = promised_capacity(spec);
-    const slurm::TresVector pilot_tres{spec.pilot_cpus, spec.pilot_mem_mb, 0};
-    if (spec.plant == BugPlant::kTresOvercommit) {
-      // Plant: build the nodes larger than the spec promises (one extra
-      // pilot's worth), so the scheduler legitimately packs beyond the
-      // promised capacity and the per-TRES invariant must catch it.
-      fid.node_capacity += pilot_tres;
-    }
-    cfg.manager.pilot_tres = pilot_tres;
-    if (spec.qos_preempt) {
-      // pilot-low is sacrificial (dies before plain tier-0 pilots);
-      // pilot-high matches the HPC partition tier, so the longest-fib
-      // pilots are protected from HPC preemption (DESIGN.md §17) — the
-      // same regime the benches run.
-      fid.qos.push_back({"pilot-low", -1, 0, 1.0});
-      fid.qos.push_back({"pilot-high", 1, 0, 1.0});
-      cfg.manager.pilot_qos = "pilot-low";
-      cfg.manager.pilot_qos_long = "pilot-high";
-    }
-    if (spec.reservation && spec.plant != BugPlant::kReservationIgnored) {
-      cfg.slurm.fidelity.reservations.push_back(spec_reservation(spec));
-    }
-  }
-  for (const ScenarioFault& f : spec.faults) {
-    if (f.cluster == cluster) cfg.faults.add(f.event);
-  }
-  return cfg;
-}
-
-trace::HpcWorkloadGenerator::Config hpc_config(const ScenarioSpec& spec) {
-  trace::HpcWorkloadGenerator::Config cfg;
-  cfg.backlog_target = spec.hpc_backlog;
-  cfg.lull_probability_per_tick = spec.lull_probability;
-  if (spec.tres_mode) {
-    // Mixed fractional requests so nodes host prime work AND leave TRES
-    // room for pilots — the co-residency regime under test.
-    const slurm::TresVector full = promised_capacity(spec);
-    const slurm::TresVector half{std::max(1u, full.cpus / 2),
-                                 std::max(1u, full.mem_mb / 2), 0};
-    const slurm::TresVector quarter{std::max(1u, full.cpus / 4),
-                                    std::max(1u, full.mem_mb / 4), 0};
-    cfg.tres_buckets = {{full, 0.5}, {half, 0.3}, {quarter, 0.2}};
-  }
-  return cfg;
-}
-
-std::vector<std::string> function_names(std::uint32_t count) {
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "sleep-%03u", i);
-    names.emplace_back(buf);
-  }
-  return names;
-}
-
 ClusterObservation collect_cluster(ClusterProbe& probe,
                                    core::HpcWhiskSystem& system,
                                    sim::SimTime end) {
@@ -235,103 +159,200 @@ ClusterObservation collect_cluster(ClusterProbe& probe,
   return co;
 }
 
-RunObservation run_single(const ScenarioSpec& spec) {
-  sim::Simulation sim;
-  core::HpcWhiskSystem system{sim, system_config(spec, 0)};
-  std::vector<ClusterProbe> probes(1);
-  attach_probe(probes[0], 0, system, sim.now());
+}  // namespace
 
-  const std::vector<std::string> functions = trace::register_sleep_functions(
-      system.functions(), spec.faas_functions, spec.faas_duration);
-  trace::HpcWorkloadGenerator hpc{sim, system.slurm(), hpc_config(spec),
-                                  sim::Rng{spec.seed * 77 + 1}};
-  trace::FaasLoadGenerator faas{
-      sim,
-      {.rate_qps = spec.faas_qps,
-       .poisson = spec.faas_poisson,
-       .functions = functions},
-      [&system](const std::string& fn) {
-        (void)system.controller().submit(fn);
-      },
-      sim::Rng{spec.seed * 77 + 2}};
-
-  hpc.start();
-  system.start();
-  faas.start(spec.horizon);
-  sim.run_until(spec.horizon + spec.settle);
-
-  RunObservation obs;
-  obs.end_time = sim.now();
-  obs.faas_issued = faas.issued();
-  obs.clusters.push_back(collect_cluster(probes[0], system, sim.now()));
-  if (spec.tres_mode) obs.clusters[0].node_capacity = promised_capacity(spec);
-  obs.decision_log = std::move(probes[0].log);
-  obs.decision_hash = obs::fnv1a(obs.decision_log);
-  return obs;
+void Scenario::start() {
+  if (gateway) {
+    gateway->start();
+  } else {
+    hpc_load->start();
+    if (pilots) system->start();
+  }
+  if (!faas) return;
+  if (faas_from > simulation->now()) {
+    simulation->at(faas_from, [faas = faas.get(), until = faas_until] {
+      faas->start(until);
+    });
+  } else {
+    faas->start(faas_until);
+  }
 }
 
-RunObservation run_federated(const ScenarioSpec& spec) {
-  sim::Simulation sim;
-  fed::FederatedGateway::Config gcfg;
-  gcfg.policy = fed::FedPolicy::kPowerOfTwo;
-  gcfg.seed = spec.seed * 77 + 5;
-  gcfg.log_decisions = true;
-  for (std::uint32_t i = 0; i < spec.clusters; ++i) {
-    fed::FederatedGateway::ClusterSpec cs;
-    cs.system = system_config(spec, i);
-    cs.hpc_load = hpc_config(spec);
-    cs.hpc_seed = spec.seed * 77 + 1 + i;
-    gcfg.clusters.push_back(std::move(cs));
+Scenario build_scenario(sim::Simulation& simulation, const ScenarioSpec& spec,
+                        obs::Observability* obs) {
+  if (spec.clusters > 1 && !spec.supply) {
+    throw std::invalid_argument(
+        "build_scenario: a federated scenario needs a pilot supply");
   }
-  fed::FederatedGateway gateway{sim, gcfg};
+  // Everything but the seed and the fault plan is shared by the clusters.
+  core::HpcWhiskSystem::Config sys;
+  sys.obs = obs;
+  sys.slurm.node_count = spec.nodes;
+  sys.slurm.pilot_placement = spec.placement;
+  sys.partitions = core::default_partitions(
+      spec.plant == BugPlant::kTruncateGrace ? sim::SimTime::seconds(5)
+                                             : spec.grace);
+  sys.manager.model = spec.supply.value_or(core::SupplyModel::kFib);
+  sys.manager.fib_lengths = core::job_length_set(spec.length_set);
+  sys.manager.fib_per_length = spec.fib_per_length;
+  sys.manager.replenish_interval = spec.replenish_interval;
+  sys.manager.invoker.pool.keep_alive.policy = spec.keep_alive;
+  sys.manager.invoker.pool.keep_alive.floor = spec.keep_alive_floor;
+  sys.manager.invoker.pool.keep_alive.reap_interval = spec.keep_alive_reap;
+  if (spec.invoker_concurrency > 0)
+    sys.manager.invoker.max_concurrent = spec.invoker_concurrency;
+  sys.controller.route_mode = spec.route_mode;
+  sys.controller.sched.deadline_classes = spec.deadline_classes;
+  sys.controller.lease.enabled = spec.lease_mode;
+  if (spec.invoker_slots > 0) sys.controller.invoker_slots = spec.invoker_slots;
 
+  trace::HpcWorkloadGenerator::Config hpc;
+  hpc.backlog_target = spec.hpc_backlog;
+  hpc.lull_probability_per_tick = spec.lull_probability;
+
+  // Slurm-fidelity layer: nothing below runs unless tres_mode is on, so
+  // legacy specs keep their exact construction (golden-pinned).
+  if (spec.tres_mode) {
+    auto& fid = sys.slurm.fidelity;
+    fid.tres_mode = true;
+    fid.node_capacity = promised_capacity(spec);
+    const slurm::TresVector pilot_tres{spec.pilot_cpus, spec.pilot_mem_mb, 0};
+    if (spec.plant == BugPlant::kTresOvercommit) {
+      // Plant: build the nodes larger than the spec promises (one extra
+      // pilot's worth), so the scheduler legitimately packs beyond the
+      // promised capacity and the per-TRES invariant must catch it.
+      fid.node_capacity += pilot_tres;
+    }
+    sys.manager.pilot_tres = pilot_tres;
+    if (spec.qos_preempt) {
+      // pilot-low is sacrificial (dies before plain tier-0 pilots);
+      // pilot-high matches the HPC partition tier, so the longest-fib
+      // pilots are protected from HPC preemption (DESIGN.md §17).
+      fid.qos.push_back({"pilot-low", -1, 0, 1.0});
+      fid.qos.push_back({"pilot-high", 1, 0, 1.0});
+      sys.manager.pilot_qos = "pilot-low";
+      sys.manager.pilot_qos_long = "pilot-high";
+    }
+    if (spec.reservation && spec.plant != BugPlant::kReservationIgnored) {
+      fid.reservations = spec_reservations(spec);
+    }
+    // Whole/half/quarter-node HPC mix against the promised capacity: the
+    // partial nodes whose leftover TRES the fractional pilots harvest.
+    const slurm::TresVector full = promised_capacity(spec);
+    const slurm::TresVector half{std::max(1u, full.cpus / 2),
+                                 std::max(1u, full.mem_mb / 2), 0};
+    const slurm::TresVector quarter{std::max(1u, full.cpus / 4),
+                                    std::max(1u, full.mem_mb / 4), 0};
+    hpc.tres_buckets = {{full, 0.5}, {half, 0.3}, {quarter, 0.2}};
+  }
+  const auto cluster_config = [&](std::uint32_t cluster) {
+    core::HpcWhiskSystem::Config cfg = sys;
+    cfg.seed = spec.system_seed + 1000003ULL * cluster;
+    for (const ScenarioFault& f : spec.faults) {
+      if (f.cluster == cluster) cfg.faults.add(f.event);
+    }
+    return cfg;
+  };
+
+  Scenario out;
+  out.simulation = &simulation;
+  out.pilots = spec.supply.has_value();
+  out.faas_from = spec.measure_start;
+  out.faas_until = spec.horizon;
+  if (spec.clusters > 1) {
+    fed::FederatedGateway::Config gcfg;
+    gcfg.policy = fed::FedPolicy::kPowerOfTwo;
+    gcfg.seed = spec.gateway_seed;
+    gcfg.log_decisions = true;
+    gcfg.obs = obs;
+    for (std::uint32_t i = 0; i < spec.clusters; ++i) {
+      fed::FederatedGateway::ClusterSpec cs;
+      cs.system = cluster_config(i);
+      cs.hpc_load = hpc;
+      cs.hpc_seed = spec.hpc_seed + i;
+      gcfg.clusters.push_back(std::move(cs));
+    }
+    out.gateway = std::make_unique<fed::FederatedGateway>(simulation, gcfg);
+  } else {
+    out.system =
+        std::make_unique<core::HpcWhiskSystem>(simulation, cluster_config(0));
+    out.hpc_load = std::make_unique<trace::HpcWorkloadGenerator>(
+        simulation, out.system->slurm(), hpc, sim::Rng{spec.hpc_seed});
+  }
+
+  if (spec.faas_qps <= 0) return out;
+  // 128 MB sleep functions, except that the first faas_long_share of
+  // them are 256 MB long-running actions (fixed_duration_function's
+  // default size, as the benches have always run them).
+  const std::size_t n_long = std::min<std::size_t>(
+      spec.faas_functions,
+      static_cast<std::size_t>(spec.faas_long_share *
+                               static_cast<double>(spec.faas_functions)));
+  trace::FaasLoadGenerator::Config faas;
+  faas.rate_qps = spec.faas_qps;
+  faas.poisson = spec.faas_poisson;
+  faas.hot_share = spec.faas_hot_share;
+  faas.hot_count = spec.faas_hot_functions;
+  for (std::uint32_t i = 0; i < spec.faas_functions; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof name, "sleep-%03u", i);
+    const whisk::FunctionSpec fn =
+        i < n_long ? whisk::fixed_duration_function(name,
+                                                    spec.faas_long_duration)
+                   : whisk::fixed_duration_function(name, spec.faas_duration,
+                                                    /*memory_mb=*/128);
+    if (out.gateway) {
+      out.gateway->register_function(fn);
+    } else {
+      out.system->functions().put(fn);
+    }
+    faas.functions.emplace_back(name);
+  }
+  trace::FaasLoadGenerator::Sink sink;
+  if (out.gateway) {
+    sink = [gw = out.gateway.get()](const std::string& fn) {
+      (void)gw->invoke(fn);
+    };
+  } else {
+    sink = [sys = out.system.get()](const std::string& fn) {
+      (void)sys->controller().submit(fn);
+    };
+  }
+  out.faas = std::make_unique<trace::FaasLoadGenerator>(
+      simulation, std::move(faas), std::move(sink), sim::Rng{spec.faas_seed});
+  return out;
+}
+
+RunObservation run_scenario(const ScenarioSpec& spec) {
+  sim::Simulation sim;
+  Scenario scenario = build_scenario(sim, spec);
   std::vector<ClusterProbe> probes(spec.clusters);
   for (std::uint32_t i = 0; i < spec.clusters; ++i) {
-    attach_probe(probes[i], i, gateway.cluster(i), sim.now());
+    attach_probe(probes[i], i, scenario.cluster(i), sim.now());
   }
-
-  const std::vector<std::string> functions =
-      function_names(spec.faas_functions);
-  for (const std::string& name : functions) {
-    gateway.register_function(
-        whisk::fixed_duration_function(name, spec.faas_duration,
-                                       /*memory_mb=*/128));
-  }
-  trace::FaasLoadGenerator faas{
-      sim,
-      {.rate_qps = spec.faas_qps,
-       .poisson = spec.faas_poisson,
-       .functions = functions},
-      [&gateway](const std::string& fn) { (void)gateway.invoke(fn); },
-      sim::Rng{spec.seed * 77 + 2}};
-
-  gateway.start();
-  faas.start(spec.horizon);
+  scenario.start();
   sim.run_until(spec.horizon + spec.settle);
 
   RunObservation obs;
-  obs.federated = true;
+  obs.federated = scenario.gateway != nullptr;
   obs.end_time = sim.now();
-  obs.faas_issued = faas.issued();
-  obs.gateway = gateway.counters();
-  obs.per_cluster_calls = gateway.per_cluster_calls();
+  obs.faas_issued = scenario.faas ? scenario.faas->issued() : 0;
+  if (scenario.gateway) {
+    obs.gateway = scenario.gateway->counters();
+    obs.per_cluster_calls = scenario.gateway->per_cluster_calls();
+  }
   for (std::uint32_t i = 0; i < spec.clusters; ++i) {
     obs.clusters.push_back(
-        collect_cluster(probes[i], gateway.cluster(i), sim.now()));
+        collect_cluster(probes[i], scenario.cluster(i), sim.now()));
     if (spec.tres_mode) {
       obs.clusters.back().node_capacity = promised_capacity(spec);
     }
     obs.decision_log += probes[i].log;
   }
-  obs.decision_log += gateway.decision_log();
+  if (scenario.gateway) obs.decision_log += scenario.gateway->decision_log();
   obs.decision_hash = obs::fnv1a(obs.decision_log);
   return obs;
 }
 
-}  // namespace
-
-RunObservation run_scenario(const ScenarioSpec& spec) {
-  return spec.clusters > 1 ? run_federated(spec) : run_single(spec);
-}
 
 }  // namespace hpcwhisk::check

@@ -33,6 +33,7 @@ ScenarioSpec ScenarioSpec::sample(std::uint64_t seed,
   sim::Rng rng{seed * 0x9E3779B97F4A7C15ULL + 0x5D1CC3ULL};
   ScenarioSpec s;
   s.seed = seed;
+  check_streams(s);
   s.plant = options.plant;
   s.nodes = static_cast<std::uint32_t>(
       rng.uniform_int(options.min_nodes, options.max_nodes));
@@ -108,18 +109,30 @@ ScenarioSpec ScenarioSpec::sample(std::uint64_t seed,
   s.pilot_mem_mb = s.node_mem_mb / s.node_cpus * s.pilot_cpus;
   s.qos_preempt = rng.bernoulli(0.4);
   s.reservation = rng.bernoulli(0.35);
-  s.res_start_frac = 0.2 + 0.05 * static_cast<double>(rng.uniform_int(0, 8));
-  s.res_duration_min = static_cast<std::uint32_t>(rng.uniform_int(4, 10));
+  // One window opening at 20-60 % of the horizon, 4-10 minutes long.
+  const double res_start_frac =
+      0.2 + 0.05 * static_cast<double>(rng.uniform_int(0, 8));
+  s.res_start = sim::SimTime::seconds(s.horizon.to_seconds() * res_start_frac);
+  s.res_length =
+      sim::SimTime::minutes(static_cast<double>(rng.uniform_int(4, 10)));
   s.res_nodes = static_cast<std::uint32_t>(
       rng.uniform_int(1, std::max<std::int64_t>(2, s.nodes / 4)));
   return s;
+}
+
+void check_streams(ScenarioSpec& spec) {
+  spec.system_seed = spec.seed;
+  spec.hpc_seed = spec.seed * 77 + 1;
+  spec.faas_seed = spec.seed * 77 + 2;
+  spec.gateway_seed = spec.seed * 77 + 5;
 }
 
 std::string ScenarioSpec::summary() const {
   std::ostringstream out;
   out << "seed=" << seed << " nodes=" << nodes;
   if (clusters > 1) out << "x" << clusters;
-  out << " " << core::to_string(supply) << "/" << length_set << " horizon="
+  out << " " << (supply ? core::to_string(*supply) : "none") << "/"
+      << length_set << " horizon="
       << horizon.to_string() << " qps=" << faas_qps << " fns="
       << faas_functions << " route=" << whisk::to_string(route_mode);
   if (deadline_classes) out << "+dl";

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hpcwhisk/check/runner.hpp"
 
@@ -18,6 +23,25 @@ check::Repro make_repro() {
       99, {.chaos = true, .max_clusters = 3, .fed_probability = 1.0});
   repro.spec.plant = check::BugPlant::kTruncateGrace;
   return repro;
+}
+
+/// A written repro relabelled as the v1 format, which ignores the
+/// fields v1 never had and derives the seed streams.
+std::string as_v1(std::string json) {
+  const std::string v2{check::kReproFormat};
+  json.replace(json.find(v2), v2.size(), check::kReproFormatV1);
+  return json;
+}
+
+/// Replaces the value of the first `"key": value` in `json`.
+std::string with_value(std::string json, const std::string& key,
+                       const std::string& value) {
+  const std::size_t pos = json.find("\"" + key + "\": ");
+  EXPECT_NE(pos, std::string::npos) << key;
+  const std::size_t vstart = pos + key.size() + 4;
+  const std::size_t vend = json.find_first_of(",\n}", vstart);
+  json.replace(vstart, vend - vstart, value);
+  return json;
 }
 
 TEST(Repro, RoundTripPreservesEverything) {
@@ -73,8 +97,9 @@ TEST(Repro, RoundTripPreservesFidelityFields) {
   repro.spec.pilot_mem_mb = 20000;
   repro.spec.qos_preempt = true;
   repro.spec.reservation = true;
-  repro.spec.res_start_frac = 0.35;
-  repro.spec.res_duration_min = 7;
+  repro.spec.res_start = sim::SimTime::seconds(500);
+  repro.spec.res_period = sim::SimTime::minutes(9);
+  repro.spec.res_length = sim::SimTime::minutes(7);
   repro.spec.res_nodes = 3;
   repro.spec.plant = check::BugPlant::kTresOvercommit;
   const check::Repro parsed = check::parse_repro(check::write_repro(repro));
@@ -86,11 +111,11 @@ TEST(Repro, ParsesPreFidelityReprosWithDefaults) {
   // Repros written before the Slurm-fidelity layer lack the TRES /
   // QOS / reservation fields; they must parse and mean what they always
   // meant (all fidelity off).
-  std::string json = check::write_repro(make_repro());
+  std::string json = as_v1(check::write_repro(make_repro()));
   for (const auto field :
        {"\"tres_mode\"", "\"node_cpus\"", "\"node_mem_mb\"", "\"pilot_cpus\"",
         "\"pilot_mem_mb\"", "\"qos_preempt\"", "\"reservation\"",
-        "\"res_start_frac\"", "\"res_duration_min\"", "\"res_nodes\""}) {
+        "\"res_start_us\"", "\"res_length_us\"", "\"res_nodes\""}) {
     const std::size_t start = json.find(field);
     ASSERT_NE(start, std::string::npos) << field;
     const std::size_t line_start = json.rfind(",\n", start);
@@ -118,7 +143,7 @@ TEST(Repro, ParsesPreFidelityReprosWithDefaults) {
 TEST(Repro, ParsesPreRouteModeReprosWithDefaults) {
   // Repros written before data-driven scheduling lack the route fields;
   // they must parse and mean what they always meant.
-  std::string json = check::write_repro(make_repro());
+  std::string json = as_v1(check::write_repro(make_repro()));
   const auto strip = [&json](std::string_view field) {
     const std::size_t start = json.find(field);
     ASSERT_NE(start, std::string::npos);
@@ -152,6 +177,68 @@ TEST(Repro, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)check::parse_repro("{\"format\": \"something-else\"}"),
                std::invalid_argument);
+
+  // Integer fields take plain non-negative integer literals only: no
+  // wrap-around of negatives, no rounding of fractions or exponents, no
+  // narrowing past the field's width.
+  const std::string good = check::write_repro(make_repro());
+  ASSERT_NO_THROW((void)check::parse_repro(good));
+  for (const auto& [key, bad] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"nodes", "-1"},
+           {"nodes", "1.5"},
+           {"nodes", "1e3"},
+           {"nodes", "4294967296"},
+           {"seed", "18446744073709551616"},
+           {"horizon_us", "-60000000"},
+           {"fib_per_length", "+3"},
+           {"decision_hash", "\"0xZZ\""},
+           {"decision_hash", "\"123\""},
+           {"decision_hash", "\"0x\""},
+           {"decision_hash", "\"0x10000000000000000\""},
+       }) {
+    EXPECT_THROW((void)check::parse_repro(with_value(good, key, bad)),
+                 std::invalid_argument)
+        << key << " = " << bad;
+  }
+}
+
+TEST(Repro, RoundTripsFullWidthSeeds) {
+  check::Repro repro = make_repro();
+  repro.spec.seed = 0xFFFFFFFFFFFFFFFFULL;
+  repro.spec.faas_seed = 0x9E3779B97F4A7C15ULL;
+  const check::Repro parsed = check::parse_repro(check::write_repro(repro));
+  EXPECT_EQ(parsed.spec.seed, repro.spec.seed);
+  EXPECT_EQ(parsed.spec.faas_seed, repro.spec.faas_seed);
+}
+
+TEST(Repro, V2RequiresEveryField) {
+  // Only v1 files may omit fields (they predate them); a v2 file
+  // missing one is malformed.
+  std::string json = check::write_repro(make_repro());
+  const std::size_t start = json.find("\"keep_alive_reap_us\"");
+  ASSERT_NE(start, std::string::npos);
+  const std::size_t line_start = json.rfind(",\n", start);
+  json.erase(line_start, json.find(",\n", start) - line_start);
+  EXPECT_THROW((void)check::parse_repro(json), std::invalid_argument);
+  EXPECT_NO_THROW((void)check::parse_repro(as_v1(json)));
+}
+
+TEST(Repro, V1FixturesReplayToTheirRecordedHash) {
+  // Written by the v1 writer before the scenario merge: a single-cluster
+  // TRES + reservation scenario and a federated chaos scenario. Both
+  // must still parse and replay to the decision hash recorded then.
+  for (const char* name : {"repro_v1_tres_reservation.json",
+                           "repro_v1_federated_chaos.json"}) {
+    std::ifstream in{std::string{HPCWHISK_CHECK_FIXTURES} + "/" + name};
+    ASSERT_TRUE(in) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const check::Repro repro = check::parse_repro(text.str());
+    EXPECT_EQ(check::run_scenario(repro.spec).decision_hash,
+              repro.decision_hash)
+        << name;
+  }
 }
 
 TEST(Repro, RejectsMissingFields) {

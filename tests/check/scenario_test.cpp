@@ -99,10 +99,12 @@ TEST(ScenarioSpec, SamplesFidelityRegimes) {
     EXPECT_LE(s.pilot_cpus, s.node_cpus / 2 > 0 ? s.node_cpus / 2 : 1u);
     EXPECT_LE(s.pilot_mem_mb, s.node_mem_mb);
     if (s.reservation) {
-      EXPECT_GE(s.res_start_frac, 0.2);
-      EXPECT_LE(s.res_start_frac, 0.6 + 1e-9);
-      EXPECT_GE(s.res_duration_min, 4u);
-      EXPECT_LE(s.res_duration_min, 10u);
+      // One window opening at 20-60 % of the horizon, 4-10 min long.
+      EXPECT_EQ(s.res_period, sim::SimTime::zero());
+      EXPECT_GE(s.res_start.to_seconds(), 0.2 * s.horizon.to_seconds() - 1e-6);
+      EXPECT_LE(s.res_start.to_seconds(), 0.6 * s.horizon.to_seconds() + 1e-6);
+      EXPECT_GE(s.res_length, sim::SimTime::minutes(4));
+      EXPECT_LE(s.res_length, sim::SimTime::minutes(10));
       EXPECT_GE(s.res_nodes, 1u);
     }
   }
@@ -123,7 +125,7 @@ TEST(ScenarioSpec, FidelityDrawsAreSeedDeterministic) {
     EXPECT_EQ(a.pilot_cpus, b.pilot_cpus);
     EXPECT_EQ(a.qos_preempt, b.qos_preempt);
     EXPECT_EQ(a.reservation, b.reservation);
-    EXPECT_EQ(a.res_start_frac, b.res_start_frac);
+    EXPECT_EQ(a.res_start, b.res_start);
   }
 }
 

@@ -1,9 +1,8 @@
 #pragma once
-// Core of the bench regression gate (tools/bench_diff): a minimal JSON
-// reader, a flattener from nested documents to dotted metric paths, and
-// the per-metric direction/threshold comparison between two BENCH_*.json
-// reports. Header-only so the unit tests exercise exactly the code the
-// CLI runs.
+// Core of the bench regression gate (tools/bench_diff): a flattener from
+// nested documents to dotted metric paths, and the per-metric
+// direction/threshold comparison between two BENCH_*.json reports.
+// Header-only so the unit tests exercise exactly the code the CLI runs.
 //
 // The gate's contract:
 //  * both reports must carry the common metadata header written by
@@ -18,10 +17,9 @@
 //    baselines regenerate on the same cadence as the code they pin.
 //
 // Everything lives in namespace hpcwhisk::benchdiff and depends only on
-// the standard library.
+// the standard library and the header-only JSON reader.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -31,214 +29,15 @@
 #include <string_view>
 #include <vector>
 
+#include "hpcwhisk/obs/json.hpp"
+
 namespace hpcwhisk::benchdiff {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON document: parse + flatten. Only what BENCH_*.json needs —
-// objects, arrays, strings with escapes, doubles, bools, null.
+// Documents come from the shared reader (hpcwhisk/obs/json.hpp).
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind{Kind::kNull};
-  bool boolean{false};
-  double number{0};
-  std::string string;
-  // Insertion order preserved for objects: verdicts list checks in the
-  // order the report wrote its metrics.
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject
-  std::vector<JsonValue> items;                            // kArray
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  /// Keeps a view of `text`: the backing string must outlive the parser
-  /// (do not pass a temporary).
-  explicit JsonParser(std::string_view text) : text_{text} {}
-
-  /// Parses one document; returns false (with error()) on malformed input
-  /// or trailing garbage.
-  bool parse(JsonValue& out) {
-    if (!value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters");
-    return true;
-  }
-
-  [[nodiscard]] const std::string& error() const { return error_; }
-
- private:
-  bool fail(const char* what) {
-    if (error_.empty()) {
-      error_ = what;
-      error_ += " at offset ";
-      error_ += std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected '\"'");
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("truncated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            // BENCH reports are ASCII; keep \uXXXX lossy-but-lossless
-            // enough for comparisons by copying the raw sequence.
-            if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-            out += "\\u";
-            out.append(text_.substr(pos_, 4));
-            pos_ += 4;
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return string(out.string);
-      case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        return literal("null");
-      default: return number(out);
-    }
-  }
-
-  bool number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected value");
-    out.kind = JsonValue::Kind::kNumber;
-    try {
-      out.number = std::stod(std::string{text_.substr(start, pos_ - start)});
-    } catch (...) {
-      return fail("bad number");
-    }
-    return true;
-  }
-
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      JsonValue v;
-      if (!value(v)) return false;
-      out.members.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      if (!value(v)) return false;
-      out.items.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_{0};
-  std::string error_;
-};
+using obs::JsonParser;
+using obs::JsonValue;
 
 /// Flattens a document to dotted paths: {"a":{"b":1},"c":[true]} becomes
 /// {"a.b": 1, "c[0]": true}. Scalars only; containers themselves do not
