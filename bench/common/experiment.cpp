@@ -51,10 +51,8 @@ check::ScenarioSpec base_scenario() {
 
 void reseed(check::ScenarioSpec& spec, std::uint64_t seed) {
   spec.seed = seed;
-  spec.system_seed = seed;
   spec.hpc_seed = seed ^ 0x9E3779B9ULL;
   spec.faas_seed = seed ^ 0xC0FFEEULL;
-  spec.gateway_seed = seed;
 }
 
 std::optional<std::uint64_t> env_uint(const char* name) {
@@ -260,7 +258,7 @@ ExperimentResult run_experiment(const check::ScenarioSpec& spec,
   // must not be captured by reference in pending events.
   auto ow_samples = std::make_shared<std::vector<ExperimentResult::OwSample>>();
   const sim::SimTime measure_end = result.measure_end;
-  if (scenario.pilots) {
+  if (spec.supply) {
     obs::Observability* obs = result.obs.get();
     simulation.at(result.measure_start, [&simulation, &system, ow_samples,
                                          measure_end, obs] {

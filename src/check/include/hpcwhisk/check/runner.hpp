@@ -39,15 +39,15 @@ struct Scenario {
   /// none), and opens the FaaS load over [measure_start, horizon).
   void start();
 
+  /// What build_scenario was given; both must outlive start().
+  const ScenarioSpec* spec{nullptr};
   sim::Simulation* simulation{nullptr};
-  bool pilots{true};
-  sim::SimTime faas_from;
-  sim::SimTime faas_until;
 };
 
 /// Wires `spec` into `simulation`. `obs` (optional, must outlive the
-/// components) is propagated to every component. Throws
-/// std::invalid_argument for a federated spec without a pilot supply.
+/// components) is propagated to every component; `spec` must outlive
+/// the returned Scenario's start(). Throws std::invalid_argument for a
+/// federated spec without a pilot supply.
 [[nodiscard]] Scenario build_scenario(sim::Simulation& simulation,
                                       const ScenarioSpec& spec,
                                       obs::Observability* obs = nullptr);

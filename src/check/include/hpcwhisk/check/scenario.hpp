@@ -74,13 +74,14 @@ struct SampleOptions {
 };
 
 struct ScenarioSpec {
+  /// Seeds the system's own draws: cluster i of a federation runs
+  /// seed + 1000003*i.
   std::uint64_t seed{1};
-  /// Per-stream RNG seeds, stored as plain data so each front end keeps
-  /// its own derivation: sample() (and every v1 repro) derives them from
-  /// `seed` with check_streams(), the benches with bench::reseed().
-  /// Cluster i of a federation runs system_seed + 1000003*i and
-  /// hpc_seed + i. The defaults are check_streams() of seed 1.
-  std::uint64_t system_seed{1};
+  /// Load and gateway RNG seeds, stored as plain data because the two
+  /// front ends derive them from `seed` differently: sample() (and every
+  /// v1 repro) with check_streams(), the benches with bench::reseed().
+  /// Cluster i of a federation runs hpc_seed + i. The defaults are
+  /// check_streams() of seed 1.
   std::uint64_t hpc_seed{78};
   std::uint64_t faas_seed{79};
   std::uint64_t gateway_seed{82};  ///< federated scenarios only

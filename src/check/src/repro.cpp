@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <concepts>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -145,9 +144,18 @@ sim::SimTime as_time(const JsonValue& v) {
       as_uint(v, std::numeric_limits<std::int64_t>::max())));
 }
 
+/// The whole literal must be one number: "4-1" or "0.3.5" is rejected,
+/// never read as its leading prefix.
 double as_double(const JsonValue& v) {
   if (v.kind != JsonValue::Kind::kNumber) fail("expected a number");
-  return std::strtod(v.string.c_str(), nullptr);
+  const std::string& lit = v.string;
+  double out = 0;
+  const auto [end, ec] =
+      std::from_chars(lit.data(), lit.data() + lit.size(), out);
+  if (ec != std::errc{} || end != lit.data() + lit.size()) {
+    fail("'" + lit + "' is not a number");
+  }
+  return out;
 }
 
 template <class Enum, std::size_t N>
@@ -247,7 +255,6 @@ struct Reader {
 template <class Spec, class Visit>
 void visit_spec(Spec& s, Visit&& v) {
   v("seed", s.seed);
-  v("system_seed", s.system_seed);
   v("hpc_seed", s.hpc_seed);
   v("faas_seed", s.faas_seed);
   v("gateway_seed", s.gateway_seed);

@@ -166,15 +166,16 @@ void Scenario::start() {
     gateway->start();
   } else {
     hpc_load->start();
-    if (pilots) system->start();
+    if (spec->supply) system->start();
   }
   if (!faas) return;
-  if (faas_from > simulation->now()) {
-    simulation->at(faas_from, [faas = faas.get(), until = faas_until] {
-      faas->start(until);
-    });
+  if (spec->measure_start > simulation->now()) {
+    simulation->at(spec->measure_start,
+                   [faas = faas.get(), until = spec->horizon] {
+                     faas->start(until);
+                   });
   } else {
-    faas->start(faas_until);
+    faas->start(spec->horizon);
   }
 }
 
@@ -247,7 +248,7 @@ Scenario build_scenario(sim::Simulation& simulation, const ScenarioSpec& spec,
   }
   const auto cluster_config = [&](std::uint32_t cluster) {
     core::HpcWhiskSystem::Config cfg = sys;
-    cfg.seed = spec.system_seed + 1000003ULL * cluster;
+    cfg.seed = spec.seed + 1000003ULL * cluster;
     for (const ScenarioFault& f : spec.faults) {
       if (f.cluster == cluster) cfg.faults.add(f.event);
     }
@@ -255,10 +256,8 @@ Scenario build_scenario(sim::Simulation& simulation, const ScenarioSpec& spec,
   };
 
   Scenario out;
+  out.spec = &spec;
   out.simulation = &simulation;
-  out.pilots = spec.supply.has_value();
-  out.faas_from = spec.measure_start;
-  out.faas_until = spec.horizon;
   if (spec.clusters > 1) {
     fed::FederatedGateway::Config gcfg;
     gcfg.policy = fed::FedPolicy::kPowerOfTwo;
@@ -281,32 +280,32 @@ Scenario build_scenario(sim::Simulation& simulation, const ScenarioSpec& spec,
   }
 
   if (spec.faas_qps <= 0) return out;
-  // 128 MB sleep functions, except that the first faas_long_share of
-  // them are 256 MB long-running actions (fixed_duration_function's
-  // default size, as the benches have always run them).
-  const std::size_t n_long = std::min<std::size_t>(
-      spec.faas_functions,
-      static_cast<std::size_t>(spec.faas_long_share *
-                               static_cast<double>(spec.faas_functions)));
   trace::FaasLoadGenerator::Config faas;
   faas.rate_qps = spec.faas_qps;
   faas.poisson = spec.faas_poisson;
   faas.hot_share = spec.faas_hot_share;
   faas.hot_count = spec.faas_hot_functions;
-  for (std::uint32_t i = 0; i < spec.faas_functions; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "sleep-%03u", i);
-    const whisk::FunctionSpec fn =
-        i < n_long ? whisk::fixed_duration_function(name,
-                                                    spec.faas_long_duration)
-                   : whisk::fixed_duration_function(name, spec.faas_duration,
-                                                    /*memory_mb=*/128);
+  // 128 MB sleep functions, except that the first faas_long_share of
+  // them are re-registered as long-running interruptible actions (at
+  // fixed_duration_function's default size, as the benches always ran
+  // them): long executions are the ones live drains interrupt.
+  whisk::FunctionRegistry functions;
+  faas.functions = trace::register_sleep_functions(
+      functions, spec.faas_functions, spec.faas_duration);
+  const std::size_t n_long = std::min<std::size_t>(
+      spec.faas_functions,
+      static_cast<std::size_t>(spec.faas_long_share *
+                               static_cast<double>(spec.faas_functions)));
+  for (std::size_t i = 0; i < n_long; ++i) {
+    functions.put(whisk::fixed_duration_function(faas.functions[i],
+                                                 spec.faas_long_duration));
+  }
+  for (std::uint32_t i = 0; i < functions.size(); ++i) {
     if (out.gateway) {
-      out.gateway->register_function(fn);
+      out.gateway->register_function(functions.spec(i));
     } else {
-      out.system->functions().put(fn);
+      out.system->functions().put(functions.spec(i));
     }
-    faas.functions.emplace_back(name);
   }
   trace::FaasLoadGenerator::Sink sink;
   if (out.gateway) {

@@ -121,7 +121,6 @@ ScenarioSpec ScenarioSpec::sample(std::uint64_t seed,
 }
 
 void check_streams(ScenarioSpec& spec) {
-  spec.system_seed = spec.seed;
   spec.hpc_seed = spec.seed * 77 + 1;
   spec.faas_seed = spec.seed * 77 + 2;
   spec.gateway_seed = spec.seed * 77 + 5;

@@ -123,6 +123,13 @@ ShrinkResult shrink(const ScenarioSpec& failing, const std::string& invariant,
       ScenarioSpec c = best;
       c.horizon = std::max(sim::SimTime::minutes(10),
                            sim::SimTime::micros(best.horizon.ticks() / 2));
+      if (c.res_period == sim::SimTime::zero()) {
+        // A single reservation window keeps its share of the horizon,
+        // so it stays inside the shrunk run.
+        c.res_start = sim::SimTime::seconds(
+            c.horizon.to_seconds() *
+            (best.res_start.to_seconds() / best.horizon.to_seconds()));
+      }
       progress |= attempt(std::move(c));
     }
   }

@@ -32,7 +32,6 @@ TEST(BenchEnv, AppliesValidValues) {
   const ScopedEnv keep{"HW_KEEPALIVE", "hybrid"};
   const check::ScenarioSpec spec = bench::apply_env(bench::base_scenario());
   EXPECT_EQ(spec.seed, 42u);
-  EXPECT_EQ(spec.system_seed, 42u);
   EXPECT_EQ(spec.hpc_seed, 42u ^ 0x9E3779B9ULL);
   EXPECT_EQ(spec.faas_seed, 42u ^ 0xC0FFEEULL);
   EXPECT_EQ(spec.route_mode, whisk::RouteMode::kLeastExpectedWork);

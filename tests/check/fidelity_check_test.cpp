@@ -112,6 +112,22 @@ TEST(FidelityPlant, ReservationIgnoredShrinksToReplayableRepro) {
                                      kReservationInvariant);
 }
 
+// Halving the horizon must take a single reservation window along:
+// a window left at its absolute start would fall past the shrunk run's
+// end, the plant would stop firing, and the shrinker would have to
+// keep the long horizon.
+TEST(FidelityPlant, ShrunkHorizonKeepsTheReservationWindowInside) {
+  check::ScenarioSpec spec = ignored_reservation_spec();
+  spec.horizon = sim::SimTime::minutes(30);
+  spec.res_start = sim::SimTime::minutes(18);
+  const auto shrunk = check::shrink(spec, kReservationInvariant,
+                                    check::InvariantSuite::standard(), {});
+  EXPECT_EQ(shrunk.spec.horizon, sim::SimTime::minutes(10));
+  EXPECT_LT(shrunk.spec.res_start, shrunk.spec.horizon);
+  EXPECT_NEAR(shrunk.spec.res_start.to_seconds(),
+              0.6 * shrunk.spec.horizon.to_seconds(), 1e-3);
+}
+
 TEST(FidelityPlant, CampaignEmitsReproForOvercommit) {
   check::CampaignOptions options;
   options.seed_base = 6;

@@ -180,7 +180,8 @@ TEST(Repro, RejectsMalformedInput) {
 
   // Integer fields take plain non-negative integer literals only: no
   // wrap-around of negatives, no rounding of fractions or exponents, no
-  // narrowing past the field's width.
+  // narrowing past the field's width. Real fields take one whole
+  // number, never a leading prefix of the literal.
   const std::string good = check::write_repro(make_repro());
   ASSERT_NO_THROW((void)check::parse_repro(good));
   for (const auto& [key, bad] :
@@ -192,6 +193,9 @@ TEST(Repro, RejectsMalformedInput) {
            {"seed", "18446744073709551616"},
            {"horizon_us", "-60000000"},
            {"fib_per_length", "+3"},
+           {"faas_qps", "4-1"},
+           {"probability", "0.3.5"},
+           {"lull_probability", "1e-3e2"},
            {"decision_hash", "\"0xZZ\""},
            {"decision_hash", "\"123\""},
            {"decision_hash", "\"0x\""},
