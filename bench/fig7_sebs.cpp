@@ -43,7 +43,7 @@ const std::vector<sebs::WeightedEdge>& mst_edges() {
 double lambda_dilation() {
   cloud::LambdaService::Config cfg;
   const double share =
-      std::min(1.0, 2048.0 / static_cast<double>(cfg.full_vcpu_memory_mb));
+      std::min(1.0, 2048.0 / static_cast<double>(cloud::kFullVcpuMemoryMb));
   return cfg.compute_slowdown / share;
 }
 

@@ -25,19 +25,14 @@ struct Observability;
 
 namespace hpcwhisk::cloud {
 
+/// Memory for which a full vCPU is granted.
+inline constexpr std::int64_t kFullVcpuMemoryMb = 1792;
+
 class LambdaService {
  public:
   struct Config {
-    /// Memory for which a full vCPU is granted.
-    std::int64_t full_vcpu_memory_mb{1792};
     /// Containers stay warm this long after an invocation.
     sim::SimTime keep_warm{sim::SimTime::minutes(10)};
-    /// Cold-start (sandbox provisioning) latency.
-    double cold_start_median_s{0.25};
-    double cold_start_p95_s{0.60};
-    /// Per-invocation platform/network overhead.
-    double overhead_median_s{0.050};
-    double overhead_p95_s{0.150};
     /// Single-thread compute slowdown relative to a Prometheus node
     /// (Fig. 7: HPC node ≈15 % faster => Lambda factor ≈1.15).
     double compute_slowdown{1.15};

@@ -7,6 +7,15 @@
 
 namespace hpcwhisk::cloud {
 
+namespace {
+/// Cold-start (sandbox provisioning) latency, median and P95.
+constexpr double kColdStartMedianS = 0.25;
+constexpr double kColdStartP95S = 0.60;
+/// Per-invocation platform/network overhead, median and P95.
+constexpr double kOverheadMedianS = 0.050;
+constexpr double kOverheadP95S = 0.150;
+}  // namespace
+
 LambdaService::LambdaService(sim::Simulation& simulation,
                              const whisk::FunctionRegistry& registry,
                              Config config, sim::Rng rng)
@@ -14,8 +23,8 @@ LambdaService::LambdaService(sim::Simulation& simulation,
       registry_{registry},
       config_{config},
       rng_{rng},
-      cold_start_{config.cold_start_median_s, config.cold_start_p95_s, 0.95},
-      overhead_{config.overhead_median_s, config.overhead_p95_s, 0.95} {
+      cold_start_{kColdStartMedianS, kColdStartP95S, 0.95},
+      overhead_{kOverheadMedianS, kOverheadP95S, 0.95} {
   HW_OBS_IF(config_.obs) {
     config_.obs->metrics.add_collector([this](obs::MetricsRegistry& m) {
       m.counter("cloud.invocations").set(records_.size());
@@ -29,7 +38,7 @@ LambdaService::LambdaService(sim::Simulation& simulation,
 
 double LambdaService::cpu_share(std::int64_t memory_mb) const {
   const double share = static_cast<double>(memory_mb) /
-                       static_cast<double>(config_.full_vcpu_memory_mb);
+                       static_cast<double>(kFullVcpuMemoryMb);
   return std::min(1.0, share);
 }
 

@@ -2,10 +2,10 @@
 // Alg. 1 of the paper: a client-side wrapper that shields FaaS users from
 // the cluster's non-availability periods (Sec. III-E). Whenever HPC-Whisk
 // answers 503 (no invoker), calls are offloaded to a commercial cloud for
-// a cool-down window (60 s by default), then HPC-Whisk is retried.
+// a cool-down window (60 s), then HPC-Whisk is retried.
 //
 // Window semantics (pinned by tests/core/client_wrapper_test.cpp): a call
-// at exactly last_503 + fallback_window is still offloaded; the first
+// at exactly last_503 + kFallbackWindow is still offloaded; the first
 // retry against the cluster happens strictly after the window closes.
 
 #include <cstdint>
@@ -18,13 +18,15 @@
 
 namespace hpcwhisk::core {
 
+/// Alg. 1's cool-down: how long to keep offloading after a 503. The
+/// federation gateway applies the same window per cluster.
+inline constexpr sim::SimTime kFallbackWindow = sim::SimTime::seconds(60);
+/// Memory configuration of every commercial (cloud) invocation.
+inline constexpr std::int64_t kOffloadMemoryMb = 2048;
+
 class ClientWrapper {
  public:
   struct Config {
-    /// How long to keep offloading after a 503.
-    sim::SimTime fallback_window{sim::SimTime::seconds(60)};
-    /// Memory configuration used for commercial invocations.
-    std::int64_t commercial_memory_mb{2048};
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};
   };
@@ -61,9 +63,9 @@ class ClientWrapper {
   }
 
   /// Whether a call issued at `at` (>= now) would be offloaded without
-  /// probing the cluster — i.e. at <= last_503 + fallback_window.
+  /// probing the cluster — i.e. at <= last_503 + kFallbackWindow.
   [[nodiscard]] bool in_fallback_window(sim::SimTime at) const {
-    return last_503_.has_value() && at - *last_503_ <= config_.fallback_window;
+    return last_503_.has_value() && at - *last_503_ <= kFallbackWindow;
   }
 
  private:

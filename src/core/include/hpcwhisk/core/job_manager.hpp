@@ -47,8 +47,6 @@ class JobManager {
     std::size_t fib_per_length{10};
     /// var: queued flexible jobs maintained.
     std::size_t var_target{100};
-    sim::SimTime var_time_min{sim::SimTime::minutes(2)};
-    sim::SimTime var_time_max{sim::SimTime::minutes(120)};
     /// Queue replenishment cadence (15 s on Prometheus).
     sim::SimTime replenish_interval{sim::SimTime::seconds(15)};
     /// Hard cap on queued pilot jobs (Sec. III-D: never above 100).
@@ -195,7 +193,6 @@ class JobManager {
   void on_pilot_start(const slurm::JobRecord& rec);
   void on_pilot_sigterm(const slurm::JobRecord& rec);
   void on_pilot_end(const slurm::JobRecord& rec, slurm::EndReason reason);
-  void schedule_reap(slurm::JobId id);
 
   sim::Simulation& sim_;
   slurm::Slurmctld& slurmctld_;

@@ -58,7 +58,6 @@ class PilotJob {
   [[nodiscard]] const whisk::Invoker& invoker() const { return *invoker_; }
   /// Mutable access for fault injection (stall / hard-kill seams).
   [[nodiscard]] whisk::Invoker& invoker() { return *invoker_; }
-  [[nodiscard]] slurm::JobId slurm_job() const { return slurm_job_; }
   [[nodiscard]] sim::SimTime started_at() const { return started_at_; }
   [[nodiscard]] sim::SimTime serving_since() const { return serving_since_; }
   /// When the serving->draining transition happened (zero if the pilot

@@ -31,7 +31,7 @@ void ClientWrapper::close_window_span(sim::SimTime expiry) {
     config_.obs->trace.record_chained(
         obs::Cat::kClient, obs::Phase::kAsyncEnd, "fallback_window",
         obs::Track::kController, 0, counters_.windows_opened, expiry,
-        config_.fallback_window.to_seconds());
+        kFallbackWindow.to_seconds());
   }
 }
 
@@ -40,7 +40,7 @@ ClientWrapper::Result ClientWrapper::invoke(const std::string& function) {
   const bool in_fallback = in_fallback_window(now);
   if (!in_fallback) {
     if (last_503_.has_value()) {
-      close_window_span(*last_503_ + config_.fallback_window);
+      close_window_span(*last_503_ + kFallbackWindow);
     }
     const auto result = controller_.submit(function);
     if (result.accepted) {
@@ -57,7 +57,7 @@ ClientWrapper::Result ClientWrapper::invoke(const std::string& function) {
       config_.obs->trace.record_chained(
           obs::Cat::kClient, obs::Phase::kAsyncBegin, "fallback_window",
           obs::Track::kController, 0, counters_.windows_opened, now,
-          config_.fallback_window.to_seconds());
+          kFallbackWindow.to_seconds());
     }
   }
   ++counters_.commercial_calls;
@@ -70,7 +70,7 @@ ClientWrapper::Result ClientWrapper::invoke(const std::string& function) {
                               in_fallback ? 0.0 : 1.0);
   }
   const std::uint64_t id =
-      commercial_.invoke(function, config_.commercial_memory_mb);
+      commercial_.invoke(function, kOffloadMemoryMb);
   return Result{Backend::kCommercial, id};
 }
 

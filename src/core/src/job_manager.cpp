@@ -8,6 +8,13 @@
 
 namespace hpcwhisk::core {
 
+namespace {
+/// var model: every flexible pilot asks for --time-min 2 min and
+/// --time 120 min; Slurm sizes it in between.
+constexpr sim::SimTime kVarTimeMin = sim::SimTime::minutes(2);
+constexpr sim::SimTime kVarTimeMax = sim::SimTime::minutes(120);
+}  // namespace
+
 const char* to_string(SupplyModel m) {
   switch (m) {
     case SupplyModel::kFib: return "fib";
@@ -198,7 +205,7 @@ void JobManager::replenish() {
   } else {
     for (std::size_t i = queued_.size(); i < config_.var_target; ++i) {
       if (queued_.size() >= config_.max_queued) return;
-      submit_pilot(config_.var_time_max, /*variable=*/true);
+      submit_pilot(kVarTimeMax, /*variable=*/true);
     }
   }
 }
@@ -209,7 +216,7 @@ void JobManager::submit_pilot(sim::SimTime length, bool variable) {
   spec.partition = config_.partition;
   spec.num_nodes = 1;
   spec.time_limit = length;
-  spec.time_min = variable ? config_.var_time_min : sim::SimTime::zero();
+  spec.time_min = variable ? kVarTimeMin : sim::SimTime::zero();
   spec.actual_runtime = sim::SimTime::max();  // serves until terminated
   // Longer declared length => higher priority within the pilot tier,
   // making Slurm greedy towards long holes (Sec. III-D b).

@@ -56,10 +56,6 @@ class ChaosEngine {
 
   struct Config {
     FaultPlan plan;
-    /// Cadence of the capacity-recovered probe after node/invoker faults.
-    sim::SimTime recovery_poll{sim::SimTime::seconds(1)};
-    /// Give up calling a fault "recovered" after this long.
-    sim::SimTime recovery_timeout{sim::SimTime::minutes(30)};
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};
   };

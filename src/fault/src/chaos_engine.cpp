@@ -9,6 +9,13 @@
 
 namespace hpcwhisk::fault {
 
+namespace {
+/// Cadence of the capacity-recovered probe after node/invoker faults.
+constexpr sim::SimTime kRecoveryPoll = sim::SimTime::seconds(1);
+/// Give up calling a fault "recovered" after this long.
+constexpr sim::SimTime kRecoveryTimeout = sim::SimTime::minutes(30);
+}  // namespace
+
 ChaosEngine::ChaosEngine(sim::Simulation& simulation, slurm::Slurmctld& slurm,
                          whisk::Controller& controller, mq::Broker& broker,
                          Config config, InvokerDirectory directory,
@@ -229,7 +236,7 @@ mq::Topic::FaultAction ChaosEngine::decide(const mq::Message& msg) {
 }
 
 void ChaosEngine::watch_recovery(std::size_t index) {
-  sim_.after(config_.recovery_poll, [this, index] {
+  sim_.after(kRecoveryPoll, [this, index] {
     AppliedFault& fault = applied_[index];
     if (fault.recovery != sim::SimTime::max()) return;
     if (controller_.healthy_count() >= fault.healthy_before) {
@@ -242,7 +249,7 @@ void ChaosEngine::watch_recovery(std::size_t index) {
       }
       return;
     }
-    if (sim_.now() - fault.at >= config_.recovery_timeout) return;
+    if (sim_.now() - fault.at >= kRecoveryTimeout) return;
     watch_recovery(index);
   });
 }

@@ -15,7 +15,8 @@
 // Routing policies (Żuk et al.: routing decisions dominate FaaS response
 // time):
 //  * round-robin            — supply-blind rotation;
-//  * least-outstanding      — fewest in-flight activations wins;
+//  * least-outstanding      — fewest in-flight activations wins,
+//                             clusters without a healthy invoker last;
 //  * power-of-two-choices   — two sampled clusters, lower load-per-
 //                             healthy-invoker wins (the classic
 //                             "power of d choices" balancer).
@@ -48,12 +49,6 @@ enum class FedPolicy : std::uint8_t {
   kRoundRobin,
   kLeastOutstanding,
   kPowerOfTwo,
-  /// Snapshot-fed twin of the controller's least-expected-work route
-  /// mode: lowest predicted outstanding *work* (sched ledger ticks) per
-  /// healthy invoker wins. Clusters whose controller runs a legacy route
-  /// mode export no backlog signal; they are scored by outstanding calls
-  /// at a nominal per-call duration instead (see load_score_ticks).
-  kLeastExpectedWork,
 };
 
 [[nodiscard]] const char* to_string(FedPolicy p);
@@ -80,13 +75,9 @@ class FederatedGateway {
     /// Health snapshot refresh cadence — the staleness bound. Zero
     /// disables the periodic sampler (tests call refresh_health()).
     sim::SimTime health_refresh{sim::SimTime::seconds(1)};
-    /// Per-cluster cool-down after a 503 (Alg. 1's fallback window,
-    /// per cluster). A cooling cluster receives no traffic until a call
-    /// arrives strictly after last_503 + cooldown.
-    sim::SimTime cooldown{sim::SimTime::seconds(60)};
-    /// The shared commercial fallback backend.
+    /// The shared commercial fallback backend; every offload asks for
+    /// core::kOffloadMemoryMb.
     cloud::LambdaService::Config cloud;
-    std::int64_t cloud_memory_mb{2048};
     /// Gateway RNG seed (power-of-two-choices sampling).
     std::uint64_t seed{1};
     /// Append one line per routed call to decision_log() — the input of
@@ -132,9 +123,6 @@ class FederatedGateway {
   struct ClusterHealth {
     std::size_t healthy{0};        ///< healthy invokers at sample time
     std::uint64_t outstanding{0};  ///< accepted, not yet terminal
-    /// Predicted outstanding work (sched ledger, ticks) at sample time;
-    /// -1 when the cluster's controller has no data-driven scheduler.
-    std::int64_t expected_backlog_ticks{-1};
     sim::SimTime sampled_at;
   };
 
@@ -144,7 +132,10 @@ class FederatedGateway {
   [[nodiscard]] const std::vector<ClusterHealth>& health() const {
     return health_;
   }
-  /// Whether `cluster` is inside its post-503 cool-down at time `at`.
+  /// Whether `cluster` is inside its post-503 cool-down at time `at`:
+  /// Alg. 1's fallback window (core::kFallbackWindow), per cluster. A
+  /// cooling cluster receives no traffic until a call arrives strictly
+  /// after last_503 + kFallbackWindow.
   [[nodiscard]] bool cooling(std::size_t cluster, sim::SimTime at) const;
 
   // --- Introspection -------------------------------------------------------
@@ -204,10 +195,6 @@ class FederatedGateway {
   /// Load score from the current snapshot: outstanding work per healthy
   /// invoker; clusters with zero healthy invokers score worst.
   [[nodiscard]] double load_score(std::size_t i) const;
-  /// kLeastExpectedWork score: predicted backlog ticks per healthy
-  /// invoker (outstanding calls at a nominal duration when the cluster
-  /// exports no backlog signal).
-  [[nodiscard]] double load_score_ticks(std::size_t i) const;
   /// Policy pick among `candidates` (indices into clusters_, ascending).
   [[nodiscard]] std::optional<std::size_t> pick(
       const std::vector<std::size_t>& candidates);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "hpcwhisk/core/client_wrapper.hpp"
 #include "hpcwhisk/obs/observability.hpp"
 
 namespace hpcwhisk::fed {
@@ -13,7 +14,6 @@ const char* to_string(FedPolicy p) {
     case FedPolicy::kRoundRobin: return "round_robin";
     case FedPolicy::kLeastOutstanding: return "least_outstanding";
     case FedPolicy::kPowerOfTwo: return "power_of_two";
-    case FedPolicy::kLeastExpectedWork: return "least_expected_work";
   }
   return "?";
 }
@@ -96,8 +96,6 @@ void FederatedGateway::refresh_health() {
     ClusterHealth& h = health_[i];
     h.healthy = ctrl.healthy_count();
     h.outstanding = c.accepted - c.completed - c.failed - c.timed_out;
-    h.expected_backlog_ticks =
-        ctrl.scheduler() != nullptr ? ctrl.expected_backlog_ticks() : -1;
     h.sampled_at = now;
     if (h.healthy > 0) {
       any_healthy = true;
@@ -110,7 +108,7 @@ void FederatedGateway::refresh_health() {
 
 bool FederatedGateway::cooling(std::size_t cluster, sim::SimTime at) const {
   const std::optional<sim::SimTime>& last = clusters_[cluster].last_503;
-  return last.has_value() && at - *last <= config_.cooldown;
+  return last.has_value() && at - *last <= core::kFallbackWindow;
 }
 
 double FederatedGateway::load_score(std::size_t i) const {
@@ -118,18 +116,6 @@ double FederatedGateway::load_score(std::size_t i) const {
   if (h.healthy == 0) return std::numeric_limits<double>::infinity();
   return static_cast<double>(h.outstanding + 1) /
          static_cast<double>(h.healthy);
-}
-
-double FederatedGateway::load_score_ticks(std::size_t i) const {
-  const ClusterHealth& h = health_[i];
-  if (h.healthy == 0) return std::numeric_limits<double>::infinity();
-  // No backlog signal (legacy route mode): price each outstanding call
-  // at a nominal second so mixed fleets still rank sensibly.
-  const double backlog =
-      h.expected_backlog_ticks >= 0
-          ? static_cast<double>(h.expected_backlog_ticks)
-          : static_cast<double>(h.outstanding) * 1e6;
-  return backlog / static_cast<double>(h.healthy);
 }
 
 std::optional<std::size_t> FederatedGateway::pick_least(
@@ -176,18 +162,6 @@ std::optional<std::size_t> FederatedGateway::pick(
       }
       return best;
     }
-    case FedPolicy::kLeastExpectedWork: {
-      std::optional<std::size_t> best;
-      double best_score = 0.0;
-      for (const std::size_t i : candidates) {  // ascending: ties → lowest
-        const double score = load_score_ticks(i);
-        if (!best.has_value() || score < best_score) {
-          best = i;
-          best_score = score;
-        }
-      }
-      return best;
-    }
     case FedPolicy::kPowerOfTwo: {
       const std::size_t n = candidates.size();
       if (n == 1) return candidates[0];
@@ -218,7 +192,7 @@ void FederatedGateway::note_503(std::size_t i, sim::SimTime now) {
       clusters_[i].cooldown_span_open = true;
       config_.obs->trace.record_chained(
           obs::Cat::kFed, obs::Phase::kAsyncBegin, "fed_cooldown",
-          obs::Track::kGateway, 0, i, now, config_.cooldown.to_seconds());
+          obs::Track::kGateway, 0, i, now, core::kFallbackWindow.to_seconds());
     }
   }
 }
@@ -233,8 +207,8 @@ void FederatedGateway::maybe_close_cooldown_span(std::size_t i,
     config_.obs->trace.record_chained(
         obs::Cat::kFed, obs::Phase::kAsyncEnd, "fed_cooldown",
         obs::Track::kGateway, 0, i,
-        *clusters_[i].last_503 + config_.cooldown,
-        config_.cooldown.to_seconds());
+        *clusters_[i].last_503 + core::kFallbackWindow,
+        core::kFallbackWindow.to_seconds());
   }
 }
 
@@ -298,7 +272,7 @@ FederatedGateway::Result FederatedGateway::invoke(
   ++counters_.cloud_calls;
   out.cloud = true;
   out.cluster = 0;
-  out.id = cloud_->invoke(function, config_.cloud_memory_mb);
+  out.id = cloud_->invoke(function, core::kOffloadMemoryMb);
   if (config_.log_decisions) {
     decision_log_ += std::to_string(now.ticks());
     decision_log_ += ' ';

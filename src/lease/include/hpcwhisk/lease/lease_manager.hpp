@@ -51,10 +51,9 @@ struct LeaseConfig {
   /// Master switch. Off by default: with leases disabled the controller
   /// behaves bit-for-bit like before (legacy golden hashes depend on it).
   bool enabled{false};
-  /// Lease term; an expired lease lapses lazily on the next lookup.
+  /// Lease term, renewed on every hit (rFaaS clients re-lease while
+  /// hot); an expired lease lapses lazily on the next lookup.
   sim::SimTime term{sim::SimTime::seconds(30)};
-  /// Renew the term on every hit (rFaaS clients re-lease while hot).
-  bool auto_renew{true};
   /// Inter-arrival EWMA at or below this => kHot (lease-eligible).
   sim::SimTime hot_interarrival{sim::SimTime::millis(500)};
   /// ... at or below this => kWarm; above => kCold.

@@ -88,11 +88,9 @@ void LeaseManager::on_hit(FunctionKey function, sim::SimTime now) {
   if (l == nullptr) return;
   ++l->hits;
   ++stats_.hits;
-  if (config_.auto_renew) {
-    l->expires_at = now + config_.term;
-    ++l->renewals;
-    ++stats_.renewed;
-  }
+  l->expires_at = now + config_.term;
+  ++l->renewals;
+  ++stats_.renewed;
 }
 
 bool LeaseManager::revoke(FunctionKey function) {

@@ -67,11 +67,6 @@ struct EstimatorConfig {
   /// fleet median; we make it a knob so benches can mis-set it on
   /// purpose and measure how fast the model recovers).
   sim::SimTime prior{sim::SimTime::millis(100)};
-  /// Extra cost charged when routing a function to an invoker that has
-  /// never run it (expected container cold-start overhead). Only a
-  /// routing-cost prior: the cold/warm duration models below measure
-  /// execution time, which in this simulator excludes container setup.
-  sim::SimTime cold_overhead{sim::SimTime::millis(500)};
   /// Additionally keep a (function, worker) EWMA pair and let the
   /// worker-qualified predict overloads answer from it when it has
   /// history. Captures per-node heterogeneity (CPU dilation under
@@ -110,7 +105,8 @@ class DurationEstimator {
   [[nodiscard]] sim::SimTime predict(const std::string& function,
                                      std::uint32_t worker) const;
   /// Prediction for a cold execution (cold EWMA, falling back like
-  /// predict()). The cold-start *overhead* is config().cold_overhead.
+  /// predict()). The cold-start *overhead* is the router's
+  /// kColdOverhead (scheduler.hpp).
   [[nodiscard]] sim::SimTime predict_cold(const std::string& function) const;
   /// Worker-qualified cold prediction (see predict(function, worker)).
   [[nodiscard]] sim::SimTime predict_cold(const std::string& function,

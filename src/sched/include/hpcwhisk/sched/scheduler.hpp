@@ -13,12 +13,12 @@
 //  * sjf-affinity: keep the hash-homed worker (warm-container reuse,
 //    OpenWhisk Sec. II) unless its expected completion exceeds the best
 //    worker's by more than `sjf_affinity_slack x predicted duration +
-//    cold_overhead` — an SJF-flavored escape: the shorter the predicted
+//    kColdOverhead` — an SJF-flavored escape: the shorter the predicted
 //    duration, the smaller the queueing delay the call tolerates before
 //    abandoning its warm home, with a cold-start hysteresis so nobody
 //    trades a warm container for sub-cold-start noise.
 //  * deadline classes (optional, both policies): calls whose predicted
-//    duration is under `short_class_bound` are published to the *front*
+//    duration is under `kShortClassBound` are published to the *front*
 //    of the chosen worker's queue — they preempt queue position at
 //    publish time, never a running execution.
 //
@@ -37,6 +37,14 @@
 
 namespace hpcwhisk::sched {
 
+/// Extra cost charged when routing a function to an invoker that has
+/// never run it (expected container cold-start overhead). Only a
+/// routing-cost prior: the estimator's cold/warm duration models measure
+/// execution time, which in this simulator excludes container setup.
+inline constexpr sim::SimTime kColdOverhead = sim::SimTime::millis(500);
+/// Predicted-duration bound under which a call is short-class.
+inline constexpr sim::SimTime kShortClassBound = sim::SimTime::millis(250);
+
 struct SchedConfig {
   EstimatorConfig estimator;
   /// sjf-affinity escape threshold, in units of the call's predicted
@@ -44,8 +52,6 @@ struct SchedConfig {
   double sjf_affinity_slack{2.0};
   /// Enables the short-class fast path (front-of-queue publish).
   bool deadline_classes{false};
-  /// Predicted-duration bound under which a call is short-class.
-  sim::SimTime short_class_bound{sim::SimTime::millis(250)};
   /// Deadline-class dispersion guard: the short-class test compares
   /// `predict + factor * deviation` against the bound, so a function
   /// whose durations swing wildly must predict well under the bound

@@ -14,7 +14,7 @@ CallScheduler::Cost CallScheduler::cost_at(const std::string& function,
   // history of its own.
   if (c.cold) {
     c.predicted = estimator_.predict_cold(function, worker).ticks();
-    c.cost = c.backlog + c.predicted + config_.estimator.cold_overhead.ticks();
+    c.cost = c.backlog + c.predicted + kColdOverhead.ticks();
   } else {
     c.predicted = estimator_.predict(function, worker).ticks();
     c.cost = c.backlog + c.predicted;
@@ -29,9 +29,8 @@ CallScheduler::Decision CallScheduler::finalize(
   Decision d;
   d.worker = worker;
   d.predicted_ticks = cost.predicted;
-  d.cost_ticks = cost.predicted + (cost.cold
-                                       ? config_.estimator.cold_overhead.ticks()
-                                       : std::int64_t{0});
+  d.cost_ticks =
+      cost.predicted + (cost.cold ? kColdOverhead.ticks() : std::int64_t{0});
   d.expected_cold = cost.cold;
   d.runner_up = runner_up;
   d.runner_up_cost_ticks = runner_up_cost;
@@ -47,7 +46,7 @@ CallScheduler::Decision CallScheduler::finalize(
                             static_cast<double>(
                                 estimator_.deviation(function).ticks())));
     }
-    if (metric <= config_.short_class_bound) {
+    if (metric <= kShortClassBound) {
       d.short_class = true;
       ++stats_.short_class;
     }
@@ -112,7 +111,7 @@ CallScheduler::Decision CallScheduler::route_sjf_affinity(
   const double slack =
       config_.sjf_affinity_slack *
           static_cast<double>(std::max<std::int64_t>(home_cost.predicted, 1)) +
-      static_cast<double>(config_.estimator.cold_overhead.ticks());
+      static_cast<double>(kColdOverhead.ticks());
   if (best != home && static_cast<double>(home_cost.cost - best_cost.cost) >
                           slack) {
     ++stats_.affinity_escaped;

@@ -33,18 +33,19 @@ struct Qos {
   double usage_factor{1.0};
 };
 
+/// Maximum fair-share priority debit; the debit saturates towards this
+/// as usage grows (PriorityWeightFairshare).
+inline constexpr std::int64_t kFairShareWeight = 1000;
+/// Usage (node-seconds) at which the debit reaches kFairShareWeight/2.
+/// The debit is kFairShareWeight * u / (u + kFairShareUsageNorm):
+/// monotone in usage, bounded, and strictly decaying as usage decays.
+inline constexpr double kFairShareUsageNorm = 3600.0;
+
 struct FairShareConfig {
   bool enabled{false};
   /// Half-life of the decayed per-account usage accumulator
   /// (PriorityDecayHalfLife).
   sim::SimTime half_life{sim::SimTime::hours(4)};
-  /// Maximum priority debit; the debit saturates towards this as usage
-  /// grows (PriorityWeightFairshare).
-  std::int64_t weight{1000};
-  /// Usage (node-seconds) at which the debit reaches weight/2. The debit
-  /// is weight * u / (u + usage_norm): monotone in usage, bounded, and
-  /// strictly decaying as usage decays.
-  double usage_norm{3600.0};
 };
 
 }  // namespace hpcwhisk::slurm

@@ -271,8 +271,7 @@ class Slurmctld {
   /// to be free (now for idle; expected_end for HPC jobs; `now` for nodes
   /// held only by preemptible lower-tier jobs when scheduling tier >= 1).
   struct Availability {
-    std::vector<sim::SimTime> free_at;       // per node, for HPC planning
-    std::vector<sim::SimTime> pilot_free_at; // per node, incl. pilots
+    std::vector<sim::SimTime> free_at;  // per node, for HPC planning
   };
   /// Rebuilds and returns the availability timeline for `tier`. Exposed
   /// for micro-benchmarks and tooling; scheduling passes reuse internal
@@ -315,6 +314,11 @@ class Slurmctld {
   bool try_start_hpc(JobRecord& rec, PassCache& cache,
                      const std::vector<sim::SimTime>& reserved_until);
 
+  /// Var-pass gate shared by both pilot placements: whether this pass
+  /// may start variable-length pilots. Under var_jobs_periodic_only only
+  /// a periodic pass at least var_pass_period after the last admitted
+  /// one may, and admitting it restarts that period.
+  bool open_var_pass(bool periodic);
   /// Pilot placement pass over currently idle nodes.
   void place_pilots(PassCache& cache,
                     const std::vector<sim::SimTime>& reserved_from,

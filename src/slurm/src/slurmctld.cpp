@@ -386,13 +386,11 @@ void Slurmctld::build_availability_into(std::int32_t tier,
                                         Availability& a) const {
   const sim::SimTime now = sim_.now();
   a.free_at.assign(nodes_.size(), now);
-  a.pilot_free_at.assign(nodes_.size(), now);
   const bool any_claims = !node_claims_.empty();
   for (const Node& node : nodes_) {
     sim::SimTime hpc_free = now;
-    sim::SimTime pilot_free = now;
     if (node.state == NodeState::kDown) {
-      hpc_free = pilot_free = sim::SimTime::max();
+      hpc_free = sim::SimTime::max();
     } else if (node.state == NodeState::kAllocated) {
       // Free when the *last* co-resident job is expected out; the node is
       // transparent to `tier` only if every job on it is preemptable by
@@ -408,7 +406,6 @@ void Slurmctld::build_availability_into(std::int32_t tier,
         if (!(rec.preemptible && rec.preempt_tier < tier))
           all_preemptable = false;
       }
-      pilot_free = expected_max;
       hpc_free = all_preemptable ? now : expected_max;
     }
     // Claimed nodes are spoken for until the claimant's expected end.
@@ -419,11 +416,9 @@ void Slurmctld::build_availability_into(std::int32_t tier,
         const sim::SimTime claim_end =
             now + claimant.granted_limit + partition_of(claimant).grace_time;
         hpc_free = std::max(hpc_free, claim_end);
-        pilot_free = std::max(pilot_free, claim_end);
       }
     }
     a.free_at[node.id] = hpc_free;
-    a.pilot_free_at[node.id] = pilot_free;
   }
 }
 
@@ -645,6 +640,15 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
   return true;
 }
 
+bool Slurmctld::open_var_pass(bool periodic) {
+  if (!config_.var_jobs_periodic_only) return true;
+  const sim::SimTime now = sim_.now();
+  if (!periodic || now - last_var_pass_ < config_.var_pass_period)
+    return false;
+  last_var_pass_ = now;
+  return true;
+}
+
 void Slurmctld::place_pilots(PassCache& cache,
                              const std::vector<sim::SimTime>& reserved_from,
                              bool periodic) {
@@ -655,12 +659,7 @@ void Slurmctld::place_pilots(PassCache& cache,
   const sim::SimTime now = sim_.now();
   const std::vector<sim::SimTime>& sizing_view =
       config_.var_jobs_periodic_only ? last_pass_reserved_from_ : reserved_from;
-  bool var_allowed = !config_.var_jobs_periodic_only || periodic;
-  if (var_allowed && config_.var_jobs_periodic_only &&
-      now - last_var_pass_ < config_.var_pass_period) {
-    var_allowed = false;
-  }
-  if (var_allowed && config_.var_jobs_periodic_only) last_var_pass_ = now;
+  const bool var_allowed = open_var_pass(periodic);
 
   // For each idle node, pick the best (highest-priority) queued pilot
   // that may start there: under the preempt-aware policy that is simply
@@ -1139,12 +1138,7 @@ void Slurmctld::place_pilots_tres(
   auto& queue = tier0->second;
 
   const sim::SimTime now = sim_.now();
-  bool var_allowed = !config_.var_jobs_periodic_only || periodic;
-  if (var_allowed && config_.var_jobs_periodic_only &&
-      now - last_var_pass_ < config_.var_pass_period) {
-    var_allowed = false;
-  }
-  if (var_allowed && config_.var_jobs_periodic_only) last_var_pass_ = now;
+  const bool var_allowed = open_var_pass(periodic);
 
   // Candidate order: most free cpus first (whole idle nodes before
   // partial ones), coldest first within a level — the fractional-
@@ -1387,8 +1381,8 @@ double Slurmctld::decayed_usage(const std::string& account) const {
 std::int64_t Slurmctld::debit_for_usage(double usage) const {
   const FairShareConfig& fs = config_.fidelity.fair_share;
   if (!fs.enabled || usage <= 0.0) return 0;
-  const double frac = usage / (usage + fs.usage_norm);
-  return std::llround(static_cast<double>(fs.weight) * frac);
+  const double frac = usage / (usage + kFairShareUsageNorm);
+  return std::llround(static_cast<double>(kFairShareWeight) * frac);
 }
 
 void Slurmctld::charge_fair_share(const JobRecord& rec) {

@@ -23,14 +23,14 @@
 
 namespace hpcwhisk::trace {
 
-/// One generated job, also the unit of trace (de)serialization.
+/// One generated job.
 struct TraceJob {
   sim::SimTime submit;
   std::uint32_t num_nodes{1};
   sim::SimTime time_limit;
   sim::SimTime runtime;
   /// Per-node TRES request (zero = whole node; only meaningful when the
-  /// target Slurmctld runs in TRES mode). Not persisted by save_trace.
+  /// target Slurmctld runs in TRES mode).
   slurm::TresVector tres_per_node{};
 };
 
@@ -63,12 +63,6 @@ class HpcWorkloadGenerator {
     /// Fig. 1c.
     double lull_probability_per_tick{0.005};
     sim::SimTime lull_mean{sim::SimTime::minutes(18)};
-    /// Fraction of jobs that run into their declared limit (timeout).
-    double timeout_fraction{0.03};
-    /// Beta-like runtime fraction parameters: runtime = limit * X where
-    /// X has mean alpha/(alpha+beta).
-    double runtime_alpha{2.0};
-    double runtime_beta{2.2};
     /// Node-count buckets: {max_nodes, weight} pairs; a job's size is
     /// drawn uniformly within the chosen bucket.
     struct SizeBucket {
@@ -101,19 +95,13 @@ class HpcWorkloadGenerator {
   void start();
   void stop();
 
-  /// Draws one job (without submitting); used for trace generation.
+  /// Draws one job (without submitting); fig2_jobs samples the
+  /// distributions through it.
   [[nodiscard]] TraceJob draw_job();
-
-  /// All jobs submitted so far (for the Fig. 2 CDFs).
-  [[nodiscard]] const std::vector<TraceJob>& submitted_jobs() const {
-    return submitted_;
-  }
 
   /// The published Fig. 2 limit distribution (minutes).
   [[nodiscard]] static sim::EmpiricalCdf default_limit_cdf();
 
-  /// Pending node-demand currently queued.
-  [[nodiscard]] std::size_t pending_demand() const { return pending_demand_; }
   [[nodiscard]] std::size_t lulls_entered() const { return lulls_entered_; }
 
  private:
@@ -125,17 +113,11 @@ class HpcWorkloadGenerator {
   Config config_;
   sim::Rng rng_;
   sim::EmpiricalCdf limit_cdf_;
-  std::vector<TraceJob> submitted_;
-  std::size_t pending_now_{0};        ///< pending jobs (callback-tracked)
-  std::size_t pending_demand_{0};     ///< pending node-demand
+  std::size_t pending_now_{0};  ///< pending jobs (callback-tracked)
   sim::SimTime lull_until_;
   std::size_t lulls_entered_{0};
   sim::PeriodicHandle loop_;
   bool running_{false};
 };
-
-/// Writes/reads a job trace as CSV (submit_s,nodes,limit_s,runtime_s).
-void save_trace(const std::string& path, const std::vector<TraceJob>& jobs);
-[[nodiscard]] std::vector<TraceJob> load_trace(const std::string& path);
 
 }  // namespace hpcwhisk::trace

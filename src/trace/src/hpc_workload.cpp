@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 namespace hpcwhisk::trace {
 
 namespace {
+/// Fraction of jobs that run into their declared limit (timeout).
+constexpr double kTimeoutFraction = 0.03;
+/// Powered-uniform runtime fraction exponents (see draw_job).
+constexpr double kRuntimeAlpha = 2.0;
+constexpr double kRuntimeBeta = 2.2;
+
 std::vector<HpcWorkloadGenerator::Config::SizeBucket> default_buckets() {
   // Calibrated against the published Fig. 1 statistics. Small (1-2 node)
   // jobs are scarce: their scarcity is what leaves a persistent floor of
@@ -76,7 +78,7 @@ TraceJob HpcWorkloadGenerator::draw_job() {
   const double limit_min = limit_cdf_.sample(rng_) * config_.limit_scale;
   job.time_limit = sim::SimTime::minutes(std::max(2.0, limit_min));
 
-  if (rng_.bernoulli(config_.timeout_fraction)) {
+  if (rng_.bernoulli(kTimeoutFraction)) {
     // Runs into the limit: model as "never finishes on its own".
     job.runtime = sim::SimTime::max();
   } else {
@@ -85,8 +87,8 @@ TraceJob HpcWorkloadGenerator::draw_job() {
     // leaving substantial slack below the declared limit (Fig. 2).
     const double u1 = rng_.uniform();
     const double u2 = rng_.uniform();
-    const double x = 0.05 + 0.9 * std::pow(u1, 1.0 / config_.runtime_alpha) *
-                                std::pow(u2, 1.0 / config_.runtime_beta);
+    const double x = 0.05 + 0.9 * std::pow(u1, 1.0 / kRuntimeAlpha) *
+                                std::pow(u2, 1.0 / kRuntimeBeta);
     job.runtime = sim::SimTime::seconds(
         std::max(30.0, job.time_limit.to_seconds() * std::min(1.0, x)));
   }
@@ -135,7 +137,6 @@ void HpcWorkloadGenerator::top_up() {
 
 void HpcWorkloadGenerator::submit_one() {
   const TraceJob job = draw_job();
-  submitted_.push_back(job);
 
   slurm::JobSpec spec;
   spec.partition = config_.partition;
@@ -145,52 +146,10 @@ void HpcWorkloadGenerator::submit_one() {
   spec.tres_per_node = job.tres_per_node;
   spec.qos = config_.qos;
   ++pending_now_;
-  pending_demand_ += job.num_nodes;
-  const std::uint32_t nodes = job.num_nodes;
-  spec.on_start = [this, nodes](const slurm::JobRecord&) {
+  spec.on_start = [this](const slurm::JobRecord&) {
     if (pending_now_ > 0) --pending_now_;
-    pending_demand_ -= std::min<std::size_t>(pending_demand_, nodes);
   };
   ctld_.submit(std::move(spec));
-}
-
-void save_trace(const std::string& path, const std::vector<TraceJob>& jobs) {
-  std::ofstream out{path};
-  if (!out) throw std::runtime_error("save_trace: cannot open " + path);
-  out.precision(12);
-  out << "submit_s,nodes,limit_s,runtime_s\n";
-  for (const TraceJob& j : jobs) {
-    const double runtime = j.runtime == sim::SimTime::max()
-                               ? -1.0
-                               : j.runtime.to_seconds();
-    out << j.submit.to_seconds() << ',' << j.num_nodes << ','
-        << j.time_limit.to_seconds() << ',' << runtime << '\n';
-  }
-}
-
-std::vector<TraceJob> load_trace(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("load_trace: cannot open " + path);
-  std::vector<TraceJob> jobs;
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ss{line};
-    std::string field;
-    TraceJob j;
-    std::getline(ss, field, ',');
-    j.submit = sim::SimTime::seconds(std::stod(field));
-    std::getline(ss, field, ',');
-    j.num_nodes = static_cast<std::uint32_t>(std::stoul(field));
-    std::getline(ss, field, ',');
-    j.time_limit = sim::SimTime::seconds(std::stod(field));
-    std::getline(ss, field, ',');
-    const double runtime = std::stod(field);
-    j.runtime = runtime < 0 ? sim::SimTime::max() : sim::SimTime::seconds(runtime);
-    jobs.push_back(j);
-  }
-  return jobs;
 }
 
 }  // namespace hpcwhisk::trace

@@ -78,6 +78,14 @@ enum class RouteMode : std::uint8_t {
   return m == RouteMode::kLeastExpectedWork || m == RouteMode::kSjfAffinity;
 }
 
+/// Invokers ping the controller this often; missing kHeartbeatMissLimit
+/// pings in a row marks an invoker unresponsive. The invoker's heartbeat
+/// loop and the watchdog deadline both derive from these.
+inline constexpr sim::SimTime kHeartbeatInterval = sim::SimTime::seconds(2);
+inline constexpr std::uint32_t kHeartbeatMissLimit = 3;
+/// How often the watchdog sweeps the membership list.
+inline constexpr sim::SimTime kWatchdogInterval = sim::SimTime::seconds(2);
+
 struct SubmitResult {
   bool accepted{false};        ///< false => HTTP 503, no invoker available
   ActivationId activation{0};  ///< valid iff accepted
@@ -86,12 +94,6 @@ struct SubmitResult {
 class Controller {
  public:
   struct Config {
-    /// Invokers ping this often; missing `heartbeat_miss_limit` pings in
-    /// a row marks the invoker unresponsive.
-    sim::SimTime heartbeat_interval{sim::SimTime::seconds(2)};
-    std::uint32_t heartbeat_miss_limit{3};
-    /// How often the watchdog sweeps the membership list.
-    sim::SimTime watchdog_interval{sim::SimTime::seconds(2)};
     RouteMode route_mode{RouteMode::kHashProbing};
     /// Per-invoker in-flight budget used by kHashProbing before stepping
     /// to the next invoker (OpenWhisk: invoker slot count).
@@ -198,11 +200,6 @@ class Controller {
   /// The lease manager, or nullptr when Config::lease.enabled is false.
   [[nodiscard]] const lease::LeaseManager* lease_manager() const {
     return leases_.get();
-  }
-  /// Predicted outstanding work across all invokers, in ticks (0 without
-  /// a scheduler). Sampled by the federation gateway's health snapshots.
-  [[nodiscard]] std::int64_t expected_backlog_ticks() const {
-    return scheduler_ ? scheduler_->ledger().total() : 0;
   }
 
   /// In-flight activations summed over all invokers (time-series hook).

@@ -44,10 +44,6 @@ namespace hpcwhisk::whisk {
 class Invoker {
  public:
   struct Config {
-    /// Pull-loop cadence.
-    sim::SimTime poll_interval{sim::SimTime::millis(100)};
-    /// Messages pulled per poll (fast lane + own topic combined).
-    std::size_t pull_batch{8};
     /// Dispatch gate: executions started concurrently; messages beyond
     /// it wait in the invoker buffer (drain hand-off material).
     std::size_t max_concurrent{32};
@@ -60,7 +56,6 @@ class Invoker {
         .max_containers = 24,
         .idle_timeout = sim::SimTime::minutes(10),
     };
-    runtime::RuntimeKind runtime_kind{runtime::RuntimeKind::kSingularity};
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};
   };
@@ -122,7 +117,6 @@ class Invoker {
   [[nodiscard]] bool dead() const { return dead_; }
   [[nodiscard]] bool stalled() const { return stalled_; }
   [[nodiscard]] std::size_t running_executions() const { return running_.size(); }
-  [[nodiscard]] std::size_t buffered_messages() const { return buffer_.size(); }
   [[nodiscard]] const runtime::ContainerPool& pool() const { return pool_; }
 
   struct Counters {

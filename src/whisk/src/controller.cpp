@@ -59,7 +59,7 @@ Controller::Controller(sim::Simulation& simulation, mq::Broker& broker,
     scheduler_ = std::make_unique<sched::CallScheduler>(config_.sched);
   if (config_.lease.enabled)
     leases_ = std::make_unique<lease::LeaseManager>(config_.lease);
-  sim_.every(config_.watchdog_interval, [this] { watchdog_sweep(); });
+  sim_.every(kWatchdogInterval, [this] { watchdog_sweep(); });
   HW_OBS_IF(config_.obs) {
     // Hot-path instruments resolved once; references stay valid for the
     // registry's lifetime.
@@ -671,8 +671,7 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
 }
 
 void Controller::watchdog_sweep() {
-  const sim::SimTime deadline =
-      config_.heartbeat_interval * config_.heartbeat_miss_limit;
+  const sim::SimTime deadline = kHeartbeatInterval * kHeartbeatMissLimit;
   // Compacts live_ids_ in place while sweeping it, keeping ascending
   // order. Indices, not iterators: a rescue may register an invoker and
   // grow the list mid-sweep; the sweep then visits it too.

@@ -8,11 +8,11 @@
 namespace hpcwhisk::whisk {
 
 namespace {
-runtime::RuntimeProfile make_profile(runtime::RuntimeKind kind) {
-  return kind == runtime::RuntimeKind::kDocker
-             ? runtime::RuntimeProfile::docker()
-             : runtime::RuntimeProfile::singularity();
-}
+/// Pull-loop cadence.
+constexpr sim::SimTime kPollInterval = sim::SimTime::millis(100);
+/// Messages pulled per poll (fast lane + own topic combined); the buffer
+/// holds at most four polls' worth.
+constexpr std::size_t kPullBatch = 8;
 }  // namespace
 
 Invoker::Invoker(sim::Simulation& simulation, mq::Broker& broker,
@@ -24,7 +24,7 @@ Invoker::Invoker(sim::Simulation& simulation, mq::Broker& broker,
       controller_{controller},
       config_{config},
       rng_{rng},
-      pool_{config.pool, make_profile(config.runtime_kind), rng.fork()} {
+      pool_{config.pool, runtime::RuntimeProfile::singularity(), rng.fork()} {
   HW_OBS_IF(config_.obs) {
     // Shared-by-name across invokers, so the counts are monotone across
     // pilot churn (a per-pilot pool counter dies with its pilot).
@@ -79,9 +79,9 @@ void Invoker::direct_invoke(mq::Message msg) {
 }
 
 void Invoker::start_loops() {
-  poll_loop_ = sim_.every(config_.poll_interval, [this] { poll(); });
+  poll_loop_ = sim_.every(kPollInterval, [this] { poll(); });
   heartbeat_loop_ =
-      sim_.every(sim::SimTime::seconds(2), [this] { controller_.heartbeat(id_); });
+      sim_.every(kHeartbeatInterval, [this] { controller_.heartbeat(id_); });
 }
 
 void Invoker::poll() {
@@ -104,11 +104,9 @@ void Invoker::poll() {
     dispatch_buffer();
     return;
   }
-  std::size_t budget = config_.pull_batch;
+  std::size_t budget = kPullBatch;
   const std::size_t room =
-      buffer_.size() >= config_.pull_batch * 4
-          ? 0
-          : config_.pull_batch * 4 - buffer_.size();
+      buffer_.size() >= kPullBatch * 4 ? 0 : kPullBatch * 4 - buffer_.size();
   budget = std::min(budget, room);
   if (budget == 0) {
     dispatch_buffer();

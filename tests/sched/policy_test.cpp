@@ -43,7 +43,7 @@ TEST(LeastExpectedWork, PrefersLowestIdWhenIndistinguishable) {
   EXPECT_EQ(d.predicted_ticks, sched.config().estimator.prior.ticks());
   EXPECT_EQ(d.cost_ticks,
             sched.config().estimator.prior.ticks() +
-                sched.config().estimator.cold_overhead.ticks());
+                kColdOverhead.ticks());
 }
 
 TEST(LeastExpectedWork, WarmWorkerBeatsColdOnes) {

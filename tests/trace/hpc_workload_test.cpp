@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <algorithm>
 
 #include "hpcwhisk/core/system.hpp"
 
@@ -58,7 +57,7 @@ TEST(HpcWorkload, CalibratedModeKeepsShallowBacklog) {
   f.sim.run_until(SimTime::hours(2));
   // The backlog target bounds pending jobs.
   EXPECT_LE(f.ctld.pending_count("hpc"), 30u + 5u);
-  EXPECT_GT(gen.submitted_jobs().size(), 10u);
+  EXPECT_GT(f.ctld.counters().submitted, 10u);
 }
 
 TEST(HpcWorkload, SaturatedModeFillsCluster) {
@@ -79,9 +78,9 @@ TEST(HpcWorkload, StopHaltsSubmissions) {
   gen.start();
   f.sim.run_until(SimTime::minutes(30));
   gen.stop();
-  const std::size_t submitted = gen.submitted_jobs().size();
+  const std::uint64_t submitted = f.ctld.counters().submitted;
   f.sim.run_until(SimTime::hours(2));
-  EXPECT_EQ(gen.submitted_jobs().size(), submitted);
+  EXPECT_EQ(f.ctld.counters().submitted, submitted);
 }
 
 TEST(HpcWorkload, DeterministicForSeed) {
@@ -95,34 +94,6 @@ TEST(HpcWorkload, DeterministicForSeed) {
     EXPECT_EQ(ja.time_limit, jb.time_limit);
     EXPECT_EQ(ja.runtime, jb.runtime);
   }
-}
-
-TEST(HpcWorkload, TraceSaveLoadRoundTrips) {
-  Fixture f;
-  HpcWorkloadGenerator gen{f.sim, f.ctld, {}, Rng{8}};
-  std::vector<TraceJob> jobs;
-  for (int i = 0; i < 50; ++i) jobs.push_back(gen.draw_job());
-  const auto path =
-      (std::filesystem::temp_directory_path() / "hw_trace_test.csv").string();
-  save_trace(path, jobs);
-  const auto loaded = load_trace(path);
-  ASSERT_EQ(loaded.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(loaded[i].num_nodes, jobs[i].num_nodes);
-    EXPECT_NEAR(loaded[i].time_limit.to_seconds(),
-                jobs[i].time_limit.to_seconds(), 1e-3);
-    if (jobs[i].runtime == SimTime::max()) {
-      EXPECT_EQ(loaded[i].runtime, SimTime::max());
-    } else {
-      EXPECT_NEAR(loaded[i].runtime.to_seconds(), jobs[i].runtime.to_seconds(),
-                  1e-3);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(HpcWorkload, LoadMissingFileThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/path.csv"), std::runtime_error);
 }
 
 }  // namespace

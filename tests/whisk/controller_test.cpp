@@ -159,10 +159,38 @@ TEST(Controller, WatchdogDetectsSilentInvoker) {
   EXPECT_EQ(f.controller.healthy_count(), 0u);
 }
 
+TEST(Controller, WatchdogVerdictFlipsAtTheMissDeadline) {
+  // The edge any heartbeat model must reproduce (an invoker implying its
+  // beats included): with no heartbeat since registration, the invoker
+  // is healthy at every sweep up to and including registration +
+  // kHeartbeatMissLimit x kHeartbeatInterval, and unresponsive at the
+  // first sweep past it. Sweeps run every kWatchdogInterval from t = 0.
+  for (const SimTime registered_at : {SimTime::zero(), SimTime::seconds(3)}) {
+    Fixture f;
+    f.sim.run_until(registered_at);
+    const InvokerId a = f.controller.register_invoker();
+    const SimTime deadline =
+        registered_at + kHeartbeatInterval * kHeartbeatMissLimit;
+    const SimTime last_sweep_before =
+        (deadline / kWatchdogInterval) * kWatchdogInterval;
+    const SimTime first_sweep_after = last_sweep_before + kWatchdogInterval;
+    f.sim.run_until(last_sweep_before);
+    EXPECT_EQ(f.controller.invoker_health(a), InvokerHealth::kHealthy)
+        << "registered at " << registered_at.to_string();
+    f.sim.run_until(first_sweep_after - SimTime::micros(1));
+    EXPECT_EQ(f.controller.invoker_health(a), InvokerHealth::kHealthy)
+        << "registered at " << registered_at.to_string();
+    f.sim.run_until(first_sweep_after);
+    EXPECT_EQ(f.controller.invoker_health(a), InvokerHealth::kUnresponsive)
+        << "registered at " << registered_at.to_string();
+    EXPECT_EQ(f.controller.counters().unresponsive_detected, 1u);
+  }
+}
+
 TEST(Controller, HeartbeatsKeepInvokerHealthy) {
   Fixture f;
   const InvokerId a = f.controller.register_invoker();
-  f.sim.every(SimTime::seconds(2), [&] { f.controller.heartbeat(a); });
+  f.sim.every(kHeartbeatInterval, [&] { f.controller.heartbeat(a); });
   f.sim.run_until(SimTime::minutes(1));
   EXPECT_EQ(f.controller.invoker_health(a), InvokerHealth::kHealthy);
 }

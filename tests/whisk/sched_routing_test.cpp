@@ -40,7 +40,6 @@ TEST(SchedRouting, LegacyModesHaveNoScheduler) {
   Fixture f;
   auto controller = f.make_controller(RouteMode::kHashProbing);
   EXPECT_EQ(controller.scheduler(), nullptr);
-  EXPECT_EQ(controller.expected_backlog_ticks(), 0);
 }
 
 TEST(SchedRouting, DataDrivenModeLearnsFromCompletions) {
@@ -63,19 +62,21 @@ TEST(SchedRouting, DataDrivenModeLearnsFromCompletions) {
   // sample, so even one completion pins it).
   EXPECT_EQ(sched->estimator().predict("fast"), SimTime::millis(10));
   // Everything drained: no outstanding predicted work.
-  EXPECT_EQ(controller.expected_backlog_ticks(), 0);
+  EXPECT_EQ(sched->ledger().total(), 0);
 }
 
 TEST(SchedRouting, BacklogIsVisibleWhileWorkIsOutstanding) {
   Fixture f;
   auto controller = f.make_controller(RouteMode::kSjfAffinity);
+  const auto* sched = controller.scheduler();
+  ASSERT_NE(sched, nullptr);
   Invoker invoker{f.sim, f.broker, f.registry, controller, {}, Rng{1}};
   invoker.start();
   ASSERT_TRUE(controller.submit("slow").accepted);
   f.sim.run_until(SimTime::seconds(10));
-  EXPECT_GT(controller.expected_backlog_ticks(), 0);
+  EXPECT_GT(sched->ledger().total(), 0);
   f.sim.run_until(SimTime::minutes(4));
-  EXPECT_EQ(controller.expected_backlog_ticks(), 0);
+  EXPECT_EQ(sched->ledger().total(), 0);
 }
 
 TEST(SchedRouting, DeadlineClassesPublishToQueueFront) {
@@ -123,7 +124,6 @@ TEST(SchedRouting, WatchdogRescueLeavesZeroLeakedBacklog) {
   EXPECT_GE(sched->stats().rescue_charges, 1u);
   EXPECT_EQ(sched->ledger().total(), 0);
   EXPECT_EQ(sched->ledger().charge_count(), 0u);
-  EXPECT_EQ(controller.expected_backlog_ticks(), 0);
   EXPECT_FALSE(sched->is_warm(victim->id(), "slow"));
 }
 

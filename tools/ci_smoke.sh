@@ -8,8 +8,9 @@
 #   SANITIZE=1    build with -DHPCWHISK_SANITIZE=ON (ASan+UBSan) in build-asan/
 #   BUILD_DIR=d   override the build directory
 #   FULL_BENCH=1  smoke every bench binary instead of just chaos_recovery
-#   COVERAGE=1    add an instrumented build (build-cov/) and print a gcov
-#                 line-coverage summary for src/
+#   COVERAGE=1    add an instrumented build (build-cov/), print a gcov
+#                 line-coverage summary for src/ and list the src/
+#                 functions no test or simcheck seed ever entered
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -252,8 +253,10 @@ fi
 
 # Coverage leg (COVERAGE=1): separate instrumented build, tier-1 suite +
 # a simcheck sweep to exercise src/check, then a gcov line-coverage
-# summary for src/. Uses plain gcov (ships with GCC) so no extra tools
-# are needed.
+# summary for src/ and the list of src/ functions with zero executed
+# lines, sorted by file — the candidate list of a dead-code audit. The
+# list is informational and gates nothing. Uses plain gcov (ships with
+# GCC) so no extra tools are needed.
 if [[ "${COVERAGE:-0}" == "1" ]]; then
   echo "== coverage (tier1 + simcheck over instrumented build) =="
   COV_DIR=${COV_DIR:-build-cov}
@@ -263,7 +266,7 @@ if [[ "${COVERAGE:-0}" == "1" ]]; then
   ctest --test-dir "$COV_DIR" -L tier1 --output-on-failure
   "$COV_DIR"/tools/simcheck --seeds 5 --chaos --clusters 2 > /dev/null
   python3 - "$COV_DIR" <<'PYEOF'
-import os, subprocess, sys
+import json, os, subprocess, sys
 cov_dir = sys.argv[1]
 gcda = [os.path.abspath(os.path.join(r, f)) for r, _, fs in os.walk(cov_dir)
         for f in fs if f.endswith(".gcda")]
@@ -292,6 +295,33 @@ total = sum(t for _, t in per_file.values())
 assert total > 0, "no coverage data for src/ — did the tests run?"
 print(f"line coverage (src/): {100.0 * covered / total:.1f}% "
       f"({covered}/{total} lines over {len(per_file)} files)")
+
+# Function-level view: the per-function counts `gcov -f` prints. Its
+# text form does not say which file a function lives in, so read gcov's
+# JSON form, which carries the same counts with their source file. A
+# function compiled into several objects (headers, templates) counts as
+# executed if any object ran it.
+root = os.getcwd()
+funcs = {}  # (relative source, start line, name) -> executed anywhere
+for chunk in (gcda[i:i + 64] for i in range(0, len(gcda), 64)):
+    out = subprocess.run(["gcov", "--json-format", "--stdout"] + chunk,
+                         capture_output=True, text=True).stdout
+    for doc in out.splitlines():
+        if not doc.startswith("{"):
+            continue
+        doc = json.loads(doc)
+        for f in doc["files"]:
+            path = os.path.join(doc["current_working_directory"], f["file"])
+            rel = os.path.relpath(path, root)
+            if not rel.startswith("src/"):
+                continue
+            for fn in f["functions"]:
+                key = (rel, fn["start_line"], fn["demangled_name"])
+                funcs[key] = funcs.get(key, False) or fn["execution_count"] > 0
+never = sorted(k for k, ran in funcs.items() if not ran)
+print(f"functions never executed (src/): {len(never)} of {len(funcs)}")
+for rel, line, name in never:
+    print(f"  {rel}:{line}  {name}")
 PYEOF
 fi
 
