@@ -34,6 +34,7 @@
 #include "hpcwhisk/slurm/partition.hpp"
 #include "hpcwhisk/slurm/qos.hpp"
 #include "hpcwhisk/slurm/reservation.hpp"
+#include "hpcwhisk/slurm/reservation_horizon.hpp"
 #include "hpcwhisk/slurm/tres.hpp"
 
 namespace hpcwhisk::obs {
@@ -375,8 +376,7 @@ class Slurmctld {
   /// which `rec`'s full nodes×TRES request fits on the planning
   /// timeline. max() when beyond the backfill window (unconstrained).
   [[nodiscard]] sim::SimTime tres_shadow_time(
-      const JobRecord& rec,
-      const std::vector<sim::SimTime>& res_next_start) const;
+      const JobRecord& rec, const std::vector<sim::SimTime>& res_next_start);
   void place_pilots_tres(const std::vector<sim::SimTime>& res_next_start,
                          bool periodic);
   /// Fills per-node "next reservation window opens at" (max() if none).
@@ -431,7 +431,7 @@ class Slurmctld {
   Availability avail_scratch_;                  ///< per-tier timeline cache
   PassCache pass_cache_;
   std::vector<sim::SimTime> reserved_from_scratch_;
-  std::vector<std::pair<sim::SimTime, NodeId>> horizon_scratch_;
+  ReservationHorizon horizon_;  ///< backfill bookings, one heap per tier
   std::vector<QueueEntry> still_pending_scratch_;
   std::vector<NodeId> chosen_scratch_;
   std::vector<JobId> victim_scratch_;
@@ -459,6 +459,17 @@ class Slurmctld {
   /// Pass scratch: per-node next-reservation-start and node candidates.
   std::vector<sim::SimTime> res_deadline_scratch_;
   std::vector<std::pair<std::uint64_t, NodeId>> tres_cand_scratch_;
+  /// try_start_tres: the preemptible jobs on one node, in eviction order.
+  struct TresVictim {
+    std::int32_t tier;
+    sim::SimTime start;
+    JobId id;
+    TresVector tres;
+  };
+  std::vector<TresVictim> tres_evict_scratch_;
+  /// tres_shadow_time: per-node earliest fit, and one node's job ends.
+  std::vector<std::pair<sim::SimTime, NodeId>> shadow_fits_scratch_;
+  std::vector<std::pair<sim::SimTime, TresVector>> shadow_ends_scratch_;
 };
 
 }  // namespace hpcwhisk::slurm

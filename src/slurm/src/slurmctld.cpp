@@ -482,7 +482,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
     // Built once per (pass, tier) into the cached buffer and then
     // mutated in place — never rebuilt or copied mid-tier.
     build_availability_into(tier, avail_scratch_);
-    std::vector<sim::SimTime>& scratch = avail_scratch_.free_at;
+    horizon_.reset(avail_scratch_.free_at);
 
     std::vector<QueueEntry>& still_pending = still_pending_scratch_;
     still_pending.clear();
@@ -498,36 +498,16 @@ void Slurmctld::run_sched_pass(bool periodic) {
         // Reflect the launch (or claim) in the planning timeline.
         const sim::SimTime busy_until =
             now + rec.granted_limit + partition_of(rec).grace_time;
-        for (const NodeId n : rec.nodes)
-          scratch[n] = std::max(scratch[n], busy_until);
+        for (const NodeId n : rec.nodes) horizon_.raise(n, busy_until);
         continue;
       }
       still_pending.push_back(entry);
-      if (reservations_made < config_.reservation_depth) {
-        // Book a future reservation for this blocked job on the nodes
-        // that free earliest in the planning timeline.
-        std::vector<std::pair<sim::SimTime, NodeId>>& horizon =
-            horizon_scratch_;
-        horizon.clear();
-        horizon.reserve(nodes_.size());
-        for (const Node& node : nodes_) {
-          if (scratch[node.id] == sim::SimTime::max()) continue;
-          horizon.emplace_back(scratch[node.id], node.id);
-        }
-        if (horizon.size() >= rec.spec.num_nodes) {
-          std::nth_element(horizon.begin(),
-                           horizon.begin() + (rec.spec.num_nodes - 1),
-                           horizon.end());
-          const sim::SimTime res_start = horizon[rec.spec.num_nodes - 1].first;
-          if (res_start <= now + config_.backfill_window) {
-            for (std::uint32_t k = 0; k < rec.spec.num_nodes; ++k) {
-              const NodeId n = horizon[k].second;
-              reserved_from[n] = std::min(reserved_from[n], res_start);
-              scratch[n] = res_start + rec.spec.time_limit;
-            }
-            ++reservations_made;
-          }
-        }
+      // Book a future reservation for this blocked job on the nodes that
+      // free earliest in the planning timeline.
+      if (reservations_made < config_.reservation_depth &&
+          horizon_.book(rec.spec.num_nodes, rec.spec.time_limit,
+                        now + config_.backfill_window, reserved_from)) {
+        ++reservations_made;
       }
     }
     queue.swap(still_pending);
@@ -1009,21 +989,16 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
     chosen.push_back(n);
   }
 
-  // Local (not scratch): victim callbacks below can re-enter the
-  // scheduler (a drained pilot may exit synchronously).
-  std::vector<JobId> victims;
+  // Scratch, like `chosen`: the victim callbacks in claim() can end jobs
+  // and request a pass, but never run one synchronously.
+  std::vector<JobId>& victims = victim_scratch_;
+  victims.clear();
   if (chosen.size() < rec.spec.num_nodes) {
     // QOS preemption: complete the allocation on nodes where evicting
     // strictly-lower-tier preemptible jobs frees enough TRES. Lowest
     // tier dies first; youngest first within a tier (least accumulated
     // serving time lost, as in the legacy victim order).
-    struct Victim {
-      std::int32_t tier;
-      sim::SimTime start;
-      JobId id;
-      TresVector tres;
-    };
-    std::vector<Victim> evict;
+    std::vector<TresVictim>& evict = tres_evict_scratch_;
     for (const Node& node : nodes_) {
       if (chosen.size() == rec.spec.num_nodes) break;
       if (!node_usable(node)) continue;
@@ -1037,13 +1012,13 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
         evict.push_back({v.preempt_tier, v.start_time, jid, v.spec.tres_per_node});
       }
       std::sort(evict.begin(), evict.end(),
-                [](const Victim& a, const Victim& b) {
+                [](const TresVictim& a, const TresVictim& b) {
                   if (a.tier != b.tier) return a.tier < b.tier;
                   if (a.start != b.start) return a.start > b.start;
                   return a.id > b.id;
                 });
       std::size_t used = 0;
-      for (const Victim& v : evict) {
+      for (const TresVictim& v : evict) {
         if (want.fits_within(freeable)) break;
         freeable += v.tres;
         ++used;
@@ -1083,8 +1058,7 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
 }
 
 sim::SimTime Slurmctld::tres_shadow_time(
-    const JobRecord& rec,
-    const std::vector<sim::SimTime>& res_next_start) const {
+    const JobRecord& rec, const std::vector<sim::SimTime>& res_next_start) {
   const sim::SimTime now = sim_.now();
   const bool is_var = rec.spec.time_min > sim::SimTime::zero();
   const sim::SimTime limit = is_var ? rec.spec.time_min : rec.spec.time_limit;
@@ -1094,8 +1068,9 @@ sim::SimTime Slurmctld::tres_shadow_time(
   // Per-node earliest fit time: walk the node's jobs by expected end,
   // accumulating frees until the request fits. Planning free-TRES only
   // grows over time, so the walk is exact on declared limits.
-  std::vector<std::pair<sim::SimTime, NodeId>> fits;
-  std::vector<std::pair<sim::SimTime, TresVector>> ends;
+  std::vector<std::pair<sim::SimTime, NodeId>>& fits = shadow_fits_scratch_;
+  std::vector<std::pair<sim::SimTime, TresVector>>& ends = shadow_ends_scratch_;
+  fits.clear();
   for (const Node& node : nodes_) {
     if (node.state == NodeState::kDown || draining_[node.id]) continue;
     if (node_claims_.contains(node.id)) continue;
