@@ -296,8 +296,9 @@ class Slurmctld {
   /// Node lists cached for the duration of one scheduling pass; updated
   /// in place as the pass launches jobs and claims nodes.
   struct PassCache {
-    std::vector<NodeId> idle;        ///< idle, unclaimed
-    std::vector<NodeId> pilot_held;  ///< running a preemptible tier-0 job
+    std::vector<NodeId> idle;  ///< idle, unclaimed; most recently freed first
+    /// Running a preemptible tier-0 job; youngest pilot first.
+    std::vector<NodeId> pilot_held;
   };
 
   // Scheduling pipeline.
@@ -437,8 +438,7 @@ class Slurmctld {
   std::vector<JobId> victim_scratch_;
   std::vector<std::size_t> taken_idle_scratch_;
   std::vector<std::size_t> taken_pilot_scratch_;
-  std::vector<std::size_t> pilot_order_scratch_;
-  std::vector<sim::SimTime> pilot_start_scratch_;
+  std::vector<sim::SimTime> pilot_start_scratch_;  ///< per node, pilot_held only
   std::vector<NodeId> cold_first_scratch_;
   std::vector<NodeId> unused_nodes_scratch_;
 

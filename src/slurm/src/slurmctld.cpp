@@ -447,6 +447,8 @@ void Slurmctld::run_sched_pass(bool periodic) {
   PassCache& cache = pass_cache_;
   cache.idle.clear();
   cache.pilot_held.clear();
+  std::vector<sim::SimTime>& pilot_start = pilot_start_scratch_;
+  pilot_start.resize(nodes_.size());
   const bool any_claims = !node_claims_.empty();
   for (const Node& node : nodes_) {
     if (any_claims && node_claims_.contains(node.id)) continue;
@@ -457,14 +459,23 @@ void Slurmctld::run_sched_pass(bool periodic) {
       if (rec.preemptible && rec.priority_tier == 0 &&
           rec.state == JobState::kRunning) {
         cache.pilot_held.push_back(node.id);
+        pilot_start[node.id] = rec.start_time;
       }
     }
   }
   // LIFO reuse: most recently freed first (ties by id for determinism).
-  std::stable_sort(cache.idle.begin(), cache.idle.end(),
-                   [this](NodeId a, NodeId b) {
-                     return last_freed_[a] > last_freed_[b];
-                   });
+  std::sort(cache.idle.begin(), cache.idle.end(), [this](NodeId a, NodeId b) {
+    if (last_freed_[a] != last_freed_[b]) return last_freed_[a] > last_freed_[b];
+    return a < b;
+  });
+  // Preemption order: youngest pilot first (ties by id). Taking a victim
+  // erases it in place, so the list stays in this order all pass.
+  std::sort(cache.pilot_held.begin(), cache.pilot_held.end(),
+            [&pilot_start](NodeId a, NodeId b) {
+              if (pilot_start[a] != pilot_start[b])
+                return pilot_start[a] > pilot_start[b];
+              return a < b;
+            });
 
   // ---- Phase 1: HPC tiers (>= 1), highest first, backfill with up to
   // reservation_depth future reservations. reserved_from[n] = earliest
@@ -560,35 +571,21 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
     chosen.push_back(cache.idle[i]);
     taken_idle_idx.push_back(i);
   }
-  // Preempt the *youngest* pilots first: the least accumulated serving
-  // time is lost, and long-lived workers (warm containers, long queues)
-  // survive — matching the long-serving invoker tail the paper reports.
-  // Start times are gathered once so the sort never touches the jobs_
-  // hash table (two lookups per comparison in the old code).
-  std::vector<sim::SimTime>& pilot_start = pilot_start_scratch_;
-  pilot_start.clear();
-  pilot_start.reserve(cache.pilot_held.size());
-  for (const NodeId n : cache.pilot_held)
-    pilot_start.push_back(jobs_.at(nodes_[n].running_jobs.front()).start_time);
-  std::vector<std::size_t>& pilot_order = pilot_order_scratch_;
-  pilot_order.resize(cache.pilot_held.size());
-  for (std::size_t i = 0; i < pilot_order.size(); ++i) pilot_order[i] = i;
-  std::stable_sort(pilot_order.begin(), pilot_order.end(),
-                   [&pilot_start](std::size_t a, std::size_t b) {
-                     return pilot_start[a] > pilot_start[b];
-                   });
+  // Preempt the *youngest* pilots first (the pass keeps pilot_held in
+  // that order): the least accumulated serving time is lost, and
+  // long-lived workers (warm containers, long queues) survive — matching
+  // the long-serving invoker tail the paper reports.
   std::vector<JobId>& victims = victim_scratch_;
   victims.clear();
   std::vector<std::size_t>& taken_pilot_idx = taken_pilot_scratch_;
   taken_pilot_idx.clear();
-  for (const std::size_t i : pilot_order) {
+  for (std::size_t i = 0; i < cache.pilot_held.size(); ++i) {
     if (chosen.size() == rec.spec.num_nodes) break;
     if (!usable(cache.pilot_held[i])) continue;
     chosen.push_back(cache.pilot_held[i]);
     victims.push_back(nodes_[cache.pilot_held[i]].running_jobs.front());
     taken_pilot_idx.push_back(i);
   }
-  std::sort(taken_pilot_idx.begin(), taken_pilot_idx.end());
   if (chosen.size() < rec.spec.num_nodes) return false;
 
   // Commit: strike the chosen nodes from the pass cache (erase by value,
