@@ -746,8 +746,10 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
   if (rec.spec.on_start) {
     if (config_.launch_latency > sim::SimTime::zero()) {
       auto cb = rec.spec.on_start;
+      // A job that got SIGTERM inside the latency is already leaving: it
+      // never learns it started.
       sim_.after(config_.launch_latency, [this, id, cb] {
-        if (is_known(id) && jobs_.at(id).is_active()) cb(jobs_.at(id));
+        if (jobs_.at(id).state == JobState::kRunning) cb(jobs_.at(id));
       });
     } else {
       rec.spec.on_start(rec);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hpcwhisk/check/runner.hpp"
+#include "hpcwhisk/check/simcheck.hpp"
 
 namespace hpcwhisk {
 namespace {
@@ -243,6 +244,26 @@ TEST(Repro, V1FixturesReplayToTheirRecordedHash) {
               repro.decision_hash)
         << name;
   }
+}
+
+TEST(Repro, PilotSigtermedInsideTheLaunchLatencyReplaysClean) {
+  // Chaos seed 60 of a 3-cluster campaign, shrunk to a fault-free single
+  // cluster: four pilots got SIGTERM inside Slurm's launch latency, were
+  // told to start anyway, served through their grace and died at
+  // SIGKILL, failing pilot-accounting (hard kills without a node
+  // failure). The recorded hash is that failing run's.
+  std::ifstream in{std::string{HPCWHISK_CHECK_FIXTURES} +
+                   "/repro_v2_sigterm_inside_launch_latency.json"};
+  ASSERT_TRUE(in);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const check::Repro repro = check::parse_repro(text.str());
+  ASSERT_EQ(repro.invariant, "pilot-accounting");
+  const check::CheckResult result =
+      check::check_scenario(repro.spec, check::InvariantSuite::standard());
+  for (const check::Violation& v : result.violations)
+    ADD_FAILURE() << "[" << v.invariant << "] " << v.message;
+  EXPECT_TRUE(result.ok());
 }
 
 TEST(Repro, RejectsMissingFields) {

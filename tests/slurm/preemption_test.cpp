@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/slurm/slurmctld.hpp"
@@ -144,6 +145,42 @@ TEST(Preemption, PilotTimesOutAtOwnLimitWithGrace) {
   EXPECT_EQ(ctld.job(pid).state, JobState::kTimedOut);
   EXPECT_EQ(ctld.job(pid).end_time,
             SimTime::minutes(10) + SimTime::seconds(1));
+}
+
+TEST(Preemption, NoStartSignalForAPilotTerminatedInsideTheLaunchLatency) {
+  // on_start reaches a job launch_latency after its launch. A pilot that
+  // got SIGTERM in between is already on its way out: it must not be
+  // told to start (it would warm up and serve inside its grace).
+  Simulation sim;
+  Slurmctld::Config cfg = config(3);
+  cfg.launch_latency = SimTime::millis(200);
+  Slurmctld ctld{sim, cfg, partitions()};
+  std::vector<JobId> started;
+  std::vector<JobId> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto p = pilot(SimTime::minutes(90));
+    p.on_start = [&started](const JobRecord& rec) { started.push_back(rec.id); };
+    ids.push_back(ctld.submit(p));
+  }
+  sim.run_until(SimTime::millis(50));
+  for (const JobId id : ids) ASSERT_EQ(ctld.job(id).state, JobState::kRunning);
+  ASSERT_TRUE(started.empty());
+
+  // Inside the latency: cancel the first pilot, and preempt one of the
+  // other two with a one-node HPC job.
+  sim.at(SimTime::millis(100), [&] {
+    ASSERT_TRUE(ctld.cancel(ids[0]));
+    ctld.submit(hpc(1, SimTime::minutes(10), SimTime::minutes(10)));
+  });
+  sim.run_until(SimTime::seconds(1));
+  EXPECT_EQ(ctld.job(ids[0]).state, JobState::kCompleting);
+  const bool second_preempted = ctld.job(ids[1]).state == JobState::kCompleting;
+  const JobId preempted = second_preempted ? ids[1] : ids[2];
+  const JobId survivor = second_preempted ? ids[2] : ids[1];
+  EXPECT_EQ(ctld.job(preempted).state, JobState::kCompleting);
+  EXPECT_EQ(ctld.job(preempted).grace_reason, EndReason::kPreempted);
+  EXPECT_EQ(ctld.job(survivor).state, JobState::kRunning);
+  EXPECT_EQ(started, std::vector<JobId>{survivor});
 }
 
 TEST(Preemption, NonPreemptiblePartitionIsNeverEvicted) {
