@@ -93,7 +93,8 @@ int main() {
   };
   for (const auto& rec : system.controller().activations()) {
     if (rec.submit_time < env.measure_start) continue;
-    auto& cls = classes[class_of(rec.function)];
+    auto& cls =
+        classes[class_of(system.functions().spec(rec.function_index).name)];
     ++cls.total;
     cls.interruptions += rec.interruptions;
     cls.requeues += rec.requeues;

@@ -67,11 +67,12 @@ double now_seconds() {
 /// count. Tracing must not move a single byte of this.
 std::string decision_log(const bench::ExperimentResult& r) {
   std::string log;
+  const whisk::FunctionRegistry& functions = r.system->functions();
   for (const whisk::ActivationRecord& rec :
        r.system->controller().activations()) {
     log += std::to_string(rec.id);
     log += ' ';
-    log += rec.function;
+    log += functions.spec(rec.function_index).name;
     log += ' ';
     log += whisk::to_string(rec.state);
     log += ' ';

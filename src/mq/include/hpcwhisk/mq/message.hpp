@@ -1,10 +1,10 @@
 #pragma once
 // Messages carried by the broker. In OpenWhisk, per-invoker Kafka topics
 // carry activation requests; we carry an opaque 64-bit id (the activation
-// id) plus a small key/value pair for diagnostics.
+// id) plus delivery diagnostics. Receivers resolve everything else from
+// the id, so a message is 24 bytes and copies without allocating.
 
 #include <cstdint>
-#include <string>
 
 #include "hpcwhisk/sim/time.hpp"
 
@@ -13,8 +13,6 @@ namespace hpcwhisk::mq {
 struct Message {
   /// Application-level id (HPC-Whisk stores the activation id here).
   std::uint64_t id{0};
-  /// Routing key (HPC-Whisk stores the function name here).
-  std::string key;
   /// First time this message was published to any topic.
   sim::SimTime first_published;
   /// How many times the message has been (re)published — 1 on first

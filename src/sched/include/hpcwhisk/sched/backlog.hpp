@@ -58,8 +58,13 @@ class BacklogLedger {
   [[nodiscard]] const Charge* find(CallId call) const;
 
  private:
+  /// Charges `delta` to `worker`, growing backlog_ to reach it.
+  void add(WorkerId worker, std::int64_t delta);
+
   std::unordered_map<CallId, Charge> charges_;
-  std::unordered_map<WorkerId, std::int64_t> backlog_;
+  /// Indexed by WorkerId (invoker ids are dense and sequential); workers
+  /// past the end have never been charged.
+  std::vector<std::int64_t> backlog_;
   std::int64_t total_{0};
 };
 

@@ -21,14 +21,21 @@
 // papers' "no history" case. The estimator tells callers when it did
 // (prior_hits), so benches can report how long the cold-history window
 // lasted.
+//
+// Functions are keyed by their dense registry index (FunctionKey), so
+// the models live in one vector and a lookup is an array read.
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::sched {
+
+/// Dense function index (whisk::FunctionSpec::index): sched sits below
+/// whisk, so functions arrive as their registry index, never by name.
+using FunctionKey = std::uint32_t;
 
 /// Log-bucketed quantile sketch over non-negative tick counts. Mirrors
 /// the bucketing of obs::Histogram (kSubBuckets linear slices per
@@ -78,6 +85,8 @@ struct EstimatorConfig {
 
 /// Per-function online duration model fed from activation completions.
 class DurationEstimator {
+  struct Model;
+
  public:
   /// Worker id meaning "not attributable to a worker" (matches the
   /// controller's kNoInvoker sentinel, ~0u): per-worker folding and
@@ -87,44 +96,75 @@ class DurationEstimator {
   explicit DurationEstimator(EstimatorConfig config = {})
       : config_{config} {}
 
+  /// One function's model, looked up once. A routing decision asks it
+  /// for every candidate worker without another lookup; it answers
+  /// exactly as the estimator's predict(function, worker) and
+  /// predict_cold(function, worker) do, prior_hits included. Valid until
+  /// the next observe().
+  class ModelRef {
+   public:
+    /// See DurationEstimator::predict(function, worker).
+    [[nodiscard]] sim::SimTime predict(std::uint32_t worker = kAnyWorker) const;
+    /// See DurationEstimator::predict_cold(function, worker).
+    [[nodiscard]] sim::SimTime predict_cold(
+        std::uint32_t worker = kAnyWorker) const;
+
+   private:
+    friend class DurationEstimator;
+    ModelRef(const DurationEstimator& estimator, const Model* model)
+        : estimator_{&estimator}, model_{model} {}
+
+    const DurationEstimator* estimator_;
+    const Model* model_;  ///< null: never observed (answers the prior)
+  };
+
+  [[nodiscard]] ModelRef model(FunctionKey function) const {
+    return ModelRef{*this, find(function)};
+  }
+
   /// Folds one completed execution into the function's model.
-  void observe(const std::string& function, sim::SimTime duration,
-               bool cold_start);
+  void observe(FunctionKey function, sim::SimTime duration, bool cold_start);
   /// As above, additionally folding the (function, worker) model when
   /// EstimatorConfig::per_worker is set and `worker` != kAnyWorker.
-  void observe(const std::string& function, sim::SimTime duration,
-               bool cold_start, std::uint32_t worker);
+  void observe(FunctionKey function, sim::SimTime duration, bool cold_start,
+               std::uint32_t worker);
 
   /// Best single-point prediction for one execution of `function`:
   /// warm EWMA if warm history exists, else cold EWMA, else the prior.
   /// Reads never mutate state (prior_hits is the only, explicit, tally).
-  [[nodiscard]] sim::SimTime predict(const std::string& function) const;
+  [[nodiscard]] sim::SimTime predict(FunctionKey function) const {
+    return model(function).predict();
+  }
   /// Worker-qualified prediction: the (function, worker) warm EWMA when
   /// per_worker is on and that pair has history; otherwise identical to
   /// the global predict() (same value, same prior_hits accounting).
-  [[nodiscard]] sim::SimTime predict(const std::string& function,
-                                     std::uint32_t worker) const;
+  [[nodiscard]] sim::SimTime predict(FunctionKey function,
+                                     std::uint32_t worker) const {
+    return model(function).predict(worker);
+  }
   /// Prediction for a cold execution (cold EWMA, falling back like
   /// predict()). The cold-start *overhead* is the router's
   /// kColdOverhead (scheduler.hpp).
-  [[nodiscard]] sim::SimTime predict_cold(const std::string& function) const;
+  [[nodiscard]] sim::SimTime predict_cold(FunctionKey function) const {
+    return model(function).predict_cold();
+  }
   /// Worker-qualified cold prediction (see predict(function, worker)).
-  [[nodiscard]] sim::SimTime predict_cold(const std::string& function,
-                                          std::uint32_t worker) const;
+  [[nodiscard]] sim::SimTime predict_cold(FunctionKey function,
+                                          std::uint32_t worker) const {
+    return model(function).predict_cold(worker);
+  }
   /// Tail estimate from the quantile sketch; predict() with no samples.
-  [[nodiscard]] sim::SimTime predict_quantile(const std::string& function,
+  [[nodiscard]] sim::SimTime predict_quantile(FunctionKey function,
                                               double q) const;
   /// EWMA of |sample - mean| for the warm model (0 with no history):
   /// a dispersion signal for deadline classification.
-  [[nodiscard]] sim::SimTime deviation(const std::string& function) const;
+  [[nodiscard]] sim::SimTime deviation(FunctionKey function) const;
 
-  [[nodiscard]] bool seen(const std::string& function) const {
-    return models_.find(function) != models_.end();
+  [[nodiscard]] bool seen(FunctionKey function) const {
+    return find(function) != nullptr;
   }
-  [[nodiscard]] std::uint64_t observations(const std::string& function) const;
-  [[nodiscard]] std::size_t tracked_functions() const {
-    return models_.size();
-  }
+  [[nodiscard]] std::uint64_t observations(FunctionKey function) const;
+  [[nodiscard]] std::size_t tracked_functions() const { return tracked_; }
   [[nodiscard]] const EstimatorConfig& config() const { return config_; }
 
   struct Stats {
@@ -152,13 +192,23 @@ class DurationEstimator {
   struct Model {
     Ewma warm;
     Ewma cold;
+    /// Every observation lands here, so count() > 0 marks a seen model.
     QuantileSketch sketch;
     /// Populated only when EstimatorConfig::per_worker is set.
     std::unordered_map<std::uint32_t, WorkerEwmas> per_worker;
   };
 
+  /// The function's model, or null if it was never observed.
+  [[nodiscard]] const Model* find(FunctionKey function) const {
+    return function < models_.size() && models_[function].sketch.count() > 0
+               ? &models_[function]
+               : nullptr;
+  }
+
   EstimatorConfig config_;
-  std::unordered_map<std::string, Model> models_;
+  /// Indexed by FunctionKey; grown to the largest key observed.
+  std::vector<Model> models_;
+  std::size_t tracked_{0};
   Stats stats_;
 };
 

@@ -25,10 +25,14 @@
 // Everything is deterministic: decisions are pure functions of the
 // observation history and the candidate list, so seeded runs replay
 // byte-identically (SimCheck hashes decision logs over these policies).
+//
+// Functions are FunctionKeys (dense registry indices). A decision looks
+// the function's duration model and warm list up once; each candidate
+// then costs one binary search in the warm list and one backlog read.
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "hpcwhisk/sched/backlog.hpp"
@@ -90,12 +94,12 @@ class CallScheduler {
 
   /// Least-expected-work pick among `workers` (ascending, non-empty).
   [[nodiscard]] Decision route_least_expected_work(
-      const std::string& function, const std::vector<WorkerId>& workers);
+      FunctionKey function, const std::vector<WorkerId>& workers);
 
   /// SJF-tiebroken hash affinity; `home_index` indexes into `workers`
   /// (the caller owns the hash — sched does not know function hashing).
   [[nodiscard]] Decision route_sjf_affinity(
-      const std::string& function, const std::vector<WorkerId>& workers,
+      FunctionKey function, const std::vector<WorkerId>& workers,
       std::size_t home_index);
 
   // --- Lifecycle feedback (the controller drives these) --------------------
@@ -105,7 +109,7 @@ class CallScheduler {
 
   /// The call started executing on `by`. Moves (or re-creates, after a
   /// rescue) its charge and marks `by` warm for the function.
-  void on_started(CallId call, WorkerId by, const std::string& function);
+  void on_started(CallId call, WorkerId by, FunctionKey function);
 
   /// The call left its queue for the fast lane (drain hand-off, rescue):
   /// its predicted work no longer waits on the charged worker.
@@ -122,12 +126,12 @@ class CallScheduler {
 
   /// Terminal state: releases the charge and — for completed executions
   /// (`actual` >= 0) — folds the actual duration into the estimator.
-  Outcome on_finished(CallId call, const std::string& function,
+  Outcome on_finished(CallId call, FunctionKey function,
                       std::int64_t actual_ticks, bool cold_start);
   /// As above, attributing the sample to the worker that executed the
   /// call (feeds the per-worker models when they are enabled; pass
   /// DurationEstimator::kAnyWorker when unknown).
-  Outcome on_finished(CallId call, const std::string& function,
+  Outcome on_finished(CallId call, FunctionKey function,
                       std::int64_t actual_ticks, bool cold_start,
                       WorkerId worker);
 
@@ -141,8 +145,10 @@ class CallScheduler {
     return estimator_;
   }
   [[nodiscard]] const BacklogLedger& ledger() const { return ledger_; }
-  [[nodiscard]] bool is_warm(WorkerId worker,
-                             const std::string& function) const;
+  [[nodiscard]] bool is_warm(WorkerId worker, FunctionKey function) const {
+    const std::span<const WorkerId> warm = warm_set(function);
+    return std::binary_search(warm.begin(), warm.end(), worker);
+  }
   [[nodiscard]] const SchedConfig& config() const { return config_; }
 
   struct Stats {
@@ -167,20 +173,29 @@ class CallScheduler {
     std::int64_t backlog{0};
     bool cold{false};
   };
-  [[nodiscard]] Cost cost_at(const std::string& function,
+  /// The function's warm set (ascending; empty if it never started).
+  [[nodiscard]] std::span<const WorkerId> warm_set(FunctionKey function) const {
+    if (function >= warm_.size()) return {};
+    return warm_[function];
+  }
+  /// Predicted completion of the call at `worker`, from the function's
+  /// model and warm set as looked up once for the decision.
+  [[nodiscard]] Cost cost_at(const DurationEstimator::ModelRef& model,
+                             std::span<const WorkerId> warm,
                              WorkerId worker) const;
-  [[nodiscard]] Decision finalize(const std::string& function,
-                                  WorkerId worker, const Cost& cost,
-                                  std::size_t candidates, WorkerId runner_up,
+  [[nodiscard]] Decision finalize(const DurationEstimator::ModelRef& model,
+                                  FunctionKey function, WorkerId worker,
+                                  const Cost& cost, std::size_t candidates,
+                                  WorkerId runner_up,
                                   std::int64_t runner_up_cost);
 
   SchedConfig config_;
   DurationEstimator estimator_;
   BacklogLedger ledger_;
-  /// Workers holding (or having held) a warm container for a function.
-  /// Small sorted vectors: worker counts are tens-to-hundreds and the
-  /// order makes iteration deterministic.
-  std::unordered_map<std::string, std::vector<WorkerId>> warm_;
+  /// Warm sets, indexed by FunctionKey. Small sorted vectors: worker
+  /// counts are tens-to-hundreds and the order makes iteration
+  /// deterministic.
+  std::vector<std::vector<WorkerId>> warm_;
   Stats stats_;
 };
 

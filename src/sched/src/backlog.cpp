@@ -8,24 +8,29 @@ void BacklogLedger::assign(CallId call, WorkerId worker,
   const auto it = charges_.find(call);
   if (it != charges_.end()) {
     // Reroute of a still-charged call: move the existing charge.
-    backlog_[it->second.worker] -= it->second.cost_ticks;
+    add(it->second.worker, -it->second.cost_ticks);
     total_ -= it->second.cost_ticks;
     it->second.worker = worker;
     it->second.cost_ticks = cost_ticks;
-    backlog_[worker] += cost_ticks;
+    add(worker, cost_ticks);
     total_ += cost_ticks;
     return;
   }
   charges_.emplace(call, Charge{worker, cost_ticks, predicted_ticks});
-  backlog_[worker] += cost_ticks;
+  add(worker, cost_ticks);
   total_ += cost_ticks;
+}
+
+void BacklogLedger::add(WorkerId worker, std::int64_t delta) {
+  if (worker >= backlog_.size()) backlog_.resize(std::size_t{worker} + 1, 0);
+  backlog_[worker] += delta;
 }
 
 bool BacklogLedger::move(CallId call, WorkerId worker) {
   const auto it = charges_.find(call);
   if (it == charges_.end() || it->second.worker == worker) return false;
-  backlog_[it->second.worker] -= it->second.cost_ticks;
-  backlog_[worker] += it->second.cost_ticks;
+  add(it->second.worker, -it->second.cost_ticks);
+  add(worker, it->second.cost_ticks);
   it->second.worker = worker;
   return true;
 }
@@ -34,7 +39,7 @@ bool BacklogLedger::release(CallId call, Charge* out) {
   const auto it = charges_.find(call);
   if (it == charges_.end()) return false;
   if (out != nullptr) *out = it->second;
-  backlog_[it->second.worker] -= it->second.cost_ticks;
+  add(it->second.worker, -it->second.cost_ticks);
   total_ -= it->second.cost_ticks;
   charges_.erase(it);
   return true;
@@ -51,13 +56,12 @@ std::size_t BacklogLedger::forget_worker(WorkerId worker) {
       ++it;
     }
   }
-  backlog_.erase(worker);
+  if (worker < backlog_.size()) backlog_[worker] = 0;
   return dropped;
 }
 
 std::int64_t BacklogLedger::backlog(WorkerId worker) const {
-  const auto it = backlog_.find(worker);
-  return it == backlog_.end() ? 0 : it->second;
+  return worker < backlog_.size() ? backlog_[worker] : 0;
 }
 
 const BacklogLedger::Charge* BacklogLedger::find(CallId call) const {

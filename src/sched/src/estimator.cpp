@@ -71,15 +71,16 @@ void DurationEstimator::Ewma::fold(double sample, double alpha) {
   ++count;
 }
 
-void DurationEstimator::observe(const std::string& function,
-                                sim::SimTime duration, bool cold_start) {
+void DurationEstimator::observe(FunctionKey function, sim::SimTime duration,
+                                bool cold_start) {
   observe(function, duration, cold_start, kAnyWorker);
 }
 
-void DurationEstimator::observe(const std::string& function,
-                                sim::SimTime duration, bool cold_start,
-                                std::uint32_t worker) {
+void DurationEstimator::observe(FunctionKey function, sim::SimTime duration,
+                                bool cold_start, std::uint32_t worker) {
+  if (function >= models_.size()) models_.resize(std::size_t{function} + 1);
   Model& model = models_[function];
+  if (model.sketch.count() == 0) ++tracked_;
   const auto sample = static_cast<double>(duration.ticks());
   (cold_start ? model.cold : model.warm).fold(sample, config_.alpha);
   model.sketch.observe(sample);
@@ -91,86 +92,54 @@ void DurationEstimator::observe(const std::string& function,
   if (cold_start) ++stats_.cold_observations;
 }
 
-sim::SimTime DurationEstimator::predict(const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
+sim::SimTime DurationEstimator::ModelRef::predict(std::uint32_t worker) const {
+  if (model_ == nullptr) {
+    ++estimator_->stats_.prior_hits;
+    return estimator_->config_.prior;
   }
-  const Model& m = it->second;
-  const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
+  if (estimator_->config_.per_worker && worker != kAnyWorker) {
+    const auto w = model_->per_worker.find(worker);
+    if (w != model_->per_worker.end() && w->second.warm.count > 0)
+      return sim::SimTime::micros(
+          static_cast<std::int64_t>(w->second.warm.mean));
+  }
+  const Ewma& e = model_->warm.count > 0 ? model_->warm : model_->cold;
   return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
 }
 
-sim::SimTime DurationEstimator::predict(const std::string& function,
-                                        std::uint32_t worker) const {
-  if (!config_.per_worker || worker == kAnyWorker) return predict(function);
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
+sim::SimTime DurationEstimator::ModelRef::predict_cold(
+    std::uint32_t worker) const {
+  if (model_ == nullptr) {
+    ++estimator_->stats_.prior_hits;
+    return estimator_->config_.prior;
   }
-  const Model& m = it->second;
-  const auto w = m.per_worker.find(worker);
-  if (w != m.per_worker.end() && w->second.warm.count > 0)
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(w->second.warm.mean));
-  const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
+  if (estimator_->config_.per_worker && worker != kAnyWorker) {
+    const auto w = model_->per_worker.find(worker);
+    if (w != model_->per_worker.end() && w->second.cold.count > 0)
+      return sim::SimTime::micros(
+          static_cast<std::int64_t>(w->second.cold.mean));
+  }
+  const Ewma& e = model_->cold.count > 0 ? model_->cold : model_->warm;
   return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
 }
 
-sim::SimTime DurationEstimator::predict_cold(
-    const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
-  }
-  const Model& m = it->second;
-  const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
-  return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-}
-
-sim::SimTime DurationEstimator::predict_cold(const std::string& function,
-                                             std::uint32_t worker) const {
-  if (!config_.per_worker || worker == kAnyWorker)
-    return predict_cold(function);
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
-  }
-  const Model& m = it->second;
-  const auto w = m.per_worker.find(worker);
-  if (w != m.per_worker.end() && w->second.cold.count > 0)
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(w->second.cold.mean));
-  const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
-  return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-}
-
-sim::SimTime DurationEstimator::predict_quantile(const std::string& function,
+sim::SimTime DurationEstimator::predict_quantile(FunctionKey function,
                                                  double q) const {
-  const auto it = models_.find(function);
-  if (it == models_.end() || it->second.sketch.count() == 0) {
-    return predict(function);
-  }
+  const Model* m = find(function);
+  if (m == nullptr) return predict(function);
   return sim::SimTime::micros(
-      static_cast<std::int64_t>(it->second.sketch.quantile(q)));
+      static_cast<std::int64_t>(m->sketch.quantile(q)));
 }
 
-sim::SimTime DurationEstimator::deviation(const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) return sim::SimTime::zero();
-  return sim::SimTime::micros(
-      static_cast<std::int64_t>(it->second.warm.abs_dev));
+sim::SimTime DurationEstimator::deviation(FunctionKey function) const {
+  const Model* m = find(function);
+  if (m == nullptr) return sim::SimTime::zero();
+  return sim::SimTime::micros(static_cast<std::int64_t>(m->warm.abs_dev));
 }
 
-std::uint64_t DurationEstimator::observations(
-    const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) return 0;
-  return it->second.warm.count + it->second.cold.count;
+std::uint64_t DurationEstimator::observations(FunctionKey function) const {
+  const Model* m = find(function);
+  return m == nullptr ? 0 : m->warm.count + m->cold.count;
 }
 
 }  // namespace hpcwhisk::sched

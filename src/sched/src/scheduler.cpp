@@ -4,28 +4,29 @@
 
 namespace hpcwhisk::sched {
 
-CallScheduler::Cost CallScheduler::cost_at(const std::string& function,
-                                           WorkerId worker) const {
+CallScheduler::Cost CallScheduler::cost_at(
+    const DurationEstimator::ModelRef& model, std::span<const WorkerId> warm,
+    WorkerId worker) const {
   Cost c;
-  c.cold = !is_warm(worker, function);
+  c.cold = !std::binary_search(warm.begin(), warm.end(), worker);
   c.backlog = ledger_.backlog(worker);
   // Worker-qualified predictions: identical to the global model unless
   // per-worker models are enabled and this (function, worker) pair has
   // history of its own.
   if (c.cold) {
-    c.predicted = estimator_.predict_cold(function, worker).ticks();
+    c.predicted = model.predict_cold(worker).ticks();
     c.cost = c.backlog + c.predicted + kColdOverhead.ticks();
   } else {
-    c.predicted = estimator_.predict(function, worker).ticks();
+    c.predicted = model.predict(worker).ticks();
     c.cost = c.backlog + c.predicted;
   }
   return c;
 }
 
 CallScheduler::Decision CallScheduler::finalize(
-    const std::string& function, WorkerId worker, const Cost& cost,
-    std::size_t candidates, WorkerId runner_up,
-    std::int64_t runner_up_cost) {
+    const DurationEstimator::ModelRef& model, FunctionKey function,
+    WorkerId worker, const Cost& cost, std::size_t candidates,
+    WorkerId runner_up, std::int64_t runner_up_cost) {
   Decision d;
   d.worker = worker;
   d.predicted_ticks = cost.predicted;
@@ -37,7 +38,7 @@ CallScheduler::Decision CallScheduler::finalize(
   d.backlog_ticks = cost.backlog;
   d.candidates = static_cast<std::uint32_t>(candidates);
   if (config_.deadline_classes) {
-    sim::SimTime metric = estimator_.predict(function);
+    sim::SimTime metric = model.predict();
     if (config_.short_class_deviation_factor > 0.0) {
       // Dispersion guard: high-variance functions must predict well
       // under the bound before they may jump queues.
@@ -57,15 +58,17 @@ CallScheduler::Decision CallScheduler::finalize(
 }
 
 CallScheduler::Decision CallScheduler::route_least_expected_work(
-    const std::string& function, const std::vector<WorkerId>& workers) {
+    FunctionKey function, const std::vector<WorkerId>& workers) {
+  const DurationEstimator::ModelRef model = estimator_.model(function);
+  const std::span<const WorkerId> warm = warm_set(function);
   WorkerId best = workers.front();
-  Cost best_cost = cost_at(function, best);
+  Cost best_cost = cost_at(model, warm, best);
   // Second-best tracking is explainability bookkeeping only: the chosen
   // worker comes out of exactly the comparison chain this always ran.
   WorkerId second = Decision::kNoRunnerUp;
   std::int64_t second_cost = 0;
   for (std::size_t i = 1; i < workers.size(); ++i) {
-    const Cost c = cost_at(function, workers[i]);
+    const Cost c = cost_at(model, warm, workers[i]);
     // Strict < keeps the lowest id on exact ties; on a cost tie a warm
     // worker beats a cold one even at a higher id (same expected finish,
     // fewer containers spawned).
@@ -80,22 +83,24 @@ CallScheduler::Decision CallScheduler::route_least_expected_work(
       second_cost = c.cost;
     }
   }
-  return finalize(function, best, best_cost, workers.size(), second,
+  return finalize(model, function, best, best_cost, workers.size(), second,
                   second_cost);
 }
 
 CallScheduler::Decision CallScheduler::route_sjf_affinity(
-    const std::string& function, const std::vector<WorkerId>& workers,
+    FunctionKey function, const std::vector<WorkerId>& workers,
     std::size_t home_index) {
+  const DurationEstimator::ModelRef model = estimator_.model(function);
+  const std::span<const WorkerId> warm = warm_set(function);
   home_index %= workers.size();
   const WorkerId home = workers[home_index];
-  const Cost home_cost = cost_at(function, home);
+  const Cost home_cost = cost_at(model, warm, home);
 
   WorkerId best = home;
   Cost best_cost = home_cost;
   for (std::size_t i = 0; i < workers.size(); ++i) {
     if (i == home_index) continue;
-    const Cost c = cost_at(function, workers[i]);
+    const Cost c = cost_at(model, warm, workers[i]);
     if (c.cost < best_cost.cost ||
         (c.cost == best_cost.cost && best_cost.cold && !c.cold)) {
       best = workers[i];
@@ -116,13 +121,13 @@ CallScheduler::Decision CallScheduler::route_sjf_affinity(
                           slack) {
     ++stats_.affinity_escaped;
     // The rejected alternative is the warm home the call abandoned.
-    return finalize(function, best, best_cost, workers.size(), home,
+    return finalize(model, function, best, best_cost, workers.size(), home,
                     home_cost.cost);
   }
   ++stats_.affinity_kept;
   const WorkerId runner_up = best != home ? best : Decision::kNoRunnerUp;
-  return finalize(function, home, home_cost, workers.size(), runner_up,
-                  best != home ? best_cost.cost : 0);
+  return finalize(model, function, home, home_cost, workers.size(),
+                  runner_up, best != home ? best_cost.cost : 0);
 }
 
 void CallScheduler::on_routed(CallId call, const Decision& decision) {
@@ -131,7 +136,7 @@ void CallScheduler::on_routed(CallId call, const Decision& decision) {
 }
 
 void CallScheduler::on_started(CallId call, WorkerId by,
-                               const std::string& function) {
+                               FunctionKey function) {
   if (ledger_.find(call) != nullptr) {
     ledger_.move(call, by);
   } else {
@@ -142,7 +147,8 @@ void CallScheduler::on_started(CallId call, WorkerId by,
     ledger_.assign(call, by, predicted, predicted);
     ++stats_.rescue_charges;
   }
-  auto& warm = warm_[function];
+  if (function >= warm_.size()) warm_.resize(std::size_t{function} + 1);
+  std::vector<WorkerId>& warm = warm_[function];
   const auto it = std::lower_bound(warm.begin(), warm.end(), by);
   if (it == warm.end() || *it != by) warm.insert(it, by);
 }
@@ -150,7 +156,7 @@ void CallScheduler::on_started(CallId call, WorkerId by,
 void CallScheduler::on_requeued(CallId call) { (void)ledger_.release(call); }
 
 CallScheduler::Outcome CallScheduler::on_finished(CallId call,
-                                                  const std::string& function,
+                                                  FunctionKey function,
                                                   std::int64_t actual_ticks,
                                                   bool cold_start) {
   return on_finished(call, function, actual_ticks, cold_start,
@@ -158,7 +164,7 @@ CallScheduler::Outcome CallScheduler::on_finished(CallId call,
 }
 
 CallScheduler::Outcome CallScheduler::on_finished(CallId call,
-                                                  const std::string& function,
+                                                  FunctionKey function,
                                                   std::int64_t actual_ticks,
                                                   bool cold_start,
                                                   WorkerId worker) {
@@ -184,17 +190,10 @@ CallScheduler::Outcome CallScheduler::on_finished(CallId call,
 
 void CallScheduler::forget_worker(WorkerId worker) {
   stats_.forgotten += ledger_.forget_worker(worker);
-  for (auto& [fn, warm] : warm_) {
+  for (std::vector<WorkerId>& warm : warm_) {
     const auto it = std::lower_bound(warm.begin(), warm.end(), worker);
     if (it != warm.end() && *it == worker) warm.erase(it);
   }
-}
-
-bool CallScheduler::is_warm(WorkerId worker,
-                            const std::string& function) const {
-  const auto it = warm_.find(function);
-  if (it == warm_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), worker);
 }
 
 }  // namespace hpcwhisk::sched

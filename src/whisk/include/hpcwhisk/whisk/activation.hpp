@@ -3,9 +3,14 @@
 // terminal outcome. The controller owns the authoritative store; every
 // state transition is timestamped so benches can rebuild the paper's
 // per-minute success/failure/lost series (Figs. 5b, 6b).
+//
+// One record per accepted or rejected call, so at hundreds of calls per
+// second the record array is the simulator's largest structure. The
+// record holds no string: the function is its registry index (the name
+// is registry.spec(function_index).name), and the fields are laid out
+// to fill exactly one 64-byte cache line.
 
 #include <cstdint>
-#include <string>
 
 #include "hpcwhisk/sim/time.hpp"
 
@@ -33,9 +38,10 @@ enum class ActivationState : std::uint8_t {
 
 struct ActivationRecord {
   ActivationId id{0};
-  std::string function;
   ActivationState state{ActivationState::kQueued};
-  /// FunctionSpec::index of `function`, resolved once at submit.
+  /// True cold start paid on the (last) execution.
+  bool cold_start{false};
+  /// FunctionSpec::index of the invoked function, resolved once at submit.
   std::uint32_t function_index{0};
   sim::SimTime submit_time;
   /// Most recent execution attempt began (zero if never executed). After
@@ -53,8 +59,6 @@ struct ActivationRecord {
   std::uint32_t requeues{0};
   /// Times a running execution was interrupted by a draining invoker.
   std::uint32_t interruptions{0};
-  /// True cold start paid on the (last) execution.
-  bool cold_start{false};
 
   /// Client-visible response time; meaningful for terminal states.
   [[nodiscard]] sim::SimTime response_time() const {

@@ -251,8 +251,8 @@ class Controller {
     mq::Topic* topic{nullptr};
   };
 
-  /// Picks the target invoker among `healthy` for `function`.
-  [[nodiscard]] InvokerId route(const std::string& function,
+  /// Picks the target invoker among `healthy` for `spec`.
+  [[nodiscard]] InvokerId route(const FunctionSpec& spec,
                                 const std::vector<InvokerId>& healthy);
 
   /// Serves an accepted call (records_.back()) through its lease's

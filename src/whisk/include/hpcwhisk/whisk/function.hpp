@@ -48,6 +48,9 @@ struct FunctionSpec {
   /// for the name. Layers below whisk (leases, container pools) key
   /// their per-function state by it.
   std::uint32_t index{0};
+  /// function_hash(name), computed by FunctionRegistry::put: the hash
+  /// routing modes read it per call instead of hashing the name.
+  std::uint64_t hash{0};
 };
 
 /// Convenience: a function that always takes exactly `d`.

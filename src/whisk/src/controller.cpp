@@ -123,12 +123,14 @@ std::string Controller::invoker_topic_name(InvokerId id) {
 }
 
 SubmitResult Controller::submit(const std::string& function) {
+  // The one name lookup of a call: from here on the function travels as
+  // its registry index.
   const FunctionSpec& spec = registry_.at(function);
   ++counters_.submitted;
 
-  ActivationRecord rec;
-  rec.id = records_.size();
-  rec.function = function;
+  const ActivationId id = records_.size();
+  ActivationRecord& rec = records_.emplace_back();
+  rec.id = id;
   rec.function_index = spec.index;
   rec.submit_time = sim_.now();
 
@@ -138,18 +140,16 @@ SubmitResult Controller::submit(const std::string& function) {
     // series of Figs. 5b/6b.
     rec.state = ActivationState::kRejected503;
     rec.end_time = sim_.now();
-    records_.push_back(rec);
     ++counters_.rejected_503;
     last_503_ = sim_.now();
     HW_OBS_IF(config_.obs) {
       config_.obs->trace.record_chained(
           obs::Cat::kActivation, obs::Phase::kInstant, "reject_503",
-          obs::Track::kController, 0, rec.id, sim_.now());
+          obs::Track::kController, 0, id, sim_.now());
     }
-    return SubmitResult{false, rec.id};
+    return SubmitResult{false, id};
   }
 
-  records_.push_back(rec);
   ++counters_.accepted;
 
   if (leases_) {
@@ -174,17 +174,17 @@ SubmitResult Controller::submit(const std::string& function) {
     }
   }
 
-  const InvokerId target = route(function, healthy);
-  records_.back().routed_to = target;
+  const InvokerId target = route(spec, healthy);
+  rec.routed_to = target;
   ++invokers_[target].in_flight;
   if (scheduler_ && pending_decision_)
-    scheduler_->on_routed(rec.id, *pending_decision_);
+    scheduler_->on_routed(id, *pending_decision_);
   HW_OBS_IF(config_.obs) {
     // The root of the activation's causal chain: everything later
     // (pulls, execs, reroutes, the terminal event) parents back here.
     config_.obs->trace.record_chained(
         obs::Cat::kActivation, obs::Phase::kAsyncBegin, "activation",
-        obs::Track::kController, 0, rec.id, sim_.now(),
+        obs::Track::kController, 0, id, sim_.now(),
         static_cast<double>(target));
     if (pending_decision_) {
       // Data-driven route: keep the full "why" (chosen vs runner-up,
@@ -194,16 +194,16 @@ SubmitResult Controller::submit(const std::string& function) {
       const sched::CallScheduler::Decision& d = *pending_decision_;
       config_.obs->trace.record_chained(
           obs::Cat::kActivation, obs::Phase::kInstant, "route_decision",
-          obs::Track::kController, 0, rec.id, sim_.now(),
+          obs::Track::kController, 0, id, sim_.now(),
           static_cast<double>(d.worker),
           d.runner_up == sched::CallScheduler::Decision::kNoRunnerUp
               ? -1.0
               : static_cast<double>(d.runner_up));
       obs::RouteDecision why;
-      why.call = rec.id;
+      why.call = id;
       why.at = sim_.now();
       why.policy = to_string(config_.route_mode);
-      why.function = function;
+      why.function = spec.name;
       why.chosen = d.worker;
       why.runner_up = d.runner_up;  // sentinels match (~0u)
       why.candidates = d.candidates;
@@ -219,8 +219,7 @@ SubmitResult Controller::submit(const std::string& function) {
   }
 
   mq::Message msg;
-  msg.id = rec.id;
-  msg.key = function;
+  msg.id = id;
   // Handle cached at registration: no string build, no hash, no broker
   // lock on the per-submit path.
   mq::Topic& topic = *invokers_[target].topic;
@@ -240,14 +239,13 @@ SubmitResult Controller::submit(const std::string& function) {
     ++counters_.lease_granted;
   }
 
-  arm_timeout(spec, rec.id);
-  return SubmitResult{true, rec.id};
+  arm_timeout(spec, id);
+  return SubmitResult{true, id};
 }
 
 SubmitResult Controller::submit_leased(const FunctionSpec& spec,
                                        const lease::Lease& l,
                                        const DirectSeam& seam) {
-  const std::string& function = spec.name;
   ActivationRecord& rec = records_.back();
   const ActivationId act_id = rec.id;
   const InvokerId target = l.worker;
@@ -258,7 +256,7 @@ SubmitResult Controller::submit_leased(const FunctionSpec& spec,
     // be, so the conservation audit and backlog predictions stay honest.
     lease_candidate_.assign(1, target);
     const sched::CallScheduler::Decision d =
-        scheduler_->route_least_expected_work(function, lease_candidate_);
+        scheduler_->route_least_expected_work(spec.index, lease_candidate_);
     scheduler_->on_routed(act_id, d);
   }
   HW_OBS_IF(config_.obs) {
@@ -274,14 +272,13 @@ SubmitResult Controller::submit_leased(const FunctionSpec& spec,
     why.call = act_id;
     why.at = sim_.now();
     why.policy = "lease";
-    why.function = function;
+    why.function = spec.name;
     why.chosen = target;
     why.candidates = 1;
     config_.obs->decisions.record(std::move(why));
   }
   mq::Message msg;
   msg.id = act_id;
-  msg.key = function;
   leases_->on_hit(spec.index, sim_.now());
   ++counters_.lease_hits;
   seam.invoke(std::move(msg));
@@ -321,10 +318,10 @@ sim::EventId Controller::TimeoutRing::take(ActivationId id) {
   return event;
 }
 
-InvokerId Controller::route(const std::string& function,
+InvokerId Controller::route(const FunctionSpec& spec,
                             const std::vector<InvokerId>& healthy) {
   const std::size_t n = healthy.size();
-  const std::uint64_t hash = function_hash(function);
+  const std::uint64_t hash = spec.hash;
   switch (config_.route_mode) {
     case RouteMode::kHashOnly:
       return healthy[hash % n];
@@ -338,12 +335,12 @@ InvokerId Controller::route(const std::string& function,
       return best;
     }
     case RouteMode::kLeastExpectedWork:
-      pending_decision_ = scheduler_->route_least_expected_work(function,
-                                                                healthy);
+      pending_decision_ =
+          scheduler_->route_least_expected_work(spec.index, healthy);
       return pending_decision_->worker;
     case RouteMode::kSjfAffinity:
       pending_decision_ =
-          scheduler_->route_sjf_affinity(function, healthy, hash % n);
+          scheduler_->route_sjf_affinity(spec.index, healthy, hash % n);
       return pending_decision_->worker;
     case RouteMode::kHashProbing:
       break;
@@ -488,8 +485,7 @@ void Controller::rescue_in_flight(
       return;
     mq::Message msg;
     msg.id = rec.id;
-    msg.key = rec.function;
-    requeue_to_fast_lane(std::move(msg));
+    requeue_to_fast_lane(msg);
   });
 }
 
@@ -526,7 +522,7 @@ void Controller::activation_started(ActivationId id, InvokerId by,
   rec.start_time = sim_.now();
   rec.executed_by = by;
   rec.cold_start = cold_start;
-  if (scheduler_) scheduler_->on_started(rec.id, by, rec.function);
+  if (scheduler_) scheduler_->on_started(rec.id, by, rec.function_index);
 }
 
 void Controller::activation_completed(ActivationId id) {
@@ -618,7 +614,7 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
     // executed_by doubles as the estimator's kAnyWorker sentinel (~0u)
     // when the call never started anywhere.
     const sched::CallScheduler::Outcome outcome = scheduler_->on_finished(
-        rec.id, rec.function, actual, rec.cold_start, rec.executed_by);
+        rec.id, rec.function_index, actual, rec.cold_start, rec.executed_by);
     if (outcome.observed) {
       HW_OBS_IF(config_.obs) {
         h_pred_error_->observe(static_cast<double>(outcome.abs_error_ticks));

@@ -21,6 +21,7 @@ void FunctionRegistry::put(FunctionSpec spec) {
   const auto [it, fresh] = index_.try_emplace(
       spec.name, static_cast<std::uint32_t>(specs_.size()));
   spec.index = it->second;
+  spec.hash = function_hash(spec.name);
   if (fresh) {
     specs_.push_back(std::move(spec));
   } else {

@@ -19,7 +19,6 @@ using sim::Simulation;
 Message msg(std::uint64_t id) {
   Message m;
   m.id = id;
-  m.key = "fn";
   return m;
 }
 

@@ -8,6 +8,10 @@ namespace {
 using sim::SimTime;
 using sim::Simulation;
 
+// One record per call is the simulator's largest structure at hundreds
+// of calls per second: keep it string-free and within one cache line.
+static_assert(sizeof(ActivationRecord) <= 64);
+
 struct Fixture {
   Simulation sim;
   mq::Broker broker;
@@ -28,6 +32,19 @@ TEST(Controller, Returns503WithNoInvokers) {
   EXPECT_EQ(f.controller.activation(result.activation).state,
             ActivationState::kRejected503);
   EXPECT_EQ(f.controller.last_503_time(), SimTime::zero());
+}
+
+TEST(Controller, RecordNamesTheFunctionByRegistryIndex) {
+  Fixture f;
+  f.controller.register_invoker();
+  const auto a = f.controller.submit("other");
+  const auto b = f.controller.submit("fn");
+  EXPECT_EQ(f.registry.spec(f.controller.activation(a.activation).function_index)
+                .name,
+            "other");
+  EXPECT_EQ(f.registry.spec(f.controller.activation(b.activation).function_index)
+                .name,
+            "fn");
 }
 
 TEST(Controller, RoutesToRegisteredInvoker) {
@@ -141,7 +158,6 @@ TEST(Controller, RequeueDropsTerminalActivations) {
   f.controller.activation_completed(result.activation);
   mq::Message msg;
   msg.id = result.activation;
-  msg.key = "fn";
   f.controller.requeue_to_fast_lane(msg);
   EXPECT_TRUE(f.broker.fast_lane().empty());
 }

@@ -33,6 +33,18 @@ TEST(FunctionRegistry, RejectsInvalidSpecs) {
   EXPECT_THROW(reg.put(no_model), std::invalid_argument);
 }
 
+TEST(FunctionRegistry, PutAssignsTheIndexAndCachesTheHash) {
+  FunctionRegistry reg;
+  reg.put(fixed_duration_function("a", sim::SimTime::millis(5)));
+  reg.put(fixed_duration_function("b", sim::SimTime::millis(5)));
+  reg.put(fixed_duration_function("a", sim::SimTime::millis(9)));  // replace
+  EXPECT_EQ(reg.at("a").index, 0u);
+  EXPECT_EQ(reg.at("b").index, 1u);
+  EXPECT_EQ(&reg.spec(1), &reg.at("b"));
+  EXPECT_EQ(reg.at("a").hash, function_hash("a"));
+  EXPECT_EQ(reg.at("b").hash, function_hash("b"));
+}
+
 TEST(FunctionRegistry, NamesListsAll) {
   FunctionRegistry reg;
   reg.put(fixed_duration_function("a", sim::SimTime::millis(5)));

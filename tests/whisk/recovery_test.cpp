@@ -127,7 +127,6 @@ TEST(Recovery, DuplicateDeliveryAfterCompletionIsDropped) {
   // A stale duplicate (e.g. an mq duplication fault) arrives afterwards.
   mq::Message dup;
   dup.id = result.activation;
-  dup.key = "fast";
   f.broker.fast_lane().publish(dup, f.sim.now());
   f.sim.run_until(SimTime::seconds(10));
 
@@ -146,7 +145,6 @@ TEST(Recovery, DuplicateDeliveryWhilePendingCompletesExactlyOnce) {
   // execute (at-least-once), but the activation terminates exactly once.
   mq::Message dup;
   dup.id = result.activation;
-  dup.key = "fast";
   f.broker.fast_lane().publish(dup, f.sim.now());
   f.sim.run_until(SimTime::seconds(10));
 

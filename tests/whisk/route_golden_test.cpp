@@ -86,7 +86,9 @@ TraceOutcome run_trace(RouteMode mode, std::uint64_t seed) {
         if (!controller.deliverable(msg->id)) continue;
         const ActivationId act = msg->id;
         controller.activation_started(act, inv, /*cold_start=*/false);
-        const SimTime d = registry.at(msg->key).duration(exec_rng);
+        const SimTime d =
+            registry.spec(controller.activation(act).function_index)
+                .duration(exec_rng);
         sim.after(d, [&controller, act] {
           controller.activation_completed(act);
         });

@@ -57,10 +57,10 @@ TEST(SchedRouting, DataDrivenModeLearnsFromCompletions) {
   EXPECT_EQ(controller.counters().completed, 20u);
   EXPECT_EQ(sched->stats().decisions, 20u);
   EXPECT_GT(sched->stats().error_observations, 0u);
-  EXPECT_TRUE(sched->estimator().seen("fast"));
+  EXPECT_TRUE(sched->estimator().seen(f.registry.at("fast").index));
   // The 10ms body converged into the model (EWMA seeds on the first
   // sample, so even one completion pins it).
-  EXPECT_EQ(sched->estimator().predict("fast"), SimTime::millis(10));
+  EXPECT_EQ(sched->estimator().predict(f.registry.at("fast").index), SimTime::millis(10));
   // Everything drained: no outstanding predicted work.
   EXPECT_EQ(sched->ledger().total(), 0);
 }
@@ -124,7 +124,7 @@ TEST(SchedRouting, WatchdogRescueLeavesZeroLeakedBacklog) {
   EXPECT_GE(sched->stats().rescue_charges, 1u);
   EXPECT_EQ(sched->ledger().total(), 0);
   EXPECT_EQ(sched->ledger().charge_count(), 0u);
-  EXPECT_FALSE(sched->is_warm(victim->id(), "slow"));
+  EXPECT_FALSE(sched->is_warm(victim->id(), f.registry.at("slow").index));
 }
 
 TEST(SchedRouting, DecisionRecordsExplainEveryRouting) {

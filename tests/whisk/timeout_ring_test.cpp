@@ -66,7 +66,7 @@ TEST(TimeoutRing, TwoTimeoutValuesFireOnTheirOwnDeadlines) {
   for (const ActivationId id : ids) {
     const ActivationRecord& r = f.controller.activation(id);
     EXPECT_EQ(r.state, ActivationState::kTimedOut);
-    const SimTime timeout = f.registry.at(r.function).timeout;
+    const SimTime timeout = f.registry.spec(r.function_index).timeout;
     EXPECT_EQ(r.end_time, r.submit_time + timeout) << "id " << id;
   }
   // Deadlines of both lanes merge in (deadline, id) order.
