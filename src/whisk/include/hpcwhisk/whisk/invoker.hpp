@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "hpcwhisk/mq/broker.hpp"
@@ -103,7 +102,7 @@ class Invoker {
   /// a refusal needs no rollback.
   [[nodiscard]] bool can_direct_invoke(const FunctionSpec& spec) const {
     return started_ && !draining_ && !dead_ && !stalled_ &&
-           running_.size() < config_.max_concurrent &&
+           running_count_ < config_.max_concurrent &&
            (pool_.has_warm_idle(spec.index, spec.memory_mb) ||
             pool_.can_admit(spec.memory_mb));
   }
@@ -116,7 +115,9 @@ class Invoker {
   [[nodiscard]] bool draining() const { return draining_; }
   [[nodiscard]] bool dead() const { return dead_; }
   [[nodiscard]] bool stalled() const { return stalled_; }
-  [[nodiscard]] std::size_t running_executions() const { return running_.size(); }
+  [[nodiscard]] std::size_t running_executions() const {
+    return running_count_;
+  }
   [[nodiscard]] const runtime::ContainerPool& pool() const { return pool_; }
 
   struct Counters {
@@ -129,28 +130,35 @@ class Invoker {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  enum class ExecPhase { kStarting, kRunning };
+  enum class ExecPhase : std::uint8_t { kStarting, kRunning };
+  /// One execution slot; msg.id is the activation it runs.
   struct Exec {
     mq::Message msg;
     /// Resolved once in begin_execution().
     const FunctionSpec* spec{nullptr};
     runtime::ContainerId container{0};
-    ExecPhase phase{ExecPhase::kStarting};
     sim::EventId event;       ///< pending start or completion event
     sim::SimTime due{};       ///< absolute time `event` fires
     sim::SimTime remaining{}; ///< time left when suspended by stall()
+    ExecPhase phase{ExecPhase::kStarting};
     bool cold{false};
+    bool live{false};  ///< the slot holds a running execution
   };
 
   void poll();
   void dispatch_buffer();
   void begin_execution(mq::Message msg);
-  /// Schedules the exec's next phase transition `delay` from now,
+  /// Schedules slot `slot`'s next phase transition `delay` from now,
   /// recording the absolute due time so stall() can suspend it.
-  void schedule_exec_event(ActivationId act, sim::SimTime delay);
+  void schedule_exec_event(std::size_t slot, sim::SimTime delay);
   /// Phase transition: kStarting -> kRunning (container warm, duration
   /// drawn) or kRunning -> done (release, report, dispatch next).
-  void on_exec_event(ActivationId act);
+  void on_exec_event(std::size_t slot, ActivationId act);
+  /// Live slots whose execution `pred` selects, ascending by activation
+  /// id: SIGTERM and resume() act in this order, so outcomes never
+  /// depend on which slot an execution happened to land in.
+  template <class Pred>
+  [[nodiscard]] std::vector<std::size_t> live_slots_by_id(Pred pred) const;
   void finish_drain_if_idle();
   void start_loops();
   void stop_loops();
@@ -168,7 +176,12 @@ class Invoker {
   /// Reused across poll ticks: pulling never allocates in steady state.
   std::vector<mq::Message> pull_scratch_;
   std::deque<mq::Message> buffer_;
-  std::unordered_map<ActivationId, Exec> running_;
+  /// Execution slots. Grown to the invoker's peak concurrency (at most
+  /// max_concurrent: the dispatch gate and the direct seam both check
+  /// it) and reused after, so a steady-state execution never allocates;
+  /// an exec event carries its slot index.
+  std::vector<Exec> slots_;
+  std::size_t running_count_{0};
   sim::PeriodicHandle poll_loop_;
   sim::PeriodicHandle heartbeat_loop_;
   bool started_{false};

@@ -131,7 +131,7 @@ void Invoker::poll() {
 }
 
 void Invoker::dispatch_buffer() {
-  while (!buffer_.empty() && running_.size() < config_.max_concurrent) {
+  while (!buffer_.empty() && running_count_ < config_.max_concurrent) {
     mq::Message msg = std::move(buffer_.front());
     buffer_.pop_front();
     begin_execution(std::move(msg));
@@ -149,12 +149,18 @@ void Invoker::begin_execution(mq::Message msg) {
     }
     return;
   }
-  if (running_.count(msg.id) > 0) {
-    // Duplicate delivery of work we are already executing (an mq
-    // duplication fault, or a watchdog rescue racing our own thaw).
-    ++counters_.dropped_undeliverable;
-    HW_OBS_IF(config_.obs) { c_dropped_->add(); }
-    return;
+  // One scan finds a free slot and any slot already running this id.
+  std::size_t slot = slots_.size();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!slots_[i].live) {
+      if (slot == slots_.size()) slot = i;
+    } else if (slots_[i].msg.id == msg.id) {
+      // Duplicate delivery of work we are already executing (an mq
+      // duplication fault, or a watchdog rescue racing our own thaw).
+      ++counters_.dropped_undeliverable;
+      HW_OBS_IF(config_.obs) { c_dropped_->add(); }
+      return;
+    }
   }
   // The record carries the registry index resolved at submit: no name
   // lookup on the execution path.
@@ -177,18 +183,20 @@ void Invoker::begin_execution(mq::Message msg) {
   }
 
   const ActivationId act = msg.id;
-  Exec exec;
-  exec.msg = std::move(msg);
+  if (slot == slots_.size()) slots_.emplace_back();
+  Exec& exec = slots_[slot];
+  exec.msg = msg;
   exec.spec = &spec;
   exec.container = acquired.container;
   exec.cold = acquired.kind == runtime::AcquireResult::Kind::kCold;
   exec.phase = ExecPhase::kStarting;
-  running_.emplace(act, std::move(exec));
+  exec.live = true;
+  ++running_count_;
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record_chained(
         obs::Cat::kActivation, obs::Phase::kAsyncBegin, "exec",
         obs::Track::kInvoker, id_, act, sim_.now(),
-        /*arg0=*/running_.at(act).cold ? 1.0 : 0.0);
+        /*arg0=*/exec.cold ? 1.0 : 0.0);
     switch (acquired.kind) {
       case runtime::AcquireResult::Kind::kWarm: c_warm_hits_->add(); break;
       case runtime::AcquireResult::Kind::kPrewarmed:
@@ -198,19 +206,36 @@ void Invoker::begin_execution(mq::Message msg) {
       case runtime::AcquireResult::Kind::kRejected: break;
     }
   }
-  schedule_exec_event(act, acquired.start_latency);
+  schedule_exec_event(slot, acquired.start_latency);
 }
 
-void Invoker::schedule_exec_event(ActivationId act, sim::SimTime delay) {
-  Exec& e = running_.at(act);
+void Invoker::schedule_exec_event(std::size_t slot, sim::SimTime delay) {
+  Exec& e = slots_[slot];
+  const ActivationId act = e.msg.id;
   e.due = sim_.now() + delay;
-  e.event = sim_.after(delay, [this, act] { on_exec_event(act); });
+  e.event =
+      sim_.after(delay, [this, slot, act] { on_exec_event(slot, act); });
 }
 
-void Invoker::on_exec_event(ActivationId act) {
-  auto it = running_.find(act);
-  if (it == running_.end()) return;
-  Exec& e = it->second;
+template <class Pred>
+std::vector<std::size_t> Invoker::live_slots_by_id(Pred pred) const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].live && pred(slots_[i])) out.push_back(i);
+  }
+  std::sort(out.begin(), out.end(), [this](std::size_t a, std::size_t b) {
+    return slots_[a].msg.id < slots_[b].msg.id;
+  });
+  return out;
+}
+
+void Invoker::on_exec_event(std::size_t slot, ActivationId act) {
+  // Ending an execution cancels its event, so a firing event always
+  // finds its execution; the check only guards that invariant.
+  if (slot >= slots_.size() || !slots_[slot].live ||
+      slots_[slot].msg.id != act)
+    return;
+  Exec& e = slots_[slot];
   if (e.phase == ExecPhase::kStarting) {
     e.phase = ExecPhase::kRunning;
     pool_.mark_running(e.container, sim_.now());
@@ -229,11 +254,12 @@ void Invoker::on_exec_event(ActivationId act) {
           static_cast<double>(duration.ticks()), e.cold ? 1.0 : 0.0);
       h_exec_us_->observe(static_cast<double>(duration.ticks()));
     }
-    schedule_exec_event(act, duration);
+    schedule_exec_event(slot, duration);
     return;
   }
   pool_.release(e.container, sim_.now());
-  running_.erase(it);
+  e.live = false;
+  --running_count_;
   ++counters_.executed;
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record_chained(
@@ -256,10 +282,11 @@ void Invoker::stall(sim::SimTime duration) {
     config_.obs->trace.record(
         obs::Cat::kPilot, obs::Phase::kInstant, "stall", obs::Track::kInvoker,
         id_, id_, sim_.now(), duration.to_seconds(),
-        static_cast<double>(running_.size()));
+        static_cast<double>(running_count_));
   }
   stop_loops();
-  for (auto& [act, exec] : running_) {
+  for (Exec& exec : slots_) {
+    if (!exec.live) continue;
     sim_.cancel(exec.event);
     exec.remaining = exec.due - sim_.now();
     if (exec.remaining < sim::SimTime::zero())
@@ -274,17 +301,12 @@ void Invoker::resume() {
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record(
         obs::Cat::kPilot, obs::Phase::kInstant, "resume", obs::Track::kInvoker,
-        id_, id_, sim_.now(), static_cast<double>(running_.size()));
+        id_, id_, sim_.now(), static_cast<double>(running_count_));
   }
   sim_.cancel(resume_event_);
-  // Deterministic thaw order: running_ is an unordered_map, so reschedule
-  // by ascending activation id.
-  std::vector<ActivationId> acts;
-  acts.reserve(running_.size());
-  for (const auto& [act, exec] : running_) acts.push_back(act);
-  std::sort(acts.begin(), acts.end());
-  for (const ActivationId act : acts)
-    schedule_exec_event(act, running_.at(act).remaining);
+  for (const std::size_t slot :
+       live_slots_by_id([](const Exec&) { return true; }))
+    schedule_exec_event(slot, slots_[slot].remaining);
   start_loops();
   // Announce liveness now rather than a heartbeat period later, so a
   // watchdog-flagged invoker is readmitted the moment it thaws.
@@ -308,7 +330,7 @@ void Invoker::sigterm(std::function<void()> on_drained) {
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record(obs::Cat::kPilot, obs::Phase::kBegin, "drain",
                               obs::Track::kInvoker, id_, id_, sim_.now(),
-                              static_cast<double>(running_.size()),
+                              static_cast<double>(running_count_),
                               static_cast<double>(buffer_.size()));
   }
 
@@ -321,15 +343,13 @@ void Invoker::sigterm(std::function<void()> on_drained) {
     buffer_.pop_front();
   }
 
-  // 3. Interrupt running executions of interruptible functions.
-  std::vector<ActivationId> to_interrupt;
-  for (const auto& [act, exec] : running_) {
-    if (exec.spec->interruptible || exec.phase == ExecPhase::kStarting)
-      to_interrupt.push_back(act);
-  }
-  for (const ActivationId act : to_interrupt) {
-    auto it = running_.find(act);
-    Exec& e = it->second;
+  // 3. Interrupt running executions of interruptible functions, in
+  // ascending activation id.
+  for (const std::size_t slot : live_slots_by_id([](const Exec& exec) {
+         return exec.spec->interruptible || exec.phase == ExecPhase::kStarting;
+       })) {
+    Exec& e = slots_[slot];
+    const ActivationId act = e.msg.id;
     sim_.cancel(e.event);
     if (e.phase == ExecPhase::kRunning) {
       controller_.activation_interrupted(act);
@@ -346,9 +366,10 @@ void Invoker::sigterm(std::function<void()> on_drained) {
           obs::Cat::kActivation, obs::Phase::kInstant, "interrupt",
           obs::Track::kInvoker, id_, act, sim_.now());
     }
-    controller_.requeue_to_fast_lane(std::move(e.msg));
+    controller_.requeue_to_fast_lane(e.msg);
     pool_.remove(e.container);
-    running_.erase(it);
+    e.live = false;
+    --running_count_;
   }
 
   finish_drain_if_idle();
@@ -356,7 +377,7 @@ void Invoker::sigterm(std::function<void()> on_drained) {
 
 void Invoker::finish_drain_if_idle() {
   if (!draining_ || dead_) return;
-  if (!running_.empty()) return;  // non-interruptible work still going
+  if (running_count_ > 0) return;  // non-interruptible work still going
   dead_ = true;
   HW_OBS_IF(config_.obs) {
     if (started_) {
@@ -381,7 +402,7 @@ void Invoker::hard_kill() {
     config_.obs->trace.record(
         obs::Cat::kPilot, obs::Phase::kInstant, "hard_kill",
         obs::Track::kInvoker, id_, id_, sim_.now(),
-        static_cast<double>(running_.size()),
+        static_cast<double>(running_count_),
         static_cast<double>(buffer_.size()));
     // A SIGKILL mid-drain leaves the drain span open; close it so the
     // timeline shows where the hand-off was cut short.
@@ -392,8 +413,11 @@ void Invoker::hard_kill() {
   }
   stop_loops();
   sim_.cancel(resume_event_);
-  for (auto& [act, exec] : running_) sim_.cancel(exec.event);
-  running_.clear();
+  for (Exec& exec : slots_) {
+    if (exec.live) sim_.cancel(exec.event);
+  }
+  slots_.clear();
+  running_count_ = 0;
   buffer_.clear();
   pool_.clear();
   // No controller *protocol* interaction: the watchdog will notice the

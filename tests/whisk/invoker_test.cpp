@@ -164,6 +164,31 @@ TEST(Invoker, InterruptedExecutionRequeuedToFastLane) {
   EXPECT_EQ(f.broker.fast_lane().size(), 1u);
 }
 
+TEST(Invoker, SigtermRequeuesInterruptedWorkInAscendingIdOrder) {
+  // Executions start in a scrambled id order; the drain hand-off must
+  // still interrupt and requeue them by ascending activation id, so the
+  // fast lane's order never depends on where each execution was kept.
+  Fixture f;
+  auto inv = f.make_invoker();
+  inv->start();
+  for (int i = 0; i < 5; ++i)
+    ASSERT_TRUE(f.controller.submit("slow").accepted);
+  mq::Topic& own = f.broker.topic(Controller::invoker_topic_name(inv->id()));
+  const std::vector<mq::Message> sent = own.drain();
+  ASSERT_EQ(sent.size(), 5u);
+  for (const std::size_t k : {3u, 0u, 4u, 1u, 2u})
+    own.publish(sent[k], f.sim.now());
+  f.sim.run_until(SimTime::seconds(30));  // all five mid-execution
+  ASSERT_EQ(inv->running_executions(), 5u);
+
+  inv->sigterm([] {});
+  const std::vector<mq::Message> requeued = f.broker.fast_lane().drain();
+  std::vector<ActivationId> order;
+  for (const mq::Message& m : requeued) order.push_back(m.id);
+  EXPECT_EQ(order, (std::vector<ActivationId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(inv->counters().interrupted, 5u);
+}
+
 TEST(Invoker, RequeuedWorkPickedUpByAnotherInvoker) {
   Fixture f;
   auto a = f.make_invoker();
