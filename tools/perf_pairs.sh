@@ -2,14 +2,15 @@
 # Paired wall-clock comparison of a git revision against the working tree
 # on one hwbench workload.
 #
-#   tools/perf_pairs.sh <rev> [workload] [N]
+#   tools/perf_pairs.sh <rev> [workload] [N] [seed]
 #
 # Exports <rev> with `git archive` into build-pairs/base-src (kept for
 # the next run against the same revision) and builds hwbench there and
 # for the working tree (Release, as benchmark/run.sh and
 # tools/digest_parity.sh do). Then runs N interleaved pairs (default
-# 10) of `hwbench child --workload W --seed 1 --trace 0` (default
-# workload prod_day), one process at a time, the revision first in odd
+# 10) of `hwbench child --workload W --seed S --trace 0` (default
+# workload prod_day, seed 1; another seed is the held-out check of a
+# gain claimed at seed 1), one process at a time, the revision first in odd
 # pairs and the working tree first in even ones. For every end-to-end
 # metric of BENCHMARK.json it prints the revision's median and
 # inter-quartile range, the working tree's median, the change of the
@@ -19,8 +20,8 @@
 # when both sides simulated the same run.
 set -euo pipefail
 
-if [[ $# -lt 1 || $# -gt 3 ]]; then
-  echo "usage: tools/perf_pairs.sh <rev> [workload] [N]" >&2
+if [[ $# -lt 1 || $# -gt 4 ]]; then
+  echo "usage: tools/perf_pairs.sh <rev> [workload] [N] [seed]" >&2
   exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -28,8 +29,13 @@ cd "$root"
 rev="$(git rev-parse --verify "$1^{commit}")"
 workload="${2:-prod_day}"
 pairs="${3:-10}"
+seed="${4:-1}"
 if ! [[ "$pairs" =~ ^[1-9][0-9]*$ ]]; then
   echo "perf_pairs: N must be a positive integer, got '$pairs'" >&2
+  exit 2
+fi
+if ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+  echo "perf_pairs: seed must be a non-negative integer, got '$seed'" >&2
   exit 2
 fi
 out="$root/build-pairs"
@@ -56,14 +62,14 @@ build_hwbench "$out/base-src" "$out/base"
 build_hwbench "$root" "$out/head"
 
 python3 - "$out/base/hwbench" "$out/head/hwbench" "$workload" "$pairs" \
-  "$root/BENCHMARK.json" "${rev:0:12}" <<'EOF'
+  "$seed" "$root/BENCHMARK.json" "${rev:0:12}" <<'EOF'
 import json
 import os
 import statistics
 import subprocess
 import sys
 
-base_bin, head_bin, workload, pairs, spec_path, rev = sys.argv[1:]
+base_bin, head_bin, workload, pairs, seed, spec_path, rev = sys.argv[1:]
 pairs = int(pairs)
 with open(spec_path) as f:
     metrics = json.load(f)["end_to_end"]
@@ -72,7 +78,7 @@ with open(spec_path) as f:
 def run(binary):
     """One child rep: its output values plus peak_rss_mb from wait4."""
     proc = subprocess.Popen(
-        [binary, "child", "--workload", workload, "--seed", "1",
+        [binary, "child", "--workload", workload, "--seed", seed,
          "--trace", "0"], stdout=subprocess.PIPE, text=True)
     stdout = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -111,7 +117,7 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-print(f"\n{workload}: {pairs} pairs, base {rev} vs working tree")
+print(f"\n{workload} seed {seed}: {pairs} pairs, base {rev} vs working tree")
 print(f"{'metric':<20} {'base median':>12} {'base IQR':>10} "
       f"{'head median':>12} {'change':>9} {'wins':>6}")
 for m in metrics:
