@@ -96,16 +96,17 @@ class DurationEstimator {
   explicit DurationEstimator(EstimatorConfig config = {})
       : config_{config} {}
 
-  /// One function's model, looked up once. A routing decision asks it
-  /// for every candidate worker without another lookup; it answers
-  /// exactly as the estimator's predict(function, worker) and
-  /// predict_cold(function, worker) do, prior_hits included. Valid until
-  /// the next observe().
+  /// One function's model, looked up once: a routing decision asks it
+  /// for every candidate worker without another lookup. Valid until the
+  /// next observe().
   class ModelRef {
    public:
-    /// See DurationEstimator::predict(function, worker).
+    /// Worker-qualified prediction: the (function, worker) warm EWMA
+    /// when per_worker is on and that pair has history; otherwise the
+    /// function's predict() (same value, same prior_hits accounting).
     [[nodiscard]] sim::SimTime predict(std::uint32_t worker = kAnyWorker) const;
-    /// See DurationEstimator::predict_cold(function, worker).
+    /// Worker-qualified prediction for a cold execution, falling back
+    /// like predict(worker).
     [[nodiscard]] sim::SimTime predict_cold(
         std::uint32_t worker = kAnyWorker) const;
 
@@ -135,23 +136,11 @@ class DurationEstimator {
   [[nodiscard]] sim::SimTime predict(FunctionKey function) const {
     return model(function).predict();
   }
-  /// Worker-qualified prediction: the (function, worker) warm EWMA when
-  /// per_worker is on and that pair has history; otherwise identical to
-  /// the global predict() (same value, same prior_hits accounting).
-  [[nodiscard]] sim::SimTime predict(FunctionKey function,
-                                     std::uint32_t worker) const {
-    return model(function).predict(worker);
-  }
   /// Prediction for a cold execution (cold EWMA, falling back like
   /// predict()). The cold-start *overhead* is the router's
   /// kColdOverhead (scheduler.hpp).
   [[nodiscard]] sim::SimTime predict_cold(FunctionKey function) const {
     return model(function).predict_cold();
-  }
-  /// Worker-qualified cold prediction (see predict(function, worker)).
-  [[nodiscard]] sim::SimTime predict_cold(FunctionKey function,
-                                          std::uint32_t worker) const {
-    return model(function).predict_cold(worker);
   }
   /// Tail estimate from the quantile sketch; predict() with no samples.
   [[nodiscard]] sim::SimTime predict_quantile(FunctionKey function,

@@ -61,7 +61,12 @@ TEST(DurationEstimator, NeverSeenFallsBackToPrior) {
   EXPECT_EQ(est.predict(kGhost), SimTime::millis(123));
   EXPECT_EQ(est.predict_cold(kGhost), SimTime::millis(123));
   EXPECT_EQ(est.predict_quantile(kGhost, 0.95), SimTime::millis(123));
-  EXPECT_EQ(est.stats().prior_hits, 3u);
+  // A model looked up once answers each worker from the prior, one hit
+  // per answer (a routing decision asks once per candidate).
+  const DurationEstimator::ModelRef ghost = est.model(kGhost);
+  EXPECT_EQ(ghost.predict(0), SimTime::millis(123));
+  EXPECT_EQ(ghost.predict_cold(3), SimTime::millis(123));
+  EXPECT_EQ(est.stats().prior_hits, 5u);
 }
 
 TEST(DurationEstimator, KeysBelowTheLargestObservedStayUnseen) {
@@ -76,26 +81,6 @@ TEST(DurationEstimator, KeysBelowTheLargestObservedStayUnseen) {
   EXPECT_EQ(est.deviation(kShort), SimTime::zero());
   EXPECT_EQ(est.predict(kShort), est.config().prior);
   EXPECT_EQ(est.stats().prior_hits, 1u);
-}
-
-TEST(DurationEstimator, ModelRefAnswersAsTheKeyedCalls) {
-  // A routing decision looks the model up once and asks it per worker:
-  // every answer, and every prior hit, must match the keyed calls.
-  EstimatorConfig cfg;
-  cfg.per_worker = true;
-  DurationEstimator est{cfg};
-  est.observe(kFn, SimTime::millis(10), false, 0);
-  est.observe(kFn, SimTime::millis(90), true, 1);
-  const DurationEstimator::ModelRef fn = est.model(kFn);
-  for (const std::uint32_t w : {0u, 1u, 5u, DurationEstimator::kAnyWorker}) {
-    EXPECT_EQ(fn.predict(w), est.predict(kFn, w));
-    EXPECT_EQ(fn.predict_cold(w), est.predict_cold(kFn, w));
-  }
-  EXPECT_EQ(est.stats().prior_hits, 0u);
-  const DurationEstimator::ModelRef ghost = est.model(kGhost);
-  EXPECT_EQ(ghost.predict(0), cfg.prior);
-  EXPECT_EQ(ghost.predict_cold(3), cfg.prior);
-  EXPECT_EQ(est.stats().prior_hits, 2u);
 }
 
 TEST(DurationEstimator, FirstObservationSeedsTheMean) {
@@ -172,9 +157,9 @@ TEST(DurationEstimator, PerWorkerOffMakesOverloadsDelegate) {
   for (int i = 0; i < 10; ++i) {
     est.observe(kFn, SimTime::millis(40), false, /*worker=*/3);
   }
-  EXPECT_EQ(est.predict(kFn, 3), est.predict(kFn));
-  EXPECT_EQ(est.predict(kFn, 9), est.predict(kFn));
-  EXPECT_EQ(est.predict_cold(kFn, 3), est.predict_cold(kFn));
+  EXPECT_EQ(est.model(kFn).predict(3), est.predict(kFn));
+  EXPECT_EQ(est.model(kFn).predict(9), est.predict(kFn));
+  EXPECT_EQ(est.model(kFn).predict_cold(3), est.predict_cold(kFn));
 }
 
 TEST(DurationEstimator, PerWorkerModelCapturesNodeHeterogeneity) {
@@ -187,10 +172,10 @@ TEST(DurationEstimator, PerWorkerModelCapturesNodeHeterogeneity) {
     est.observe(kFn, SimTime::millis(10), false, 0);
     est.observe(kFn, SimTime::millis(80), false, 1);
   }
-  EXPECT_EQ(est.predict(kFn, 0), SimTime::millis(10));
-  EXPECT_EQ(est.predict(kFn, 1), SimTime::millis(80));
+  EXPECT_EQ(est.model(kFn).predict(0), SimTime::millis(10));
+  EXPECT_EQ(est.model(kFn).predict(1), SimTime::millis(80));
   // The global model blends both; a worker without history answers from it.
-  EXPECT_EQ(est.predict(kFn, 7), est.predict(kFn));
+  EXPECT_EQ(est.model(kFn).predict(7), est.predict(kFn));
   EXPECT_GT(est.predict(kFn), SimTime::millis(10));
   EXPECT_LT(est.predict(kFn), SimTime::millis(80));
 }
@@ -203,8 +188,8 @@ TEST(DurationEstimator, PerWorkerColdModelIsSeparateToo) {
     est.observe(kFn, SimTime::millis(10), /*cold_start=*/false, 0);
     est.observe(kFn, SimTime::millis(400), /*cold_start=*/true, 0);
   }
-  EXPECT_EQ(est.predict(kFn, 0), SimTime::millis(10));
-  EXPECT_EQ(est.predict_cold(kFn, 0), SimTime::millis(400));
+  EXPECT_EQ(est.model(kFn).predict(0), SimTime::millis(10));
+  EXPECT_EQ(est.model(kFn).predict_cold(0), SimTime::millis(400));
 }
 
 TEST(DurationEstimator, AnyWorkerSentinelNeverPopulatesPerWorker) {
@@ -214,9 +199,9 @@ TEST(DurationEstimator, AnyWorkerSentinelNeverPopulatesPerWorker) {
   est.observe(kFn, SimTime::millis(10), false, DurationEstimator::kAnyWorker);
   est.observe(kFn, SimTime::millis(10), false);  // 3-arg == kAnyWorker
   // Lookups through the sentinel (and unknown workers) hit the global model.
-  EXPECT_EQ(est.predict(kFn, DurationEstimator::kAnyWorker),
+  EXPECT_EQ(est.model(kFn).predict(DurationEstimator::kAnyWorker),
             est.predict(kFn));
-  EXPECT_EQ(est.predict(kFn, 0), est.predict(kFn));
+  EXPECT_EQ(est.model(kFn).predict(0), est.predict(kFn));
 }
 
 }  // namespace

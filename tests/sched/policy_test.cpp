@@ -193,7 +193,7 @@ TEST(PerWorkerRouting, FourArgFinishKeepsGlobalBehavior) {
   cfg.estimator.per_worker = true;
   CallScheduler sched{cfg};
   warm_up(sched, 0, kFn, SimTime::millis(10), 5, 1000);
-  EXPECT_EQ(sched.estimator().predict(kFn, 0),
+  EXPECT_EQ(sched.estimator().model(kFn).predict(0),
             sched.estimator().predict(kFn));
 }
 

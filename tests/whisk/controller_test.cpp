@@ -34,19 +34,6 @@ TEST(Controller, Returns503WithNoInvokers) {
   EXPECT_EQ(f.controller.last_503_time(), SimTime::zero());
 }
 
-TEST(Controller, RecordNamesTheFunctionByRegistryIndex) {
-  Fixture f;
-  f.controller.register_invoker();
-  const auto a = f.controller.submit("other");
-  const auto b = f.controller.submit("fn");
-  EXPECT_EQ(f.registry.spec(f.controller.activation(a.activation).function_index)
-                .name,
-            "other");
-  EXPECT_EQ(f.registry.spec(f.controller.activation(b.activation).function_index)
-                .name,
-            "fn");
-}
-
 TEST(Controller, RoutesToRegisteredInvoker) {
   Fixture f;
   const InvokerId id = f.controller.register_invoker();
