@@ -239,7 +239,6 @@ int main() {
       42, [](slurm::Slurmctld::Config& c) {
         c.fidelity.tres_mode = false;
         c.fidelity.node_capacity = slurm::TresVector{};
-        c.fidelity.fair_share.enabled = false;
         c.fidelity.qos.clear();
         c.fidelity.reservations.clear();
       });

@@ -41,10 +41,9 @@ const std::vector<sebs::WeightedEdge>& mst_edges() {
 /// Lambda-at-2048MB dilation relative to the HPC node: the published
 /// ~15% node advantage plus the (capped) CPU share.
 double lambda_dilation() {
-  cloud::LambdaService::Config cfg;
   const double share =
       std::min(1.0, 2048.0 / static_cast<double>(cloud::kFullVcpuMemoryMb));
-  return cfg.compute_slowdown / share;
+  return cloud::kComputeSlowdown / share;
 }
 
 template <typename Kernel>

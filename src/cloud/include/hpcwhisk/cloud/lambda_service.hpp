@@ -27,15 +27,15 @@ namespace hpcwhisk::cloud {
 
 /// Memory for which a full vCPU is granted.
 inline constexpr std::int64_t kFullVcpuMemoryMb = 1792;
+/// Containers stay warm this long after an invocation.
+inline constexpr sim::SimTime kKeepWarm = sim::SimTime::minutes(10);
+/// Single-thread compute slowdown relative to a Prometheus node
+/// (Fig. 7: HPC node ≈15 % faster => Lambda factor ≈1.15).
+inline constexpr double kComputeSlowdown = 1.15;
 
 class LambdaService {
  public:
   struct Config {
-    /// Containers stay warm this long after an invocation.
-    sim::SimTime keep_warm{sim::SimTime::minutes(10)};
-    /// Single-thread compute slowdown relative to a Prometheus node
-    /// (Fig. 7: HPC node ≈15 % faster => Lambda factor ≈1.15).
-    double compute_slowdown{1.15};
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};
   };

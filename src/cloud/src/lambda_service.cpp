@@ -61,7 +61,7 @@ std::uint64_t LambdaService::invoke(const std::string& function,
 
   // Internal execution: the function body, dilated by the CPU share and
   // the platform's compute slowdown relative to an HPC node.
-  const double dilation = config_.compute_slowdown / cpu_share(memory_mb);
+  const double dilation = kComputeSlowdown / cpu_share(memory_mb);
   rec.internal_duration =
       sim::SimTime::seconds(spec.duration(rng_).to_seconds() * dilation);
   latency += rec.internal_duration;
@@ -69,7 +69,7 @@ std::uint64_t LambdaService::invoke(const std::string& function,
   const std::uint64_t id = rec.id;
   const bool cold = rec.cold_start;
   records_.push_back(std::move(rec));
-  warm_until_[function] = now + latency + config_.keep_warm;
+  warm_until_[function] = now + latency + kKeepWarm;
 
   HW_OBS_IF(config_.obs) {
     // One async span per invocation on the cloud track, chained so the

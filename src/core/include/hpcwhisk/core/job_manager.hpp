@@ -37,6 +37,16 @@ enum class SupplyModel { kFib, kVar };
 /// The job-length sets evaluated in Table I.
 [[nodiscard]] std::vector<sim::SimTime> job_length_set(const std::string& name);
 
+/// var: queued flexible jobs maintained.
+inline constexpr std::size_t kVarTarget = 100;
+/// Hard cap on queued pilot jobs (Sec. III-D: never above 100).
+inline constexpr std::size_t kMaxQueued = 100;
+/// Warm-up model (Sec. IV-B: median 12.48 s, P95 26.5 s).
+inline constexpr double kWarmupMedianS = 12.48;
+inline constexpr double kWarmupP95S = 26.5;
+/// Minimum observations before an adaptive length update.
+inline constexpr std::size_t kAdaptMinSamples = 50;
+
 class JobManager {
  public:
   struct Config {
@@ -45,12 +55,8 @@ class JobManager {
     std::vector<sim::SimTime> fib_lengths;
     /// fib: queued jobs maintained per length.
     std::size_t fib_per_length{10};
-    /// var: queued flexible jobs maintained.
-    std::size_t var_target{100};
     /// Queue replenishment cadence (15 s on Prometheus).
     sim::SimTime replenish_interval{sim::SimTime::seconds(15)};
-    /// Hard cap on queued pilot jobs (Sec. III-D: never above 100).
-    std::size_t max_queued{100};
     std::string partition{"pilot"};
 
     /// Per-pilot TRES request (slurm fidelity/TRES mode). Zero means
@@ -65,9 +71,6 @@ class JobManager {
     /// pilot tier whose workers are preempted last (QOS regime of the
     /// fidelity bench). Deterministic: no extra RNG draws.
     std::string pilot_qos_long;
-    /// Warm-up model (Sec. IV-B: median 12.48 s, P95 26.5 s).
-    double warmup_median_s{12.48};
-    double warmup_p95_s{26.5};
     whisk::Invoker::Config invoker;
 
     /// Adaptive length tuning (the paper's future-work direction:
@@ -78,8 +81,6 @@ class JobManager {
     /// supply tracks the cluster's actual hole structure.
     bool adaptive{false};
     sim::SimTime adapt_interval{sim::SimTime::minutes(60)};
-    /// Minimum observations before the first adaptation.
-    std::size_t adapt_min_samples{50};
     /// Observation source for adaptation: returns the lengths (minutes)
     /// of recently observed *availability periods* (e.g. from a
     /// NodeStateLog over the last window). This is the online analogue

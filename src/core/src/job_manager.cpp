@@ -55,7 +55,7 @@ JobManager::JobManager(sim::Simulation& simulation, slurm::Slurmctld& slurmctld,
       controller_{controller},
       config_{std::move(config)},
       rng_{rng},
-      warmup_{config_.warmup_median_s, config_.warmup_p95_s, 0.95} {
+      warmup_{kWarmupMedianS, kWarmupP95S, 0.95} {
   if (config_.fib_lengths.empty()) config_.fib_lengths = job_length_set("A1");
   HW_OBS_IF(config_.obs) {
     config_.obs->metrics.add_collector([this](obs::MetricsRegistry& m) {
@@ -99,12 +99,11 @@ void JobManager::adapt_lengths() {
   std::vector<double> window_min;
   if (config_.hole_sampler) {
     window_min = config_.hole_sampler();
-    if (window_min.size() < config_.adapt_min_samples) return;
+    if (window_min.size() < kAdaptMinSamples) return;
   } else {
     // Fallback: this manager's own pilots' serving durations since the
     // previous adaptation.
-    if (serving_durations_.size() <
-        adapt_consumed_ + config_.adapt_min_samples)
+    if (serving_durations_.size() < adapt_consumed_ + kAdaptMinSamples)
       return;
     window_min.reserve(serving_durations_.size() - adapt_consumed_);
     for (std::size_t i = adapt_consumed_; i < serving_durations_.size(); ++i)
@@ -198,13 +197,13 @@ void JobManager::replenish() {
     for (const sim::SimTime len : config_.fib_lengths) {
       const std::size_t have = per_length[len.ticks()];
       for (std::size_t i = have; i < config_.fib_per_length; ++i) {
-        if (queued_.size() >= config_.max_queued) return;
+        if (queued_.size() >= kMaxQueued) return;
         submit_pilot(len, /*variable=*/false);
       }
     }
   } else {
-    for (std::size_t i = queued_.size(); i < config_.var_target; ++i) {
-      if (queued_.size() >= config_.max_queued) return;
+    for (std::size_t i = queued_.size(); i < kVarTarget; ++i) {
+      if (queued_.size() >= kMaxQueued) return;
       submit_pilot(kVarTimeMax, /*variable=*/true);
     }
   }

@@ -47,24 +47,25 @@ enum class Tier : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Tier t);
 
+/// Lease term, renewed on every hit (rFaaS clients re-lease while hot);
+/// an expired lease lapses lazily on the next lookup.
+inline constexpr sim::SimTime kLeaseTerm = sim::SimTime::seconds(30);
+/// Inter-arrival EWMA at or below this => kHot (lease-eligible).
+inline constexpr sim::SimTime kHotInterarrival = sim::SimTime::millis(500);
+/// ... at or below this => kWarm; above => kCold.
+inline constexpr sim::SimTime kWarmInterarrival = sim::SimTime::seconds(5);
+/// Arrivals before tiering applies (one gap needs two arrivals).
+inline constexpr std::uint64_t kMinArrivals = 3;
+/// Inter-arrival EWMA smoothing factor.
+inline constexpr double kArrivalAlpha = 0.25;
+/// Cap on concurrent leases pinned to one invoker, so a membership
+/// collapse cannot funnel every hot function onto the last survivor.
+inline constexpr std::size_t kMaxLeasesPerWorker = 8;
+
 struct LeaseConfig {
   /// Master switch. Off by default: with leases disabled the controller
   /// behaves bit-for-bit like before (legacy golden hashes depend on it).
   bool enabled{false};
-  /// Lease term, renewed on every hit (rFaaS clients re-lease while
-  /// hot); an expired lease lapses lazily on the next lookup.
-  sim::SimTime term{sim::SimTime::seconds(30)};
-  /// Inter-arrival EWMA at or below this => kHot (lease-eligible).
-  sim::SimTime hot_interarrival{sim::SimTime::millis(500)};
-  /// ... at or below this => kWarm; above => kCold.
-  sim::SimTime warm_interarrival{sim::SimTime::seconds(5)};
-  /// Arrivals before tiering applies (one gap needs two arrivals).
-  std::uint64_t min_arrivals{3};
-  /// Inter-arrival EWMA smoothing factor.
-  double alpha{0.25};
-  /// Cap on concurrent leases pinned to one invoker, so a membership
-  /// collapse cannot funnel every hot function onto the last survivor.
-  std::size_t max_leases_per_worker{8};
 };
 
 struct Lease {
@@ -79,7 +80,7 @@ struct Lease {
 
 class LeaseManager {
  public:
-  explicit LeaseManager(LeaseConfig config = {}) : config_{config} {}
+  LeaseManager() = default;
 
   LeaseManager(const LeaseManager&) = delete;
   LeaseManager& operator=(const LeaseManager&) = delete;
@@ -87,7 +88,7 @@ class LeaseManager {
   /// Folds one arrival of `function` into its inter-arrival EWMA.
   void observe_arrival(FunctionKey function, sim::SimTime now);
 
-  /// Current tier from the arrival stats (kCold until min_arrivals).
+  /// Current tier from the arrival stats (kCold until kMinArrivals).
   [[nodiscard]] Tier tier(FunctionKey function) const;
 
   /// The active lease for `function`, or nullptr. An expired lease is
@@ -106,7 +107,7 @@ class LeaseManager {
   bool renew(FunctionKey function, sim::SimTime now);
 
   /// A successful direct invoke through the lease: counts the hit and
-  /// auto-renews when configured.
+  /// renews the lease.
   void on_hit(FunctionKey function, sim::SimTime now);
 
   /// Drops the lease (backing invoker unusable). False if none existed.
@@ -120,7 +121,6 @@ class LeaseManager {
   [[nodiscard]] std::size_t leases_on(WorkerId worker) const;
   /// Smoothed inter-arrival gap (zero until two arrivals).
   [[nodiscard]] sim::SimTime interarrival(FunctionKey function) const;
-  [[nodiscard]] const LeaseConfig& config() const { return config_; }
 
   struct Stats {
     std::uint64_t granted{0};
@@ -150,7 +150,6 @@ class LeaseManager {
   [[nodiscard]] Lease* active(FunctionKey function);
   void drop(PerFunction& f);
 
-  LeaseConfig config_;
   /// Indexed by FunctionKey.
   std::vector<PerFunction> functions_;
   /// Leases held per worker, indexed by WorkerId.

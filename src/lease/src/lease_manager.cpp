@@ -26,7 +26,7 @@ void LeaseManager::observe_arrival(FunctionKey function, sim::SimTime now) {
   Arrival& a = entry(function).arrival;
   if (a.count > 0) {
     const auto gap = static_cast<double>((now - a.last).ticks());
-    a.ewma_us = a.count == 1 ? gap : a.ewma_us + config_.alpha * (gap - a.ewma_us);
+    a.ewma_us = a.count == 1 ? gap : a.ewma_us + kArrivalAlpha * (gap - a.ewma_us);
   }
   a.last = now;
   ++a.count;
@@ -35,10 +35,10 @@ void LeaseManager::observe_arrival(FunctionKey function, sim::SimTime now) {
 Tier LeaseManager::tier(FunctionKey function) const {
   if (function >= functions_.size()) return Tier::kCold;
   const Arrival& a = functions_[function].arrival;
-  if (a.count < config_.min_arrivals) return Tier::kCold;
+  if (a.count < kMinArrivals) return Tier::kCold;
   const auto ewma = sim::SimTime::micros(static_cast<std::int64_t>(a.ewma_us));
-  if (ewma <= config_.hot_interarrival) return Tier::kHot;
-  if (ewma <= config_.warm_interarrival) return Tier::kWarm;
+  if (ewma <= kHotInterarrival) return Tier::kHot;
+  if (ewma <= kWarmInterarrival) return Tier::kWarm;
   return Tier::kCold;
 }
 
@@ -59,14 +59,14 @@ const Lease* LeaseManager::acquire(FunctionKey function, WorkerId worker,
   if (f.leased) return nullptr;
   if (worker >= per_worker_.size()) per_worker_.resize(worker + 1, 0);
   std::size_t& held = per_worker_[worker];
-  if (held >= config_.max_leases_per_worker) return nullptr;
+  if (held >= kMaxLeasesPerWorker) return nullptr;
   Lease& l = f.lease;
   l = Lease{};
   l.id = next_id_++;
   l.function = function;
   l.worker = worker;
   l.granted_at = now;
-  l.expires_at = now + config_.term;
+  l.expires_at = now + kLeaseTerm;
   f.leased = true;
   ++held;
   ++lease_count_;
@@ -77,7 +77,7 @@ const Lease* LeaseManager::acquire(FunctionKey function, WorkerId worker,
 bool LeaseManager::renew(FunctionKey function, sim::SimTime now) {
   Lease* l = active(function);
   if (l == nullptr) return false;
-  l->expires_at = now + config_.term;
+  l->expires_at = now + kLeaseTerm;
   ++l->renewals;
   ++stats_.renewed;
   return true;
@@ -88,7 +88,7 @@ void LeaseManager::on_hit(FunctionKey function, sim::SimTime now) {
   if (l == nullptr) return;
   ++l->hits;
   ++stats_.hits;
-  l->expires_at = now + config_.term;
+  l->expires_at = now + kLeaseTerm;
   ++l->renewals;
   ++stats_.renewed;
 }

@@ -42,26 +42,21 @@ namespace hpcwhisk::obs {
 struct Observability {
   struct Config {
     std::size_t trace_capacity{TraceCollector::kDefaultCapacity};
-    /// Stored points per time series before downsampling (tier 2).
-    std::size_t series_capacity{TimeSeriesRecorder::kDefaultCapacity};
-    /// Routing "why" records kept before counted drops (tier 2).
-    std::size_t decision_capacity{DecisionLog::kDefaultCapacity};
   };
 
   Observability() : Observability(Config{}) {}
-  explicit Observability(Config config)
-      : trace{config.trace_capacity},
-        series{config.series_capacity},
-        decisions{config.decision_capacity} {}
+  explicit Observability(Config config) : trace{config.trace_capacity} {}
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
 
   TraceCollector trace;
   MetricsRegistry metrics;
-  /// Sim-time series (sampled by the run's owner, never by obs events).
+  /// Sim-time series (sampled by the run's owner, never by obs events),
+  /// kDefaultCapacity points each before downsampling.
   TimeSeriesRecorder series;
-  /// Per-routing-decision explainability records.
+  /// Per-routing-decision explainability records, kDefaultCapacity of
+  /// them before counted drops.
   DecisionLog decisions;
 };
 

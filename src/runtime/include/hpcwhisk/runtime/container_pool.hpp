@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hpcwhisk/runtime/runtime_profile.hpp"
@@ -47,20 +48,26 @@ struct AcquireResult {
   sim::SimTime start_latency;  ///< includes any eviction cost paid first
 };
 
+/// Idle containers older than this are reaped by reap_idle() under
+/// KeepAlivePolicy::kFixed (and as the fallback before a function has
+/// arrival history under the adaptive policies): OpenWhisk's 10 minutes.
+inline constexpr sim::SimTime kIdleTimeout = sim::SimTime::minutes(10);
+
 /// Container keep-alive (idle-timeout) policy family (*Has Your FaaS
 /// Application Been Decommissioned Yet?*, PAPERS.md: the keep-alive
 /// policy dominates cold-start rate under real traffic).
 enum class KeepAlivePolicy : std::uint8_t {
-  /// Every idle container lives Config::idle_timeout — the historical
-  /// single hardcoded constant (OpenWhisk's 10 minutes).
+  /// Every idle container lives kIdleTimeout — the historical single
+  /// hardcoded constant (OpenWhisk's 10 minutes).
   kFixed,
   /// Per-function timeout proportional to the function's inter-arrival
-  /// EWMA, clamped to [floor, ceiling]: rarely-called functions release
-  /// memory early, hot functions never lose their container to a timer.
+  /// EWMA, clamped to [floor, kKeepAliveCeiling]: rarely-called functions
+  /// release memory early, hot functions never lose their container to a
+  /// timer.
   kAdaptive,
   /// kAdaptive further scaled down toward `floor` as pool occupancy
   /// (containers or memory, whichever is tighter) crosses
-  /// [pressure_low, pressure_high] — keep-alive generosity is a luxury
+  /// [kPressureLow, kPressureHigh] — keep-alive generosity is a luxury
   /// of an empty node.
   kHybrid,
 };
@@ -69,18 +76,28 @@ enum class KeepAlivePolicy : std::uint8_t {
 [[nodiscard]] std::optional<KeepAlivePolicy> keep_alive_policy_from_string(
     const std::string& name);
 
+/// kAdaptive/kHybrid: timeout = clamp(kKeepAliveMargin * interarrival
+/// EWMA, floor, kKeepAliveCeiling).
+inline constexpr double kKeepAliveMargin = 4.0;
+inline constexpr sim::SimTime kKeepAliveCeiling = sim::SimTime::minutes(20);
+/// Inter-arrival EWMA smoothing factor.
+inline constexpr double kKeepAliveAlpha = 0.25;
+/// kHybrid occupancy band: below kPressureLow the adaptive timeout
+/// applies untouched, above kPressureHigh only `floor` remains.
+inline constexpr double kPressureLow = 0.5;
+inline constexpr double kPressureHigh = 0.9;
+
+/// Stem-cell pool (OpenWhisk prewarm): generic containers of this kind
+/// and size are kept booted so the first call of a new function pays
+/// only a specialization latency instead of a full cold start.
+inline constexpr std::string_view kPrewarmKind = "python:3";
+inline constexpr std::int64_t kPrewarmMemoryMb = 256;
+
 struct KeepAliveConfig {
   KeepAlivePolicy policy{KeepAlivePolicy::kFixed};
-  /// kAdaptive/kHybrid: timeout = clamp(margin * interarrival EWMA).
-  double margin{4.0};
+  /// Lower clamp of the adaptive timeout (must not exceed
+  /// kKeepAliveCeiling).
   sim::SimTime floor{sim::SimTime::seconds(30)};
-  sim::SimTime ceiling{sim::SimTime::minutes(20)};
-  /// Inter-arrival EWMA smoothing factor.
-  double alpha{0.25};
-  /// kHybrid occupancy band: below low the adaptive timeout applies
-  /// untouched, above high only `floor` remains.
-  double pressure_low{0.5};
-  double pressure_high{0.9};
   /// Cadence of the invoker-side reap_idle() sweep. Zero (the default)
   /// disables periodic reaping — the historical behavior, where idle
   /// containers die only by eviction pressure.
@@ -95,19 +112,12 @@ class ContainerPool {
     std::int64_t memory_mb{120 * 1024};
     /// Hard cap on concurrently existing containers on the node.
     std::size_t max_containers{64};
-    /// Idle containers older than this are reaped by reap_idle() under
-    /// KeepAlivePolicy::kFixed (and as the fallback before a function
-    /// has arrival history under the adaptive policies).
-    sim::SimTime idle_timeout{sim::SimTime::minutes(10)};
     /// Pluggable keep-alive policy; the default (kFixed) reproduces the
     /// historical behavior exactly.
     KeepAliveConfig keep_alive{};
-    /// Stem-cell pool (OpenWhisk prewarm): generic containers of this
-    /// kind are kept booted so the first call of a new function pays
-    /// only a specialization latency instead of a full cold start.
-    std::string prewarm_kind{"python:3"};
+    /// Stem cells (kPrewarmKind) kept booted; 0 disables the stem-cell
+    /// pool.
     std::size_t prewarm_count{2};
-    std::int64_t prewarm_memory_mb{256};
   };
 
   ContainerPool(Config config, RuntimeProfile profile, sim::Rng rng);
@@ -130,9 +140,7 @@ class ContainerPool {
   /// case — pool already topped up — returns after one inline size
   /// check, so the per-tick cost is a compare, not a call.
   void maintain_prewarm(sim::SimTime now) {
-    if (stem_.size >= config_.prewarm_count ||
-        config_.prewarm_kind.empty())
-      return;
+    if (stem_.size >= config_.prewarm_count) return;
     refill_prewarm(now);
   }
 
@@ -153,7 +161,7 @@ class ContainerPool {
   std::size_t reap_idle(sim::SimTime now);
 
   /// The keep-alive timeout currently in force for `function`: the
-  /// fixed idle_timeout, or the per-function adaptive value (pressure-
+  /// fixed kIdleTimeout, or the per-function adaptive value (pressure-
   /// scaled under kHybrid). Exposed for tests and observability.
   [[nodiscard]] sim::SimTime effective_idle_timeout(FunctionKey function) const;
 

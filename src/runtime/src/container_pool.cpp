@@ -131,7 +131,7 @@ AcquireResult ContainerPool::acquire(FunctionKey function,
   // 2. Stem-cell hit: specialize a booted prewarmed container of the
   //    matching kind (OpenWhisk pays roughly a warm start here, not a
   //    cold one — the sandbox already exists).
-  if (!kind.empty() && kind == config_.prewarm_kind) {
+  if (kind == kPrewarmKind) {
     for (std::uint32_t s = stem_.head; s != kNil; s = slots_[s].next) {
       Slot& c = slots_[s];
       if (c.usable_at > now || c.memory_mb < memory_mb) continue;
@@ -189,10 +189,9 @@ void ContainerPool::refill_prewarm(sim::SimTime now) {
   while (stem_.size < config_.prewarm_count) {
     // Never evict for stem cells: only use genuinely free capacity.
     if (live_ >= config_.max_containers) return;
-    if (memory_in_use_mb_ + config_.prewarm_memory_mb > config_.memory_mb)
-      return;
+    if (memory_in_use_mb_ + kPrewarmMemoryMb > config_.memory_mb) return;
     const sim::SimTime usable_at = now + profile_.sample_cold_start(rng_);
-    const std::uint32_t s = create(config_.prewarm_memory_mb);
+    const std::uint32_t s = create(kPrewarmMemoryMb);
     Slot& c = slots_[s];
     c.function = kStemCell;
     c.state = ContainerState::kIdle;
@@ -245,7 +244,7 @@ void ContainerPool::note_arrival(FunctionKey function, sim::SimTime now) {
   if (a.count > 0) {
     const auto gap = static_cast<double>((now - a.last).ticks());
     a.ewma_us =
-        a.count == 1 ? gap : a.ewma_us + config_.keep_alive.alpha * (gap - a.ewma_us);
+        a.count == 1 ? gap : a.ewma_us + kKeepAliveAlpha * (gap - a.ewma_us);
   }
   a.last = now;
   ++a.count;
@@ -253,12 +252,12 @@ void ContainerPool::note_arrival(FunctionKey function, sim::SimTime now) {
 
 sim::SimTime ContainerPool::effective_idle_timeout(FunctionKey function) const {
   const KeepAliveConfig& ka = config_.keep_alive;
-  if (ka.policy == KeepAlivePolicy::kFixed) return config_.idle_timeout;
-  sim::SimTime base = config_.idle_timeout;  // no history yet: old behavior
+  if (ka.policy == KeepAlivePolicy::kFixed) return kIdleTimeout;
+  sim::SimTime base = kIdleTimeout;  // no history yet: old behavior
   if (function < arrivals_.size() && arrivals_[function].count >= 2) {
     base = std::clamp(sim::SimTime::micros(static_cast<std::int64_t>(
-                          ka.margin * arrivals_[function].ewma_us)),
-                      ka.floor, ka.ceiling);
+                          kKeepAliveMargin * arrivals_[function].ewma_us)),
+                      ka.floor, kKeepAliveCeiling);
   }
   if (ka.policy == KeepAlivePolicy::kAdaptive || base <= ka.floor) return base;
   // kHybrid: occupancy pressure eats the margin above the floor.
@@ -273,9 +272,8 @@ sim::SimTime ContainerPool::effective_idle_timeout(FunctionKey function) const {
           : static_cast<double>(memory_in_use_mb_) /
                 static_cast<double>(config_.memory_mb);
   const double occupancy = std::max(by_count, by_memory);
-  const double band = std::max(1e-9, ka.pressure_high - ka.pressure_low);
-  const double p =
-      std::clamp((occupancy - ka.pressure_low) / band, 0.0, 1.0);
+  const double band = std::max(1e-9, kPressureHigh - kPressureLow);
+  const double p = std::clamp((occupancy - kPressureLow) / band, 0.0, 1.0);
   const auto above_floor = static_cast<double>((base - ka.floor).ticks());
   return base - sim::SimTime::micros(static_cast<std::int64_t>(p * above_floor));
 }
@@ -289,7 +287,7 @@ std::size_t ContainerPool::reap_idle(sim::SimTime now) {
     const std::uint32_t next = slots_[s].next;
     const Slot& c = slots_[s];
     const sim::SimTime timeout =
-        fixed ? config_.idle_timeout : effective_idle_timeout(c.function);
+        fixed ? kIdleTimeout : effective_idle_timeout(c.function);
     if (now - c.last_used > timeout) {
       unlink(idle_, s);
       destroy(s);

@@ -12,7 +12,7 @@
 //    overhead prior. Ties prefer warm workers, then the lowest id.
 //  * sjf-affinity: keep the hash-homed worker (warm-container reuse,
 //    OpenWhisk Sec. II) unless its expected completion exceeds the best
-//    worker's by more than `sjf_affinity_slack x predicted duration +
+//    worker's by more than `kSjfAffinitySlack x predicted duration +
 //    kColdOverhead` — an SJF-flavored escape: the shorter the predicted
 //    duration, the smaller the queueing delay the call tolerates before
 //    abandoning its warm home, with a cold-start hysteresis so nobody
@@ -49,25 +49,18 @@ inline constexpr sim::SimTime kColdOverhead = sim::SimTime::millis(500);
 /// Predicted-duration bound under which a call is short-class.
 inline constexpr sim::SimTime kShortClassBound = sim::SimTime::millis(250);
 
+/// sjf-affinity escape threshold, in units of the call's predicted
+/// duration (see header comment).
+inline constexpr double kSjfAffinitySlack = 2.0;
+
 struct SchedConfig {
-  EstimatorConfig estimator;
-  /// sjf-affinity escape threshold, in units of the call's predicted
-  /// duration (see header comment).
-  double sjf_affinity_slack{2.0};
   /// Enables the short-class fast path (front-of-queue publish).
   bool deadline_classes{false};
-  /// Deadline-class dispersion guard: the short-class test compares
-  /// `predict + factor * deviation` against the bound, so a function
-  /// whose durations swing wildly must predict well under the bound
-  /// before it may jump queues. 0 (default) preserves the plain
-  /// predicted <= bound test bit-for-bit.
-  double short_class_deviation_factor{0.0};
 };
 
 class CallScheduler {
  public:
-  explicit CallScheduler(SchedConfig config = {})
-      : config_{config}, estimator_{config.estimator} {}
+  explicit CallScheduler(SchedConfig config = {}) : config_{config} {}
 
   CallScheduler(const CallScheduler&) = delete;
   CallScheduler& operator=(const CallScheduler&) = delete;
@@ -128,12 +121,6 @@ class CallScheduler {
   /// (`actual` >= 0) — folds the actual duration into the estimator.
   Outcome on_finished(CallId call, FunctionKey function,
                       std::int64_t actual_ticks, bool cold_start);
-  /// As above, attributing the sample to the worker that executed the
-  /// call (feeds the per-worker models when they are enabled; pass
-  /// DurationEstimator::kAnyWorker when unknown).
-  Outcome on_finished(CallId call, FunctionKey function,
-                      std::int64_t actual_ticks, bool cold_start,
-                      WorkerId worker);
 
   /// The worker vanished without hand-off: drop all its charges (the
   /// watchdog's rescue re-charges survivors when they restart).
@@ -149,7 +136,6 @@ class CallScheduler {
     const std::span<const WorkerId> warm = warm_set(function);
     return std::binary_search(warm.begin(), warm.end(), worker);
   }
-  [[nodiscard]] const SchedConfig& config() const { return config_; }
 
   struct Stats {
     std::uint64_t decisions{0};
@@ -184,9 +170,8 @@ class CallScheduler {
                              std::span<const WorkerId> warm,
                              WorkerId worker) const;
   [[nodiscard]] Decision finalize(const DurationEstimator::ModelRef& model,
-                                  FunctionKey function, WorkerId worker,
-                                  const Cost& cost, std::size_t candidates,
-                                  WorkerId runner_up,
+                                  WorkerId worker, const Cost& cost,
+                                  std::size_t candidates, WorkerId runner_up,
                                   std::int64_t runner_up_cost);
 
   SchedConfig config_;

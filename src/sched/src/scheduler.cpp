@@ -10,23 +10,20 @@ CallScheduler::Cost CallScheduler::cost_at(
   Cost c;
   c.cold = !std::binary_search(warm.begin(), warm.end(), worker);
   c.backlog = ledger_.backlog(worker);
-  // Worker-qualified predictions: identical to the global model unless
-  // per-worker models are enabled and this (function, worker) pair has
-  // history of its own.
   if (c.cold) {
-    c.predicted = model.predict_cold(worker).ticks();
+    c.predicted = model.predict_cold().ticks();
     c.cost = c.backlog + c.predicted + kColdOverhead.ticks();
   } else {
-    c.predicted = model.predict(worker).ticks();
+    c.predicted = model.predict().ticks();
     c.cost = c.backlog + c.predicted;
   }
   return c;
 }
 
 CallScheduler::Decision CallScheduler::finalize(
-    const DurationEstimator::ModelRef& model, FunctionKey function,
-    WorkerId worker, const Cost& cost, std::size_t candidates,
-    WorkerId runner_up, std::int64_t runner_up_cost) {
+    const DurationEstimator::ModelRef& model, WorkerId worker,
+    const Cost& cost, std::size_t candidates, WorkerId runner_up,
+    std::int64_t runner_up_cost) {
   Decision d;
   d.worker = worker;
   d.predicted_ticks = cost.predicted;
@@ -37,20 +34,9 @@ CallScheduler::Decision CallScheduler::finalize(
   d.runner_up_cost_ticks = runner_up_cost;
   d.backlog_ticks = cost.backlog;
   d.candidates = static_cast<std::uint32_t>(candidates);
-  if (config_.deadline_classes) {
-    sim::SimTime metric = model.predict();
-    if (config_.short_class_deviation_factor > 0.0) {
-      // Dispersion guard: high-variance functions must predict well
-      // under the bound before they may jump queues.
-      metric = metric + sim::SimTime::micros(static_cast<std::int64_t>(
-                            config_.short_class_deviation_factor *
-                            static_cast<double>(
-                                estimator_.deviation(function).ticks())));
-    }
-    if (metric <= kShortClassBound) {
-      d.short_class = true;
-      ++stats_.short_class;
-    }
+  if (config_.deadline_classes && model.predict() <= kShortClassBound) {
+    d.short_class = true;
+    ++stats_.short_class;
   }
   ++stats_.decisions;
   if (d.expected_cold) ++stats_.cold_routed;
@@ -83,7 +69,7 @@ CallScheduler::Decision CallScheduler::route_least_expected_work(
       second_cost = c.cost;
     }
   }
-  return finalize(model, function, best, best_cost, workers.size(), second,
+  return finalize(model, best, best_cost, workers.size(), second,
                   second_cost);
 }
 
@@ -114,20 +100,20 @@ CallScheduler::Decision CallScheduler::route_sjf_affinity(
   // real overload quickly, long calls tolerate proportionally more, and
   // nobody trades a warm home for sub-cold-start noise.
   const double slack =
-      config_.sjf_affinity_slack *
+      kSjfAffinitySlack *
           static_cast<double>(std::max<std::int64_t>(home_cost.predicted, 1)) +
       static_cast<double>(kColdOverhead.ticks());
   if (best != home && static_cast<double>(home_cost.cost - best_cost.cost) >
                           slack) {
     ++stats_.affinity_escaped;
     // The rejected alternative is the warm home the call abandoned.
-    return finalize(model, function, best, best_cost, workers.size(), home,
+    return finalize(model, best, best_cost, workers.size(), home,
                     home_cost.cost);
   }
   ++stats_.affinity_kept;
   const WorkerId runner_up = best != home ? best : Decision::kNoRunnerUp;
-  return finalize(model, function, home, home_cost, workers.size(),
-                  runner_up, best != home ? best_cost.cost : 0);
+  return finalize(model, home, home_cost, workers.size(), runner_up,
+                  best != home ? best_cost.cost : 0);
 }
 
 void CallScheduler::on_routed(CallId call, const Decision& decision) {
@@ -159,15 +145,6 @@ CallScheduler::Outcome CallScheduler::on_finished(CallId call,
                                                   FunctionKey function,
                                                   std::int64_t actual_ticks,
                                                   bool cold_start) {
-  return on_finished(call, function, actual_ticks, cold_start,
-                     DurationEstimator::kAnyWorker);
-}
-
-CallScheduler::Outcome CallScheduler::on_finished(CallId call,
-                                                  FunctionKey function,
-                                                  std::int64_t actual_ticks,
-                                                  bool cold_start,
-                                                  WorkerId worker) {
   Outcome out;
   BacklogLedger::Charge charge;
   out.had_charge = ledger_.release(call, &charge);
@@ -176,8 +153,8 @@ CallScheduler::Outcome CallScheduler::on_finished(CallId call,
   // error is a genuine forecast error even on the uncharged path.
   out.predicted_ticks = out.had_charge ? charge.predicted_ticks
                                        : estimator_.predict(function).ticks();
-  estimator_.observe(function, sim::SimTime::micros(actual_ticks), cold_start,
-                     worker);
+  estimator_.observe(function, sim::SimTime::micros(actual_ticks),
+                     cold_start);
   out.observed = true;
   out.actual_ticks = actual_ticks;
   out.abs_error_ticks = out.actual_ticks >= out.predicted_ticks

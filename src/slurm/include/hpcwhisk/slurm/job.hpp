@@ -78,9 +78,6 @@ struct JobSpec {
   /// legacy binary preemption semantics.
   std::string qos;
 
-  /// Fair-share accounting bucket. Empty means the partition name.
-  std::string account;
-
   /// Fired when the job starts on its allocation.
   std::function<void(const JobRecord&)> on_start;
   /// Fired when the job receives SIGTERM (grace period begins). Only
@@ -105,9 +102,8 @@ struct JobRecord {
   /// tiers may preempt this job (TRES mode); the legacy pass keeps its
   /// binary tier-0-victim rule.
   std::int32_t preempt_tier{0};
-  /// Queue priority after QOS bonus and fair-share debit. Equals
-  /// spec.priority exactly when both knobs are off, so legacy decision
-  /// logs are byte-identical.
+  /// Queue priority after the QOS bonus. Equals spec.priority exactly
+  /// without a QOS, so legacy decision logs are byte-identical.
   std::int64_t effective_priority{0};
 
   sim::SimTime submit_time;

@@ -86,16 +86,17 @@ enum class PilotPlacement {
                   ///< before the node's earliest reservation
 };
 
+/// Interval of the periodic scheduling/backfill pass.
+inline constexpr sim::SimTime kSchedInterval = sim::SimTime::seconds(30);
+/// Backfill look-ahead window (Prometheus: 120 minutes).
+inline constexpr sim::SimTime kBackfillWindow = sim::SimTime::minutes(120);
+/// Allocation slot: limits are quantized to this (Prometheus: 2 min).
+inline constexpr sim::SimTime kSlot = sim::SimTime::minutes(2);
+
 class Slurmctld {
  public:
   struct Config {
     std::uint32_t node_count{0};
-    /// Interval of the periodic scheduling/backfill pass.
-    sim::SimTime sched_interval{sim::SimTime::seconds(30)};
-    /// Backfill look-ahead window (Prometheus: 120 minutes).
-    sim::SimTime backfill_window{sim::SimTime::minutes(120)};
-    /// Allocation slot: limits are quantized to this (Prometheus: 2 min).
-    sim::SimTime slot{sim::SimTime::minutes(2)};
     /// How many pending jobs each backfill pass examines per tier
     /// (Slurm's bf_max_job_test).
     std::size_t backfill_depth{200};
@@ -110,11 +111,11 @@ class Slurmctld {
     /// idle for a while even when fitting work is queued.
     sim::SimTime min_pass_gap{sim::SimTime::seconds(20)};
     PilotPlacement pilot_placement{PilotPlacement::kPreemptAware};
-    /// If true, variable-length (time_min > 0) jobs are only considered
-    /// during periodic passes, sized against the availability picture of
-    /// the *previous* pass. Models the scheduling lag the paper blames
+    /// Variable-length (time_min > 0) pilots are only considered during
+    /// periodic passes, sized against the availability picture of the
+    /// *previous* pass. This models the scheduling lag the paper blames
     /// for the var model's 68% (vs 84% bound) coverage (Sec. V-B2).
-    bool var_jobs_periodic_only{true};
+    ///
     /// Minimum spacing between passes that place variable-length jobs:
     /// sizing them (schedule at --time-min, try to extend) is the
     /// expensive scheduler path, so it runs much less often than plain
@@ -144,8 +145,6 @@ class Slurmctld {
       /// Capacity of every node (required non-zero when tres_mode;
       /// legacy mode uses a one-cpu unit capacity instead).
       TresVector node_capacity{};
-      /// Usage-decayed fair-share priority (applies in both modes).
-      FairShareConfig fair_share{};
       /// Registered QOS levels; jobs reference them by JobSpec::qos.
       std::vector<Qos> qos{};
       /// Advance reservations active from t=0 (more can be added at
@@ -234,11 +233,6 @@ class Slurmctld {
     TresVector pilot;     ///< Σ allocations held by tier-0 pilots
   };
   [[nodiscard]] TresTotals tres_totals() const;
-  /// Decayed fair-share usage (node-seconds) of `account` as of now.
-  [[nodiscard]] double account_usage(const std::string& account) const;
-  /// Priority debit currently applied to submissions from `account`.
-  [[nodiscard]] std::int64_t fair_share_debit(
-      const std::string& account) const;
 
   /// Ground-truth observer: invoked on every observed-state transition.
   /// The initial state of every node (idle at t=0) is not announced.
@@ -317,9 +311,9 @@ class Slurmctld {
                      const std::vector<sim::SimTime>& reserved_until);
 
   /// Var-pass gate shared by both pilot placements: whether this pass
-  /// may start variable-length pilots. Under var_jobs_periodic_only only
-  /// a periodic pass at least var_pass_period after the last admitted
-  /// one may, and admitting it restarts that period.
+  /// may start variable-length pilots. Only a periodic pass at least
+  /// var_pass_period after the last admitted one may, and admitting it
+  /// restarts that period.
   bool open_var_pass(bool periodic);
   /// Pilot placement pass over currently idle nodes.
   void place_pilots(PassCache& cache,
@@ -388,11 +382,7 @@ class Slurmctld {
   void reservation_window_begin(std::size_t index);
   void reservation_window_end(std::size_t index);
 
-  // --- Fair-share / QOS ---------------------------------------------------
-  /// Charges `rec`'s node-seconds to its account (decaying first).
-  void charge_fair_share(const JobRecord& rec);
-  [[nodiscard]] double decayed_usage(const std::string& account) const;
-  [[nodiscard]] std::int64_t debit_for_usage(double usage) const;
+  // --- QOS -----------------------------------------------------------------
   [[nodiscard]] const Qos* find_qos(const std::string& name) const;
 
 
@@ -421,7 +411,8 @@ class Slurmctld {
   sim::SimTime last_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
   sim::SimTime last_var_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
   Counters counters_;
-  /// Stale availability picture for var sizing (see Config).
+  /// Availability picture of the last periodic pass: variable-length
+  /// pilots are sized against it (see Config::var_pass_period).
   std::vector<sim::SimTime> last_pass_reserved_from_;
 
   // --- Per-pass scratch buffers ------------------------------------------
@@ -446,12 +437,6 @@ class Slurmctld {
   bool tres_on_{false};
   bool qos_on_{false};
   std::unordered_map<std::string, Qos> qos_;
-  /// Decayed per-account usage; `last` is the decay reference point.
-  struct AccountUsage {
-    double usage{0.0};
-    sim::SimTime last{sim::SimTime::zero()};
-  };
-  std::unordered_map<std::string, AccountUsage> usage_;
   std::vector<Reservation> reservations_;
   /// Victim job -> claimant(s) waiting on it. A multi-node victim can be
   /// claimed by several claimants at once.

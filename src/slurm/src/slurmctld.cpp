@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "hpcwhisk/obs/observability.hpp"
@@ -99,7 +98,7 @@ Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
   qos_on_ = !qos_.empty();
   for (const Reservation& r : config_.fidelity.reservations) add_reservation(r);
 
-  sim_.every(config_.sched_interval, [this] { run_sched_pass(true); });
+  sim_.every(kSchedInterval, [this] { run_sched_pass(true); });
   HW_OBS_IF(config_.obs) {
     config_.obs->metrics.add_collector([this](obs::MetricsRegistry& m) {
       m.counter("slurm.jobs.submitted").set(counters_.submitted);
@@ -118,8 +117,8 @@ Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
 
 void Slurmctld::enqueue_pending(std::int32_t tier, const JobRecord& rec) {
   auto& q = pending_[tier];
-  // effective_priority == spec.priority when QOS and fair-share are off,
-  // so legacy queue orderings (and golden decision logs) are unchanged.
+  // effective_priority == spec.priority without a QOS, so legacy queue
+  // orderings (and golden decision logs) are unchanged.
   const QueueEntry entry{rec.effective_priority, rec.id};
   q.insert(std::upper_bound(q.begin(), q.end(), entry), entry);
 }
@@ -165,11 +164,6 @@ JobId Slurmctld::submit(JobSpec spec) {
   rec.spec = std::move(spec);
   rec.preempt_tier = qos ? qos->preempt_tier : part.priority_tier;
   rec.effective_priority = rec.spec.priority + (qos ? qos->priority_weight : 0);
-  if (config_.fidelity.fair_share.enabled) {
-    const std::string& account =
-        rec.spec.account.empty() ? rec.spec.partition : rec.spec.account;
-    rec.effective_priority -= debit_for_usage(decayed_usage(account));
-  }
   const JobId id = rec.id;
   const bool is_var = rec.spec.time_min > sim::SimTime::zero();
   const std::int32_t tier = rec.priority_tier;
@@ -177,10 +171,8 @@ JobId Slurmctld::submit(JobSpec spec) {
   enqueue_pending(tier, it->second);
   ++counters_.submitted;
   notify_job(JobEventKind::kSubmitted, it->second);
-  // Variable-length pilots wait for the periodic pass when configured so.
-  if (!(is_var && config_.var_jobs_periodic_only && tier == 0)) {
-    request_schedule();
-  }
+  // Variable-length pilots wait for the periodic pass.
+  if (!(is_var && tier == 0)) request_schedule();
   return id;
 }
 
@@ -517,7 +509,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
       // free earliest in the planning timeline.
       if (reservations_made < config_.reservation_depth &&
           horizon_.book(rec.spec.num_nodes, rec.spec.time_limit,
-                        now + config_.backfill_window, reserved_from)) {
+                        now + kBackfillWindow, reserved_from)) {
         ++reservations_made;
       }
     }
@@ -603,7 +595,7 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
     for (const NodeId n : chosen)
       horizon = std::min(horizon, reserved_until[n]);
     if (horizon != sim::SimTime::max()) {
-      granted = std::clamp(floor_to_slot(horizon - now, config_.slot),
+      granted = std::clamp(floor_to_slot(horizon - now, kSlot),
                            rec.spec.time_min, rec.spec.time_limit);
     }
   }
@@ -618,7 +610,6 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
 }
 
 bool Slurmctld::open_var_pass(bool periodic) {
-  if (!config_.var_jobs_periodic_only) return true;
   const sim::SimTime now = sim_.now();
   if (!periodic || now - last_var_pass_ < config_.var_pass_period)
     return false;
@@ -634,8 +625,6 @@ void Slurmctld::place_pilots(PassCache& cache,
   auto& queue = tier0->second;
 
   const sim::SimTime now = sim_.now();
-  const std::vector<sim::SimTime>& sizing_view =
-      config_.var_jobs_periodic_only ? last_pass_reserved_from_ : reserved_from;
   const bool var_allowed = open_var_pass(periodic);
 
   // For each idle node, pick the best (highest-priority) queued pilot
@@ -672,13 +661,14 @@ void Slurmctld::place_pilots(PassCache& cache,
 
       sim::SimTime granted = rec.spec.time_limit;
       if (is_var) {
-        // Sized against the (possibly stale) availability picture.
+        // Sized against the previous periodic pass's availability
+        // picture, not this pass's.
         const sim::SimTime stale_hole =
-            sizing_view[node] == sim::SimTime::max()
+            last_pass_reserved_from_[node] == sim::SimTime::max()
                 ? sim::SimTime::max()
-                : sizing_view[node] - now;
+                : last_pass_reserved_from_[node] - now;
         if (stale_hole != sim::SimTime::max()) {
-          granted = std::clamp(floor_to_slot(stale_hole, config_.slot),
+          granted = std::clamp(floor_to_slot(stale_hole, kSlot),
                                rec.spec.time_min, rec.spec.time_limit);
         }
       } else if (config_.pilot_placement == PilotPlacement::kHoleFitting &&
@@ -848,7 +838,6 @@ void Slurmctld::finish_job(JobRecord& rec, EndReason reason) {
   notify_job(JobEventKind::kEnded, rec, sim::SimTime::zero(),
              sim::SimTime::zero(), reason);
   if (was_active) free_nodes(rec);
-  if (was_active && config_.fidelity.fair_share.enabled) charge_fair_share(rec);
   victim_ended(rec.id);
   if (rec.spec.on_end) rec.spec.on_end(rec, reason);
   if (was_active) request_schedule();
@@ -1042,7 +1031,7 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
       horizon = std::min(horizon, res_next_start[n]);
     if (horizon != sim::SimTime::max()) {
       granted =
-          std::clamp(floor_to_slot(horizon - now - part.grace_time, config_.slot),
+          std::clamp(floor_to_slot(horizon - now - part.grace_time, kSlot),
                      rec.spec.time_min, rec.spec.time_limit);
     }
   }
@@ -1101,7 +1090,7 @@ sim::SimTime Slurmctld::tres_shadow_time(
   std::nth_element(fits.begin(), fits.begin() + (rec.spec.num_nodes - 1),
                    fits.end());
   const sim::SimTime shadow = fits[rec.spec.num_nodes - 1].first;
-  if (shadow > now + config_.backfill_window) return sim::SimTime::max();
+  if (shadow > now + kBackfillWindow) return sim::SimTime::max();
   return std::max(shadow, now);
 }
 
@@ -1164,7 +1153,7 @@ void Slurmctld::place_pilots_tres(
         sim::SimTime granted = rec.spec.time_limit;
         if (is_var && res_next_start[nid] != sim::SimTime::max()) {
           const sim::SimTime hole = res_next_start[nid] - now - part.grace_time;
-          granted = std::clamp(floor_to_slot(hole, config_.slot),
+          granted = std::clamp(floor_to_slot(hole, kSlot),
                                rec.spec.time_min, rec.spec.time_limit);
         }
         queue.erase(it);
@@ -1334,52 +1323,12 @@ void Slurmctld::reservation_window_end(std::size_t index) {
   }
 }
 
-// --- Fair-share / QOS -------------------------------------------------------
+// --- QOS --------------------------------------------------------------------
 
 const Qos* Slurmctld::find_qos(const std::string& name) const {
   if (name.empty() || !qos_on_) return nullptr;
   const auto it = qos_.find(name);
   return it == qos_.end() ? nullptr : &it->second;
-}
-
-double Slurmctld::decayed_usage(const std::string& account) const {
-  const auto it = usage_.find(account);
-  if (it == usage_.end()) return 0.0;
-  const FairShareConfig& fs = config_.fidelity.fair_share;
-  if (fs.half_life <= sim::SimTime::zero()) return it->second.usage;
-  const double dt = (sim_.now() - it->second.last).to_seconds();
-  const double hl = fs.half_life.to_seconds();
-  return it->second.usage * std::exp2(-dt / hl);
-}
-
-std::int64_t Slurmctld::debit_for_usage(double usage) const {
-  const FairShareConfig& fs = config_.fidelity.fair_share;
-  if (!fs.enabled || usage <= 0.0) return 0;
-  const double frac = usage / (usage + kFairShareUsageNorm);
-  return std::llround(static_cast<double>(kFairShareWeight) * frac);
-}
-
-void Slurmctld::charge_fair_share(const JobRecord& rec) {
-  const FairShareConfig& fs = config_.fidelity.fair_share;
-  if (!fs.enabled) return;
-  const sim::SimTime elapsed = rec.end_time - rec.start_time;
-  if (elapsed <= sim::SimTime::zero()) return;
-  double node_seconds =
-      elapsed.to_seconds() * static_cast<double>(rec.spec.num_nodes);
-  if (config_.fidelity.node_capacity.cpus > 0) {
-    // Fractional allocations are charged in proportion to the cpu share
-    // actually held (cons_tres billing weights, cpu axis only); a whole
-    // node's factor is exactly 1.
-    node_seconds *= static_cast<double>(rec.spec.tres_per_node.cpus) /
-                    static_cast<double>(config_.fidelity.node_capacity.cpus);
-  }
-  if (const Qos* q = find_qos(rec.spec.qos)) node_seconds *= q->usage_factor;
-  const std::string& account =
-      rec.spec.account.empty() ? rec.spec.partition : rec.spec.account;
-  const double decayed = decayed_usage(account);
-  AccountUsage& au = usage_[account];
-  au.usage = decayed + node_seconds;
-  au.last = sim_.now();
 }
 
 // --- Fidelity introspection -------------------------------------------------
@@ -1404,14 +1353,6 @@ Slurmctld::TresTotals Slurmctld::tres_totals() const {
     }
   }
   return t;
-}
-
-double Slurmctld::account_usage(const std::string& account) const {
-  return decayed_usage(account);
-}
-
-std::int64_t Slurmctld::fair_share_debit(const std::string& account) const {
-  return debit_for_usage(decayed_usage(account));
 }
 
 void Slurmctld::announce(NodeId node) {

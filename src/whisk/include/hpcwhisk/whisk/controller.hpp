@@ -17,7 +17,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hpcwhisk/lease/lease_manager.hpp"
@@ -47,7 +46,10 @@ enum class InvokerHealth : std::uint8_t {
 /// Load-balancing policy for choosing the target invoker.
 enum class RouteMode : std::uint8_t {
   /// OpenWhisk's sharding balancer: hash-selected home invoker, stepping
-  /// to the next invokers (co-prime stride) while the home is saturated.
+  /// by an odd hash-derived stride while the home is saturated. The
+  /// probes cover every invoker only when the stride is co-prime with
+  /// their count (always for a power of two); past the probes the least
+  /// loaded invoker is taken.
   kHashProbing,
   /// Pure hash routing (the simplest reading of Sec. II); saturation is
   /// ignored, which hurts tail latency under skewed load.
@@ -98,7 +100,7 @@ class Controller {
     /// Per-invoker in-flight budget used by kHashProbing before stepping
     /// to the next invoker (OpenWhisk: invoker slot count).
     std::uint32_t invoker_slots{32};
-    /// Estimator/policy knobs for the data-driven route modes; ignored
+    /// Policy knobs for the data-driven route modes; ignored
     /// (and no scheduler is instantiated) for the legacy modes, whose
     /// decision logs stay byte-identical.
     sched::SchedConfig sched{};
@@ -126,12 +128,6 @@ class Controller {
   /// invoker exists; otherwise records the activation and publishes it to
   /// the chosen invoker's topic.
   SubmitResult submit(const std::string& function);
-
-  /// Completion callback: fires exactly once when the activation reaches
-  /// a terminal state (immediately if it already has). Clients use this
-  /// for blocking-invoke semantics and tests for synchronization.
-  using CompletionCallback = std::function<void(const ActivationRecord&)>;
-  void on_completion(ActivationId id, CompletionCallback cb);
 
   [[nodiscard]] const ActivationRecord& activation(ActivationId id) const;
   [[nodiscard]] const std::vector<ActivationRecord>& activations() const {
@@ -232,9 +228,9 @@ class Controller {
   [[nodiscard]] sim::SimTime last_503_time() const { return last_503_; }
 
   /// Audit hook: fires on every terminal transition made through the
-  /// normal lifecycle (completed / failed / timed-out), after bookkeeping
-  /// and before completion callbacks. Immediate 503 rejections never pass
-  /// through it — they are terminal at submit(). One observer at a time.
+  /// normal lifecycle (completed / failed / timed-out), after bookkeeping.
+  /// Immediate 503 rejections never pass through it — they are terminal
+  /// at submit(). One observer at a time.
   using TerminalObserver = std::function<void(const ActivationRecord&)>;
   void set_terminal_observer(TerminalObserver cb) {
     terminal_observer_ = std::move(cb);
@@ -321,8 +317,6 @@ class Controller {
   mutable bool healthy_dirty_{true};
   std::vector<ActivationRecord> records_;       // index == ActivationId
   TimeoutRing timeouts_;
-  std::unordered_map<ActivationId, std::vector<CompletionCallback>>
-      completion_callbacks_;
   /// Present only for data-driven route modes.
   std::unique_ptr<sched::CallScheduler> scheduler_;
   /// Present only when Config::lease.enabled.

@@ -40,20 +40,19 @@ class Histogram;
 
 namespace hpcwhisk::whisk {
 
+/// Physical cores of a node (Prometheus: 2x12): concurrent CPU-bound
+/// executions beyond this dilate each other.
+inline constexpr std::uint32_t kCores = 24;
+
 class Invoker {
  public:
   struct Config {
     /// Dispatch gate: executions started concurrently; messages beyond
     /// it wait in the invoker buffer (drain hand-off material).
     std::size_t max_concurrent{32};
-    /// Physical cores of the node (Prometheus: 2x12); concurrent
-    /// CPU-bound executions beyond this dilate each other.
-    std::uint32_t cores{24};
-    bool cpu_dilation{true};
     runtime::ContainerPool::Config pool{
         .memory_mb = 8 * 1024,  // OpenWhisk invoker "user memory"
         .max_containers = 24,
-        .idle_timeout = sim::SimTime::minutes(10),
     };
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};

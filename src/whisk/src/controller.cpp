@@ -58,7 +58,7 @@ Controller::Controller(sim::Simulation& simulation, mq::Broker& broker,
   if (is_data_driven(config_.route_mode))
     scheduler_ = std::make_unique<sched::CallScheduler>(config_.sched);
   if (config_.lease.enabled)
-    leases_ = std::make_unique<lease::LeaseManager>(config_.lease);
+    leases_ = std::make_unique<lease::LeaseManager>();
   sim_.every(kWatchdogInterval, [this] { watchdog_sweep(); });
   HW_OBS_IF(config_.obs) {
     // Hot-path instruments resolved once; references stay valid for the
@@ -346,10 +346,12 @@ InvokerId Controller::route(const FunctionSpec& spec,
       break;
   }
   // OpenWhisk's sharding balancer: start at the hashed home invoker and
-  // step with a hash-derived stride (odd => co-prime with powers of two,
-  // and cycling covers all n because we iterate at most n probes) while
-  // the current candidate is out of slots. Falls back to the least
-  // loaded if every invoker is saturated.
+  // step with a hash-derived stride while the current candidate is out of
+  // slots, for at most n probes. The stride is odd, so it is co-prime
+  // with a power-of-two n and the probes then visit every invoker; for
+  // other n they visit only n / gcd(stride, n) distinct invokers (n = 6,
+  // stride 3: the home and home + 3). Falls back to the least loaded once
+  // the probes found no free slot.
   const std::size_t home = hash % n;
   const std::size_t stride = (hash >> 32 | 1) % std::max<std::size_t>(1, n);
   std::size_t idx = home;
@@ -591,15 +593,6 @@ ActivationRecord& Controller::record(ActivationId id) {
   return records_[id];
 }
 
-void Controller::on_completion(ActivationId id, CompletionCallback cb) {
-  const ActivationRecord& rec = activation(id);
-  if (is_terminal(rec.state)) {
-    cb(rec);
-    return;
-  }
-  completion_callbacks_[id].push_back(std::move(cb));
-}
-
 void Controller::finish(ActivationRecord& rec, ActivationState state) {
   rec.state = state;
   rec.end_time = sim_.now();
@@ -611,10 +604,8 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
                           rec.start_time != sim::SimTime::zero();
     const std::int64_t actual =
         executed ? (rec.end_time - rec.start_time).ticks() : -1;
-    // executed_by doubles as the estimator's kAnyWorker sentinel (~0u)
-    // when the call never started anywhere.
     const sched::CallScheduler::Outcome outcome = scheduler_->on_finished(
-        rec.id, rec.function_index, actual, rec.cold_start, rec.executed_by);
+        rec.id, rec.function_index, actual, rec.cold_start);
     if (outcome.observed) {
       HW_OBS_IF(config_.obs) {
         h_pred_error_->observe(static_cast<double>(outcome.abs_error_ticks));
@@ -643,27 +634,11 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
       ++counters_.sequence_invocations;
       // Defer to a fresh event: finish() may be running deep inside an
       // invoker's completion chain and submit() re-enters routing state.
-      const std::string next = spec.next;
-      const ActivationId origin = rec.id;
-      sim_.at(sim_.now(), [this, next, origin] {
-        const auto result = submit(next);
-        // Chain completion visibility: the origin's callbacks see the
-        // final record; additionally propagate chained-run callbacks.
-        (void)origin;
-        (void)result;
-      });
+      sim_.at(sim_.now(), [this, next = spec.next] { submit(next); });
     }
   }
 
   if (terminal_observer_) terminal_observer_(rec);
-
-  // Completion callbacks fire after all bookkeeping.
-  const auto cbs = completion_callbacks_.find(rec.id);
-  if (cbs != completion_callbacks_.end()) {
-    auto list = std::move(cbs->second);
-    completion_callbacks_.erase(cbs);
-    for (auto& cb : list) cb(rec);
-  }
 }
 
 void Controller::watchdog_sweep() {

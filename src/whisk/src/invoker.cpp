@@ -242,9 +242,9 @@ void Invoker::on_exec_event(std::size_t slot, ActivationId act) {
     controller_.activation_started(act, id_, e.cold);
 
     sim::SimTime duration = e.spec->duration(rng_);
-    if (config_.cpu_dilation && pool_.busy_containers() > config_.cores) {
+    if (pool_.busy_containers() > kCores) {
       const double factor = static_cast<double>(pool_.busy_containers()) /
-                            static_cast<double>(config_.cores);
+                            static_cast<double>(kCores);
       duration = sim::SimTime::seconds(duration.to_seconds() * factor);
     }
     HW_OBS_IF(config_.obs) {

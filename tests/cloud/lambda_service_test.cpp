@@ -47,21 +47,17 @@ TEST(LambdaService, WarmWithinKeepWarmWindow) {
 
 TEST(LambdaService, ColdAgainAfterKeepWarmExpires) {
   Fixture f;
-  LambdaService::Config cfg;
-  cfg.keep_warm = SimTime::minutes(10);
-  LambdaService lambda{f.sim, f.registry, cfg, Rng{1}};
+  LambdaService lambda{f.sim, f.registry, {}, Rng{1}};
   (void)lambda.invoke("fn", 2048);
   f.sim.run();
-  f.sim.settle_to(SimTime::minutes(30));
+  f.sim.settle_to(kKeepWarm * 3);
   const auto late = lambda.invoke("fn", 2048);
   EXPECT_TRUE(lambda.invocation(late).cold_start);
 }
 
 TEST(LambdaService, LowMemoryDilatesExecution) {
   Fixture f;
-  LambdaService::Config cfg;
-  cfg.compute_slowdown = 1.0;
-  LambdaService lambda{f.sim, f.registry, cfg, Rng{1}};
+  LambdaService lambda{f.sim, f.registry, {}, Rng{1}};
   const auto big = lambda.invoke("fn", 1792);   // full vCPU
   const auto small = lambda.invoke("fn", 448);  // quarter vCPU
   f.sim.run();
@@ -72,14 +68,13 @@ TEST(LambdaService, LowMemoryDilatesExecution) {
 
 TEST(LambdaService, ComputeSlowdownMatchesFig7) {
   // Fig. 7: Prometheus ~15% faster than Lambda at 2048 MB. The model's
-  // internal duration at 2048 MB must be compute_slowdown x the function
-  // body (no CPU-share penalty above 1792 MB).
+  // internal duration at 2048 MB must be kComputeSlowdown (1.15) x the
+  // function body (no CPU-share penalty above 1792 MB).
   Fixture f;
-  LambdaService::Config cfg;
-  cfg.compute_slowdown = 1.15;
-  LambdaService lambda{f.sim, f.registry, cfg, Rng{1}};
+  LambdaService lambda{f.sim, f.registry, {}, Rng{1}};
   const auto id = lambda.invoke("fn", 2048);
   f.sim.run();
+  EXPECT_EQ(kComputeSlowdown, 1.15);
   EXPECT_NEAR(lambda.invocation(id).internal_duration.to_seconds(),
               0.100 * 1.15, 1e-5);
 }

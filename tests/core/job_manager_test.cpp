@@ -57,7 +57,6 @@ TEST(JobManager, FibKeepsPerLengthQueueDepth) {
   JobManager::Config cfg;
   cfg.fib_lengths = job_length_set("B");  // 6 lengths
   cfg.fib_per_length = 3;
-  cfg.max_queued = 100;
   auto manager = f.make_manager(cfg);
   manager.start();
   // 1 node: one pilot starts, the rest stay queued; the queue must hold
@@ -76,7 +75,7 @@ TEST(JobManager, QueueNeverExceedsCap) {
   auto manager = f.make_manager(cfg);
   manager.start();
   f.sim.run_until(SimTime::minutes(2));
-  EXPECT_LE(manager.queued(), 100u);
+  EXPECT_LE(manager.queued(), kMaxQueued);
 }
 
 TEST(JobManager, ReplenishesAfterStarts) {
@@ -125,17 +124,15 @@ TEST(JobManager, VarSubmitsFlexibleJobs) {
   Fixture f{2};
   JobManager::Config cfg;
   cfg.model = SupplyModel::kVar;
-  cfg.var_target = 20;
   auto manager = f.make_manager(cfg);
   manager.start();
   f.sim.run_until(SimTime::minutes(5));
-  // Two pilots running (one per node), queue back at 20.
+  // Two pilots running (one per node), queue back at kVarTarget.
   EXPECT_EQ(manager.active_pilots(), 2u);
-  EXPECT_EQ(manager.queued(), 20u);
+  EXPECT_EQ(manager.queued(), kVarTarget);
   // Their Slurm records are variable-length.
   std::size_t running_var = 0;
-  for (slurm::JobId id = 1; id < 30; ++id) {
-    if (!f.ctld.is_known(id)) break;
+  for (slurm::JobId id = 1; f.ctld.is_known(id); ++id) {
     const auto& rec = f.ctld.job(id);
     if (rec.is_active()) {
       EXPECT_EQ(rec.spec.time_min, SimTime::minutes(2));
@@ -151,8 +148,6 @@ TEST(JobManager, PreemptedPilotCountsAndServingDurations) {
   JobManager::Config cfg;
   cfg.fib_lengths = {SimTime::minutes(90)};
   cfg.fib_per_length = 1;
-  cfg.warmup_median_s = 5.0;
-  cfg.warmup_p95_s = 8.0;
   auto manager = f.make_manager(cfg);
   manager.start();
   f.sim.run_until(SimTime::minutes(5));
@@ -168,7 +163,8 @@ TEST(JobManager, PreemptedPilotCountsAndServingDurations) {
   EXPECT_EQ(manager.counters().preempted, 1u);
   EXPECT_EQ(manager.active_pilots(), 0u);
   ASSERT_EQ(manager.serving_durations().size(), 1u);
-  // Served from ~warmup end (~5 s) until eviction at minute 5.
+  // Served from ~warmup end (kWarmupMedianS = 12.48 s) until eviction at
+  // minute 5.
   EXPECT_GT(manager.serving_durations()[0], SimTime::minutes(4));
   EXPECT_LT(manager.serving_durations()[0], SimTime::minutes(6));
 }

@@ -25,11 +25,6 @@ core::HpcWhiskSystem::Config lease_system(std::uint32_t nodes,
   cfg.manager.fib_lengths = core::job_length_set("C1");
   cfg.manager.fib_per_length = 3;
   cfg.controller.lease.enabled = true;
-  // The light test load (4 QPS over 2 hot functions => ~0.5 s gaps) must
-  // clear the hot bar comfortably.
-  cfg.controller.lease.hot_interarrival = SimTime::seconds(2);
-  cfg.controller.lease.warm_interarrival = SimTime::seconds(10);
-  cfg.controller.lease.term = SimTime::minutes(1);
   return cfg;
 }
 
@@ -44,7 +39,9 @@ void run_with_hot_load(Simulation& simulation, core::HpcWhiskSystem& system,
   simulation.run_until(SimTime::minutes(2));
   trace::FaasLoadGenerator faas{
       simulation,
-      {.rate_qps = 4.0, .functions = functions},
+      // 8 QPS over 2 hot functions => ~0.25 s gaps, well under the
+      // 500 ms hot bar (lease::kHotInterarrival).
+      {.rate_qps = 8.0, .functions = functions},
       [&system](const std::string& fn) {
         (void)system.controller().submit(fn);
       },

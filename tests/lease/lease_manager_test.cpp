@@ -16,17 +16,6 @@ constexpr FunctionKey kA = 4;
 constexpr FunctionKey kB = 5;
 constexpr FunctionKey kC = 6;
 
-LeaseConfig test_config() {
-  LeaseConfig cfg;
-  cfg.enabled = true;
-  cfg.term = SimTime::seconds(30);
-  cfg.hot_interarrival = SimTime::millis(500);
-  cfg.warm_interarrival = SimTime::seconds(5);
-  cfg.min_arrivals = 3;
-  cfg.max_leases_per_worker = 2;
-  return cfg;
-}
-
 /// Feeds `n` arrivals spaced `gap` apart starting at `start`; returns the
 /// time of the last arrival.
 SimTime feed(LeaseManager& lm, FunctionKey fn, SimTime start,
@@ -40,17 +29,17 @@ SimTime feed(LeaseManager& lm, FunctionKey fn, SimTime start,
 }
 
 TEST(LeaseManagerTest, TierNeedsMinArrivals) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   EXPECT_EQ(lm.tier(kF), Tier::kCold);
   lm.observe_arrival(kF, SimTime::seconds(1));
   lm.observe_arrival(kF, SimTime::seconds(1) + SimTime::millis(100));
-  EXPECT_EQ(lm.tier(kF), Tier::kCold);  // 2 arrivals < min_arrivals
+  EXPECT_EQ(lm.tier(kF), Tier::kCold);  // 2 arrivals < kMinArrivals
   lm.observe_arrival(kF, SimTime::seconds(1) + SimTime::millis(200));
   EXPECT_EQ(lm.tier(kF), Tier::kHot);
 }
 
 TEST(LeaseManagerTest, TieringFollowsInterArrival) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   feed(lm, kHotFn, SimTime::seconds(1), SimTime::millis(100), 5);
   feed(lm, kWarmFn, SimTime::seconds(1), SimTime::seconds(2), 5);
   feed(lm, kColdFn, SimTime::seconds(1), SimTime::seconds(60), 5);
@@ -61,12 +50,12 @@ TEST(LeaseManagerTest, TieringFollowsInterArrival) {
 }
 
 TEST(LeaseManagerTest, AcquireFindRenewRevoke) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   const SimTime t0 = SimTime::seconds(10);
   const Lease* l = lm.acquire(kF, 3, t0);
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l->worker, 3u);
-  EXPECT_EQ(l->expires_at, t0 + SimTime::seconds(30));
+  EXPECT_EQ(l->expires_at, t0 + kLeaseTerm);
   EXPECT_EQ(lm.lease_count(), 1u);
   EXPECT_EQ(lm.leases_on(3), 1u);
 
@@ -87,7 +76,7 @@ TEST(LeaseManagerTest, AcquireFindRenewRevoke) {
 }
 
 TEST(LeaseManagerTest, ExpiryIsLazy) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   const SimTime t0 = SimTime::seconds(10);
   ASSERT_NE(lm.acquire(kF, 0, t0), nullptr);
   // Past the term: the lookup itself lapses the lease.
@@ -99,7 +88,7 @@ TEST(LeaseManagerTest, ExpiryIsLazy) {
 }
 
 TEST(LeaseManagerTest, OnHitAutoRenews) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   const SimTime t0 = SimTime::seconds(10);
   ASSERT_NE(lm.acquire(kF, 0, t0), nullptr);
   const SimTime t1 = t0 + SimTime::seconds(20);
@@ -109,20 +98,23 @@ TEST(LeaseManagerTest, OnHitAutoRenews) {
   const Lease* l = lm.find(kF, t1 + SimTime::seconds(29));
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l->hits, 1u);
-  EXPECT_EQ(l->expires_at, t1 + SimTime::seconds(30));
+  EXPECT_EQ(l->expires_at, t1 + kLeaseTerm);
 }
 
 TEST(LeaseManagerTest, PerWorkerCap) {
-  LeaseManager lm{test_config()};  // cap 2
+  LeaseManager lm;
   const SimTime t0 = SimTime::seconds(1);
-  EXPECT_NE(lm.acquire(kA, 7, t0), nullptr);
-  EXPECT_NE(lm.acquire(kB, 7, t0), nullptr);
+  constexpr FunctionKey kFirst = 10;
+  const auto cap = static_cast<FunctionKey>(kMaxLeasesPerWorker);
+  for (FunctionKey fn = kFirst; fn < kFirst + cap; ++fn)
+    EXPECT_NE(lm.acquire(fn, 7, t0), nullptr);
+  EXPECT_EQ(lm.leases_on(7), kMaxLeasesPerWorker);
   EXPECT_EQ(lm.acquire(kC, 7, t0), nullptr);  // worker 7 full
   EXPECT_NE(lm.acquire(kC, 8, t0), nullptr);  // another worker is fine
 }
 
 TEST(LeaseManagerTest, RevokeWorkerDropsAllItsLeases) {
-  LeaseManager lm{test_config()};
+  LeaseManager lm;
   const SimTime t0 = SimTime::seconds(1);
   ASSERT_NE(lm.acquire(kA, 7, t0), nullptr);
   ASSERT_NE(lm.acquire(kB, 7, t0), nullptr);
@@ -144,8 +136,8 @@ TEST(LeaseManagerTest, DeterministicAcrossInstances) {
     lm.on_hit(kF, SimTime::seconds(3));
     (void)lm.find(kF, SimTime::seconds(40));
   };
-  LeaseManager a{test_config()};
-  LeaseManager b{test_config()};
+  LeaseManager a;
+  LeaseManager b;
   run(a);
   run(b);
   EXPECT_EQ(a.stats().granted, b.stats().granted);

@@ -45,7 +45,7 @@ class ReferencePool {
                 profile_.sample_warm_start(rng_)};
       }
     }
-    if (!kind.empty() && kind == config_.prewarm_kind) {
+    if (!kind.empty() && kind == kPrewarmKind) {
       for (auto it = prewarmed_.begin(); it != prewarmed_.end(); ++it) {
         Container& c = containers_.at(*it);
         if (c.usable_at > now || c.memory_mb < memory_mb) continue;
@@ -77,14 +77,12 @@ class ReferencePool {
   }
 
   void maintain_prewarm(SimTime now) {
-    if (config_.prewarm_kind.empty()) return;
     while (prewarmed_.size() < config_.prewarm_count) {
       if (containers_.size() >= config_.max_containers) return;
-      if (memory_in_use_mb_ + config_.prewarm_memory_mb > config_.memory_mb)
-        return;
+      if (memory_in_use_mb_ + kPrewarmMemoryMb > config_.memory_mb) return;
       Container c;
       c.id = next_id_++;
-      c.memory_mb = config_.prewarm_memory_mb;
+      c.memory_mb = kPrewarmMemoryMb;
       c.state = ContainerState::kIdle;
       c.last_used = now;
       c.usable_at = now + profile_.sample_cold_start(rng_);
@@ -140,13 +138,13 @@ class ReferencePool {
 
   [[nodiscard]] SimTime effective_idle_timeout(FunctionKey function) const {
     const KeepAliveConfig& ka = config_.keep_alive;
-    if (ka.policy == KeepAlivePolicy::kFixed) return config_.idle_timeout;
-    SimTime base = config_.idle_timeout;
+    if (ka.policy == KeepAlivePolicy::kFixed) return kIdleTimeout;
+    SimTime base = kIdleTimeout;
     const auto it = arrivals_.find(function);
     if (it != arrivals_.end() && it->second.count >= 2) {
       base = std::clamp(SimTime::micros(static_cast<std::int64_t>(
-                            ka.margin * it->second.ewma_us)),
-                        ka.floor, ka.ceiling);
+                            kKeepAliveMargin * it->second.ewma_us)),
+                        ka.floor, kKeepAliveCeiling);
     }
     if (ka.policy == KeepAlivePolicy::kAdaptive || base <= ka.floor) return base;
     const double by_count = static_cast<double>(containers_.size()) /
@@ -154,8 +152,8 @@ class ReferencePool {
     const double by_memory = static_cast<double>(memory_in_use_mb_) /
                              static_cast<double>(config_.memory_mb);
     const double occupancy = std::max(by_count, by_memory);
-    const double band = std::max(1e-9, ka.pressure_high - ka.pressure_low);
-    const double p = std::clamp((occupancy - ka.pressure_low) / band, 0.0, 1.0);
+    const double band = std::max(1e-9, kPressureHigh - kPressureLow);
+    const double p = std::clamp((occupancy - kPressureLow) / band, 0.0, 1.0);
     const auto above_floor = static_cast<double>((base - ka.floor).ticks());
     return base - SimTime::micros(static_cast<std::int64_t>(p * above_floor));
   }
@@ -236,7 +234,7 @@ class ReferencePool {
       const auto gap = static_cast<double>((now - a.last).ticks());
       a.ewma_us = a.count == 1
                       ? gap
-                      : a.ewma_us + config_.keep_alive.alpha * (gap - a.ewma_us);
+                      : a.ewma_us + kKeepAliveAlpha * (gap - a.ewma_us);
     }
     a.last = now;
     ++a.count;
@@ -259,16 +257,9 @@ ContainerPool::Config diff_config(KeepAlivePolicy policy) {
   ContainerPool::Config cfg;
   cfg.memory_mb = 2048;
   cfg.max_containers = 6;
-  cfg.idle_timeout = SimTime::minutes(2);
   cfg.keep_alive.policy = policy;
-  cfg.keep_alive.margin = 3.0;
   cfg.keep_alive.floor = SimTime::seconds(10);
-  cfg.keep_alive.ceiling = SimTime::minutes(5);
-  cfg.keep_alive.pressure_low = 0.3;
-  cfg.keep_alive.pressure_high = 0.8;
-  cfg.prewarm_kind = "python:3";
   cfg.prewarm_count = 2;
-  cfg.prewarm_memory_mb = 256;
   return cfg;
 }
 
@@ -312,9 +303,10 @@ void run_differential(KeepAlivePolicy policy, std::uint64_t seed, int steps,
 
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
-    // Mostly short gaps, with an occasional lull long enough to reap.
+    // Mostly short gaps, with an occasional lull long enough to reap
+    // (up to 2.5 kIdleTimeout).
     now += ops.uniform_int(0, 19) == 0
-               ? SimTime::millis(ops.uniform_int(0, 600'000))
+               ? SimTime::millis(ops.uniform_int(0, 1'500'000))
                : SimTime::millis(ops.uniform_int(0, 20'000));
     const std::int64_t op = ops.uniform_int(0, 99);
     if (op < 40) {

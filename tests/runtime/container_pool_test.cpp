@@ -21,7 +21,6 @@ ContainerPool make_pool(std::size_t max_containers = 4,
   ContainerPool::Config cfg;
   cfg.max_containers = max_containers;
   cfg.memory_mb = memory_mb;
-  cfg.idle_timeout = SimTime::minutes(10);
   return ContainerPool{cfg, RuntimeProfile::singularity(), Rng{1}};
 }
 

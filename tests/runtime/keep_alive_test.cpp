@@ -27,9 +27,8 @@ ContainerPool make_pool(KeepAliveConfig ka, std::size_t max_containers = 8,
   ContainerPool::Config cfg;
   cfg.max_containers = max_containers;
   cfg.memory_mb = memory_mb;
-  cfg.idle_timeout = SimTime::minutes(10);
   cfg.keep_alive = ka;
-  cfg.prewarm_kind.clear();  // no stem cells unless a test asks
+  cfg.prewarm_count = 0;  // no stem cells unless a test asks
   return ContainerPool{cfg, RuntimeProfile::singularity(), Rng{1}};
 }
 
@@ -56,20 +55,18 @@ TEST(KeepAliveFixed, TimeoutIsTheConfiguredConstant) {
   cycle(pool, kF, SimTime::seconds(1));
   cycle(pool, kF, SimTime::seconds(2));
   // No arrival history is kept and the timeout never moves.
-  EXPECT_EQ(pool.effective_idle_timeout(kF), SimTime::minutes(10));
-  EXPECT_EQ(pool.effective_idle_timeout(kNeverSeen), SimTime::minutes(10));
+  EXPECT_EQ(pool.effective_idle_timeout(kF), kIdleTimeout);
+  EXPECT_EQ(pool.effective_idle_timeout(kNeverSeen), kIdleTimeout);
 }
 
 TEST(KeepAliveAdaptive, TimeoutTracksInterArrival) {
   KeepAliveConfig ka;
   ka.policy = KeepAlivePolicy::kAdaptive;
-  ka.margin = 4.0;
   ka.floor = SimTime::seconds(30);
-  ka.ceiling = SimTime::minutes(20);
   auto pool = make_pool(ka);
   // Before any history the fixed timeout is the fallback.
-  EXPECT_EQ(pool.effective_idle_timeout(kF), SimTime::minutes(10));
-  // Steady one-minute gaps: timeout = margin * gap = 4 min.
+  EXPECT_EQ(pool.effective_idle_timeout(kF), kIdleTimeout);
+  // Steady one-minute gaps: timeout = kKeepAliveMargin (4) * gap = 4 min.
   for (int i = 0; i < 6; ++i)
     cycle(pool, kF, SimTime::minutes(static_cast<double>(i)));
   EXPECT_EQ(pool.effective_idle_timeout(kF), SimTime::minutes(4));
@@ -78,9 +75,7 @@ TEST(KeepAliveAdaptive, TimeoutTracksInterArrival) {
 TEST(KeepAliveAdaptive, ClampsToFloorAndCeiling) {
   KeepAliveConfig ka;
   ka.policy = KeepAlivePolicy::kAdaptive;
-  ka.margin = 4.0;
   ka.floor = SimTime::seconds(30);
-  ka.ceiling = SimTime::minutes(20);
   auto pool = make_pool(ka);
   // 100 ms gaps: 4 * 0.1 s = 0.4 s, below the 30 s floor.
   for (int i = 0; i < 6; ++i)
@@ -89,24 +84,21 @@ TEST(KeepAliveAdaptive, ClampsToFloorAndCeiling) {
   // 30 min gaps: 4 * 30 min = 2 h, above the 20 min ceiling.
   for (int i = 0; i < 4; ++i)
     cycle(pool, kRareFn, SimTime::minutes(30.0 * static_cast<double>(i + 1)));
-  EXPECT_EQ(pool.effective_idle_timeout(kRareFn), SimTime::minutes(20));
+  EXPECT_EQ(pool.effective_idle_timeout(kRareFn), kKeepAliveCeiling);
 }
 
 TEST(KeepAliveHybrid, PressureScalesTowardFloor) {
   KeepAliveConfig ka;
   ka.policy = KeepAlivePolicy::kHybrid;
-  ka.margin = 4.0;
   ka.floor = SimTime::seconds(30);
-  ka.ceiling = SimTime::minutes(20);
-  ka.pressure_low = 0.5;
-  ka.pressure_high = 1.0;
   auto pool = make_pool(ka, /*max_containers=*/4, /*memory_mb=*/8192);
   // One-minute gaps: adaptive base 4 min.
   for (int i = 0; i < 6; ++i)
     cycle(pool, kF, SimTime::minutes(static_cast<double>(i)));
-  // One container of four: occupancy 0.25, below pressure_low — untouched.
+  // One container of four: occupancy 0.25, below kPressureLow — untouched.
   EXPECT_EQ(pool.effective_idle_timeout(kF), SimTime::minutes(4));
-  // Fill to full occupancy: the timeout collapses to the floor.
+  // Fill to full occupancy, above kPressureHigh: the timeout collapses to
+  // the floor.
   for (const FunctionKey fn : {kG, kH, kI}) {
     const auto r = pool.acquire(fn, 256, SimTime::minutes(6));
     pool.mark_running(r.container, SimTime::minutes(6));
@@ -118,9 +110,7 @@ TEST(KeepAliveHybrid, PressureScalesTowardFloor) {
 TEST(KeepAliveAdaptive, ReapHonorsPerFunctionTimeouts) {
   KeepAliveConfig ka;
   ka.policy = KeepAlivePolicy::kAdaptive;
-  ka.margin = 4.0;
   ka.floor = SimTime::seconds(30);
-  ka.ceiling = SimTime::minutes(20);
   auto pool = make_pool(ka);
   // kHotFn arrives every 10 s (timeout clamps to the 30 s... no: 40 s),
   // kSlowFn every 4 min (timeout 16 min).
@@ -167,7 +157,6 @@ TEST(ContainerPoolEviction, StemCellsEvictBeforeWarmContainers) {
   ContainerPool::Config cfg;
   cfg.max_containers = 3;
   cfg.memory_mb = 8192;
-  cfg.prewarm_kind = "python:3";
   cfg.prewarm_count = 2;
   ContainerPool pool{cfg, RuntimeProfile::singularity(), Rng{1}};
   pool.maintain_prewarm(SimTime::zero());
@@ -188,7 +177,6 @@ TEST(ContainerPoolPrewarm, RefillNeverEvictsUnderPressure) {
   ContainerPool::Config cfg;
   cfg.max_containers = 2;
   cfg.memory_mb = 8192;
-  cfg.prewarm_kind = "python:3";
   cfg.prewarm_count = 2;
   ContainerPool pool{cfg, RuntimeProfile::singularity(), Rng{1}};
   // Two busy containers occupy the whole cap.
@@ -206,9 +194,7 @@ TEST(ContainerPoolPrewarm, RefillStopsAtMemoryBudget) {
   ContainerPool::Config cfg;
   cfg.max_containers = 16;
   cfg.memory_mb = 900;  // room for one 256 MB stem cell next to 512 busy
-  cfg.prewarm_kind = "python:3";
   cfg.prewarm_count = 4;
-  cfg.prewarm_memory_mb = 256;
   ContainerPool pool{cfg, RuntimeProfile::singularity(), Rng{1}};
   const auto r = pool.acquire(kA, 512, SimTime::zero());
   pool.mark_running(r.container, SimTime::zero());

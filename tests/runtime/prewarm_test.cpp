@@ -22,8 +22,6 @@ ContainerPool make_pool(std::size_t prewarm = 2, std::size_t cap = 8) {
   cfg.max_containers = cap;
   cfg.memory_mb = 8192;
   cfg.prewarm_count = prewarm;
-  cfg.prewarm_kind = "python:3";
-  cfg.prewarm_memory_mb = 256;
   return ContainerPool{cfg, RuntimeProfile::singularity(), Rng{1}};
 }
 

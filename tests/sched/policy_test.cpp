@@ -17,15 +17,9 @@ const std::vector<WorkerId> kWorkers{0, 1, 2};
 constexpr FunctionKey kFn = 0;
 constexpr FunctionKey kQuick = 1;
 constexpr FunctionKey kSlow = 2;
-constexpr FunctionKey kSteady = 3;
 constexpr FunctionKey kWild = 4;
 
-SchedConfig config_with(double slack = 2.0, bool deadline = false) {
-  SchedConfig cfg;
-  cfg.sjf_affinity_slack = slack;
-  cfg.deadline_classes = deadline;
-  return cfg;
-}
+constexpr SchedConfig kDeadlineClasses{.deadline_classes = true};
 
 /// Runs `calls` to completion on `worker` so it is warm for `function`
 /// and the estimator has history.
@@ -47,10 +41,8 @@ TEST(LeastExpectedWork, PrefersLowestIdWhenIndistinguishable) {
   EXPECT_TRUE(d.expected_cold);
   // Never-seen function: prediction is the prior, cost adds the
   // cold-start overhead on top.
-  EXPECT_EQ(d.predicted_ticks, sched.config().estimator.prior.ticks());
-  EXPECT_EQ(d.cost_ticks,
-            sched.config().estimator.prior.ticks() +
-                kColdOverhead.ticks());
+  EXPECT_EQ(d.predicted_ticks, kDurationPrior.ticks());
+  EXPECT_EQ(d.cost_ticks, kDurationPrior.ticks() + kColdOverhead.ticks());
 }
 
 TEST(LeastExpectedWork, WarmWorkerBeatsColdOnes) {
@@ -76,7 +68,7 @@ TEST(LeastExpectedWork, AvoidsBackloggedWorker) {
 }
 
 TEST(SjfAffinity, StaysHomeWithinSlack) {
-  CallScheduler sched{config_with(/*slack=*/2.0)};
+  CallScheduler sched;
   warm_up(sched, 0, kFn, SimTime::millis(10), 5, 1000);
   warm_up(sched, 1, kFn, SimTime::millis(10), 5, 2000);
   // A small queue at home (one predicted call) is far under the
@@ -90,7 +82,7 @@ TEST(SjfAffinity, StaysHomeWithinSlack) {
 }
 
 TEST(SjfAffinity, EscapesWhenHomeQueueExceedsSlackPlusColdStart) {
-  CallScheduler sched{config_with(/*slack=*/2.0)};
+  CallScheduler sched;
   warm_up(sched, 0, kFn, SimTime::millis(10), 5, 1000);
   warm_up(sched, 1, kFn, SimTime::millis(10), 5, 2000);
   // Pile ~1s of predicted work on home 0: excess queueing over worker 1
@@ -111,7 +103,7 @@ TEST(SjfAffinity, HomeIndexWrapsAroundWorkerList) {
 }
 
 TEST(DeadlineClasses, ShortPredictionsAreShortClass) {
-  CallScheduler sched{config_with(2.0, /*deadline=*/true)};
+  CallScheduler sched{kDeadlineClasses};
   warm_up(sched, 0, kQuick, SimTime::millis(10), 5, 1000);
   warm_up(sched, 0, kSlow, SimTime::seconds(30), 5, 2000);
   const auto quick = sched.route_least_expected_work(kQuick, kWorkers);
@@ -128,32 +120,10 @@ TEST(DeadlineClasses, DisabledByDefault) {
   EXPECT_FALSE(d.short_class);
 }
 
-TEST(DeadlineClasses, DeviationFactorGuardsDispersedFunctions) {
-  // Two functions with the same 200 ms mean (under the 250 ms bound):
-  // kSteady always takes 200 ms, kWild alternates 40/360 ms. With the
-  // dispersion guard on, only the steady one may jump queues.
-  SchedConfig cfg = config_with(2.0, /*deadline=*/true);
-  cfg.short_class_deviation_factor = 1.0;
-  CallScheduler sched{cfg};
-  warm_up(sched, 0, kSteady, SimTime::millis(200), 20, 1000);
-  for (int i = 0; i < 20; ++i) {
-    const CallId id = 2000 + static_cast<CallId>(i);
-    sched.on_started(id, 0, kWild);
-    (void)sched.on_finished(
-        id, kWild, SimTime::millis(i % 2 == 0 ? 40 : 360).ticks(), false);
-  }
-  EXPECT_LT(sched.estimator().predict(kWild), SimTime::millis(250));
-  EXPECT_GT(sched.estimator().deviation(kWild), SimTime::millis(50));
-  const auto steady = sched.route_least_expected_work(kSteady, kWorkers);
-  EXPECT_TRUE(steady.short_class);
-  const auto wild = sched.route_least_expected_work(kWild, kWorkers);
-  EXPECT_FALSE(wild.short_class);
-}
-
-TEST(DeadlineClasses, ZeroDeviationFactorPreservesPlainBound) {
-  // factor 0 (the default) must reproduce the plain predict <= bound
-  // test even for a high-dispersion function.
-  CallScheduler sched{config_with(2.0, /*deadline=*/true)};
+TEST(DeadlineClasses, DispersedFunctionUnderTheBoundIsShortClass) {
+  // The class test reads the predicted mean only: a function alternating
+  // 40/360 ms predicts under the 250 ms bound and may jump queues.
+  CallScheduler sched{kDeadlineClasses};
   for (int i = 0; i < 20; ++i) {
     const CallId id = 1000 + static_cast<CallId>(i);
     sched.on_started(id, 0, kWild);
@@ -162,39 +132,6 @@ TEST(DeadlineClasses, ZeroDeviationFactorPreservesPlainBound) {
   }
   const auto d = sched.route_least_expected_work(kWild, kWorkers);
   EXPECT_TRUE(d.short_class);
-}
-
-TEST(PerWorkerRouting, PrefersTheWorkerThatRunsTheFunctionFaster) {
-  // Worker 1 is dilated (co-located HPC load): the same function takes
-  // 8x longer there. With per-worker models on, least-expected-work
-  // routes to the fast worker even though both are warm.
-  SchedConfig cfg;
-  cfg.estimator.per_worker = true;
-  CallScheduler sched{cfg};
-  for (int i = 0; i < 20; ++i) {
-    const CallId a = 1000 + static_cast<CallId>(2 * i);
-    sched.on_started(a, 0, kFn);
-    (void)sched.on_finished(a, kFn, SimTime::millis(10).ticks(), false, 0);
-    const CallId b = 1001 + static_cast<CallId>(2 * i);
-    sched.on_started(b, 1, kFn);
-    (void)sched.on_finished(b, kFn, SimTime::millis(80).ticks(), false, 1);
-  }
-  const auto d = sched.route_least_expected_work(kFn, {0, 1});
-  EXPECT_EQ(d.worker, 0u);
-  // The blended global model would see both workers as identical; the
-  // per-worker prediction is what separates them.
-  EXPECT_EQ(d.predicted_ticks, SimTime::millis(10).ticks());
-}
-
-TEST(PerWorkerRouting, FourArgFinishKeepsGlobalBehavior) {
-  // The 4-arg on_finished (no worker attribution) must leave per-worker
-  // models empty: predictions equal the global model everywhere.
-  SchedConfig cfg;
-  cfg.estimator.per_worker = true;
-  CallScheduler sched{cfg};
-  warm_up(sched, 0, kFn, SimTime::millis(10), 5, 1000);
-  EXPECT_EQ(sched.estimator().model(kFn).predict(0),
-            sched.estimator().predict(kFn));
 }
 
 TEST(Lifecycle, FinishedReportsForecastErrorAgainstPinnedPrediction) {
@@ -263,7 +200,7 @@ TEST(Lifecycle, ChaosInterleavingLeavesZeroBacklog) {
   // Worker-kill chaos: calls in every lifecycle stage when worker 1 dies;
   // survivors restart elsewhere. Invariant: once every call reaches a
   // terminal state the ledger reads exactly zero.
-  CallScheduler sched{config_with(2.0, true)};
+  CallScheduler sched{kDeadlineClasses};
   warm_up(sched, 0, kFn, SimTime::millis(20), 5, 10000);
   for (CallId c = 0; c < 30; ++c) {
     const auto d = sched.route_sjf_affinity(

@@ -3,7 +3,8 @@
 // decision, must decide exactly as the name-keyed scheduler it replaced,
 // which looked both up again for every candidate. The reference below is
 // that scheduler (estimator, backlog ledger and policies) kept verbatim
-// apart from its namespace. Seeded random histories drive both through
+// apart from its namespace and the knobs and per-worker models retired
+// since (their values are the shared constants now). Seeded random histories drive both through
 // routes, starts, requeues, completions and worker kills; every Decision,
 // Outcome, stats() block and prior_hits tally must agree at every step.
 
@@ -27,19 +28,11 @@ using sim::SimTime;
 
 class RefEstimator {
  public:
-  static constexpr std::uint32_t kAnyWorker = ~std::uint32_t{0};
-
-  explicit RefEstimator(EstimatorConfig config) : config_{config} {}
-
   void observe(const std::string& function, sim::SimTime duration,
-               bool cold_start, std::uint32_t worker) {
+               bool cold_start) {
     Model& model = models_[function];
     const auto sample = static_cast<double>(duration.ticks());
-    (cold_start ? model.cold : model.warm).fold(sample, config_.alpha);
-    if (config_.per_worker && worker != kAnyWorker) {
-      WorkerEwmas& w = model.per_worker[worker];
-      (cold_start ? w.cold : w.warm).fold(sample, config_.alpha);
-    }
+    (cold_start ? model.cold : model.warm).fold(sample, kDurationAlpha);
     ++observations_;
     if (cold_start) ++cold_observations_;
   }
@@ -48,26 +41,9 @@ class RefEstimator {
     const auto it = models_.find(function);
     if (it == models_.end()) {
       ++prior_hits_;
-      return config_.prior;
+      return kDurationPrior;
     }
     const Model& m = it->second;
-    const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
-    return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-  }
-
-  sim::SimTime predict(const std::string& function,
-                       std::uint32_t worker) const {
-    if (!config_.per_worker || worker == kAnyWorker) return predict(function);
-    const auto it = models_.find(function);
-    if (it == models_.end()) {
-      ++prior_hits_;
-      return config_.prior;
-    }
-    const Model& m = it->second;
-    const auto w = m.per_worker.find(worker);
-    if (w != m.per_worker.end() && w->second.warm.count > 0)
-      return sim::SimTime::micros(
-          static_cast<std::int64_t>(w->second.warm.mean));
     const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
     return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
   }
@@ -76,36 +52,11 @@ class RefEstimator {
     const auto it = models_.find(function);
     if (it == models_.end()) {
       ++prior_hits_;
-      return config_.prior;
+      return kDurationPrior;
     }
     const Model& m = it->second;
     const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
     return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-  }
-
-  sim::SimTime predict_cold(const std::string& function,
-                            std::uint32_t worker) const {
-    if (!config_.per_worker || worker == kAnyWorker)
-      return predict_cold(function);
-    const auto it = models_.find(function);
-    if (it == models_.end()) {
-      ++prior_hits_;
-      return config_.prior;
-    }
-    const Model& m = it->second;
-    const auto w = m.per_worker.find(worker);
-    if (w != m.per_worker.end() && w->second.cold.count > 0)
-      return sim::SimTime::micros(
-          static_cast<std::int64_t>(w->second.cold.mean));
-    const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
-    return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-  }
-
-  sim::SimTime deviation(const std::string& function) const {
-    const auto it = models_.find(function);
-    if (it == models_.end()) return sim::SimTime::zero();
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(it->second.warm.abs_dev));
   }
 
   std::size_t tracked_functions() const { return models_.size(); }
@@ -117,32 +68,23 @@ class RefEstimator {
  private:
   struct Ewma {
     double mean{0};
-    double abs_dev{0};
     std::uint64_t count{0};
 
     void fold(double sample, double alpha) {
       if (count == 0) {
         mean = sample;
-        abs_dev = 0.0;
       } else {
         const double err = sample - mean;
         mean += alpha * err;
-        abs_dev += alpha * (std::abs(err) - abs_dev);
       }
       ++count;
     }
   };
-  struct WorkerEwmas {
-    Ewma warm;
-    Ewma cold;
-  };
   struct Model {
     Ewma warm;
     Ewma cold;
-    std::unordered_map<std::uint32_t, WorkerEwmas> per_worker;
   };
 
-  EstimatorConfig config_;
   std::unordered_map<std::string, Model> models_;
 };
 
@@ -222,8 +164,7 @@ class RefScheduler {
   using Decision = CallScheduler::Decision;
   using Outcome = CallScheduler::Outcome;
 
-  explicit RefScheduler(SchedConfig config)
-      : config_{config}, estimator_{config.estimator} {}
+  explicit RefScheduler(SchedConfig config) : config_{config} {}
 
   Decision route_least_expected_work(const std::string& function,
                                      const std::vector<WorkerId>& workers) {
@@ -266,7 +207,7 @@ class RefScheduler {
       }
     }
     const double slack =
-        config_.sjf_affinity_slack *
+        kSjfAffinitySlack *
             static_cast<double>(
                 std::max<std::int64_t>(home_cost.predicted, 1)) +
         static_cast<double>(kColdOverhead.ticks());
@@ -303,8 +244,7 @@ class RefScheduler {
   void on_requeued(CallId call) { (void)ledger_.release(call); }
 
   Outcome on_finished(CallId call, const std::string& function,
-                      std::int64_t actual_ticks, bool cold_start,
-                      WorkerId worker) {
+                      std::int64_t actual_ticks, bool cold_start) {
     Outcome out;
     BacklogLedger::Charge charge;
     out.had_charge = ledger_.release(call, &charge);
@@ -313,7 +253,7 @@ class RefScheduler {
                               ? charge.predicted_ticks
                               : estimator_.predict(function).ticks();
     estimator_.observe(function, sim::SimTime::micros(actual_ticks),
-                       cold_start, worker);
+                       cold_start);
     out.observed = true;
     out.actual_ticks = actual_ticks;
     out.abs_error_ticks = out.actual_ticks >= out.predicted_ticks
@@ -355,10 +295,10 @@ class RefScheduler {
     c.cold = !is_warm(worker, function);
     c.backlog = ledger_.backlog(worker);
     if (c.cold) {
-      c.predicted = estimator_.predict_cold(function, worker).ticks();
+      c.predicted = estimator_.predict_cold(function).ticks();
       c.cost = c.backlog + c.predicted + kColdOverhead.ticks();
     } else {
-      c.predicted = estimator_.predict(function, worker).ticks();
+      c.predicted = estimator_.predict(function).ticks();
       c.cost = c.backlog + c.predicted;
     }
     return c;
@@ -378,13 +318,7 @@ class RefScheduler {
     d.backlog_ticks = cost.backlog;
     d.candidates = static_cast<std::uint32_t>(candidates);
     if (config_.deadline_classes) {
-      sim::SimTime metric = estimator_.predict(function);
-      if (config_.short_class_deviation_factor > 0.0) {
-        metric = metric + sim::SimTime::micros(static_cast<std::int64_t>(
-                              config_.short_class_deviation_factor *
-                              static_cast<double>(
-                                  estimator_.deviation(function).ticks())));
-      }
+      const sim::SimTime metric = estimator_.predict(function);
       if (metric <= kShortClassBound) {
         d.short_class = true;
         ++stats_.short_class;
@@ -476,21 +410,15 @@ struct Coverage {
   std::uint64_t short_class{0};
   std::uint64_t warm_picks{0};
   std::uint64_t forgets_with_charges{0};
-  std::uint64_t per_worker_histories{0};
   std::uint64_t rescue_charges{0};
 };
 
 void run_history(std::uint64_t seed, Coverage& cov) {
   sim::Rng rng{seed};
   SchedConfig config;
-  config.estimator.per_worker = rng.bernoulli(0.5);
-  config.estimator.prior = SimTime::millis(rng.uniform_int(20, 400));
   config.deadline_classes = rng.bernoulli(0.5);
-  config.short_class_deviation_factor = rng.bernoulli(0.5) ? 0.0 : 1.5;
-  config.sjf_affinity_slack = rng.bernoulli(0.5) ? 2.0 : 0.25;
   CallScheduler got{config};
   RefScheduler want{config};
-  if (config.estimator.per_worker) ++cov.per_worker_histories;
 
   // Per-function base durations spanning the short-class bound.
   std::vector<std::int64_t> base_ms(kFunctions);
@@ -558,13 +486,9 @@ void run_history(std::uint64_t seed, Coverage& cov) {
                                 rng.uniform_int(0, base_ms[l.function] / 2))
                     .ticks();
       const bool cold = rng.bernoulli(0.3);
-      const WorkerId worker =
-          rng.bernoulli(0.2)
-              ? DurationEstimator::kAnyWorker
-              : static_cast<WorkerId>(pick(rng, kWorkerPool));
-      expect_same(got.on_finished(l.call, l.function, actual, cold, worker),
-                  want.on_finished(l.call, name_of(l.function), actual, cold,
-                                   worker));
+      expect_same(got.on_finished(l.call, l.function, actual, cold),
+                  want.on_finished(l.call, name_of(l.function), actual,
+                                   cold));
     } else {
       const auto w = static_cast<WorkerId>(pick(rng, kWorkerPool));
       const std::uint64_t forgotten = got.stats().forgotten;
@@ -593,7 +517,6 @@ TEST(RouteDiff, IndexKeyedSchedulerDecidesAsTheNameKeyedOne) {
   EXPECT_GT(cov.short_class, 0u);
   EXPECT_GT(cov.warm_picks, 0u);
   EXPECT_GT(cov.forgets_with_charges, 0u);
-  EXPECT_GT(cov.per_worker_histories, 0u);
   EXPECT_GT(cov.rescue_charges, 0u);
 }
 

@@ -99,9 +99,7 @@ TEST(Backfill, ReservationUsesDeclaredLimitNotRuntime) {
 
 TEST(Backfill, VariableLengthHpcJobSizedToReservation) {
   Simulation sim;
-  auto cfg = config(2);
-  cfg.var_jobs_periodic_only = false;
-  Slurmctld ctld{sim, cfg, partitions()};
+  Slurmctld ctld{sim, config(2), partitions()};
   ctld.submit(job(1, SimTime::minutes(60), SimTime::minutes(60)));
   sim.run_until(SimTime::minutes(2));
   // Head blocked job -> reservation on both nodes at t=60.
@@ -118,10 +116,8 @@ TEST(Backfill, VariableLengthHpcJobSizedToReservation) {
 
 TEST(Backfill, JobBeyondWindowGetsNoReservationButEventuallyRuns) {
   Simulation sim;
-  auto cfg = config(1);
-  cfg.backfill_window = SimTime::minutes(120);
-  Slurmctld ctld{sim, cfg, partitions()};
-  // A runs (declares) 3 hours: beyond the backfill window.
+  Slurmctld ctld{sim, config(1), partitions()};
+  // A runs (declares) 3 hours: beyond the 120-minute kBackfillWindow.
   ctld.submit(job(1, SimTime::hours(3), SimTime::hours(3)));
   sim.run_until(SimTime::minutes(1));
   const JobId b = ctld.submit(job(1, SimTime::minutes(10), SimTime::minutes(10)));

@@ -1,8 +1,5 @@
-// Fair-share priority decay and QOS preemption tiers (fidelity layer).
-// Property tests for the ordering contracts:
-//  * usage decays exponentially, so an account's debit is monotonically
-//    non-increasing while it stays idle, halving every half-life;
-//  * heavier recent usage => lower effective priority => later start;
+// QOS preemption tiers (fidelity layer). Property tests for the ordering
+// contracts:
 //  * within a node, the lowest QOS tier is evicted first, and a job is
 //    never preempted by an equal-or-lower tier;
 //  * EASY backfill stays legal under partial-node (TRES) availability:
@@ -10,8 +7,6 @@
 //    job's shadow time must wait.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "hpcwhisk/slurm/slurmctld.hpp"
 
@@ -39,96 +34,6 @@ Slurmctld::Config base_config(std::uint32_t nodes) {
   cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();
   return cfg;
-}
-
-JobSpec hpc_job(std::uint32_t nodes, SimTime limit, SimTime runtime,
-                std::string account = {}) {
-  JobSpec spec;
-  spec.partition = "hpc";
-  spec.num_nodes = nodes;
-  spec.time_limit = limit;
-  spec.actual_runtime = runtime;
-  spec.account = std::move(account);
-  return spec;
-}
-
-TEST(FairShare, UsageDecaysMonotonicallyAndHalvesPerHalfLife) {
-  Simulation sim;
-  auto cfg = base_config(1);
-  cfg.fidelity.fair_share.enabled = true;
-  cfg.fidelity.fair_share.half_life = SimTime::hours(1);
-  Slurmctld ctld{sim, cfg, partitions()};
-
-  // 30 minutes of one node charged to "heavy" when the job ends at
-  // minute 30; read a minute later, so one minute of decay has already
-  // shaved the balance: 1800 * 2^(-1/60).
-  ctld.submit(hpc_job(1, SimTime::minutes(30), SimTime::minutes(30), "heavy"));
-  sim.run_until(SimTime::minutes(31));
-  const double charged = ctld.account_usage("heavy");
-  EXPECT_NEAR(charged, 30.0 * 60.0 * std::exp2(-1.0 / 60.0), 1.0);
-
-  double prev_usage = charged;
-  std::int64_t prev_debit = ctld.fair_share_debit("heavy");
-  EXPECT_GT(prev_debit, 0);
-  for (int step = 1; step <= 6; ++step) {
-    sim.run_until(SimTime::minutes(31) + SimTime::minutes(30) * step);
-    const double usage = ctld.account_usage("heavy");
-    const std::int64_t debit = ctld.fair_share_debit("heavy");
-    EXPECT_LT(usage, prev_usage);
-    EXPECT_LE(debit, prev_debit);
-    prev_usage = usage;
-    prev_debit = debit;
-  }
-  // After exactly one half-life of idleness the usage has halved.
-  sim.run_until(SimTime::minutes(31) + SimTime::hours(10));
-  const double after_10h = ctld.account_usage("heavy");
-  EXPECT_NEAR(after_10h, charged / 1024.0, charged * 0.001);
-}
-
-TEST(FairShare, HeavierAccountGetsLowerEffectivePriority) {
-  Simulation sim;
-  auto cfg = base_config(2);
-  cfg.fidelity.fair_share.enabled = true;
-  Slurmctld ctld{sim, cfg, partitions()};
-
-  // "heavy" burns both nodes for 40 minutes; "light" stays idle.
-  ctld.submit(hpc_job(2, SimTime::minutes(40), SimTime::minutes(40), "heavy"));
-  sim.run_until(SimTime::minutes(41));
-  ASSERT_GT(ctld.account_usage("heavy"), 0.0);
-  EXPECT_EQ(ctld.account_usage("light"), 0.0);
-
-  const JobId h =
-      ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5), "heavy"));
-  const JobId l =
-      ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5), "light"));
-  EXPECT_LT(ctld.job(h).effective_priority, ctld.job(l).effective_priority);
-}
-
-TEST(FairShare, LighterAccountStartsFirstUnderContention) {
-  Simulation sim;
-  auto cfg = base_config(1);
-  cfg.fidelity.fair_share.enabled = true;
-  Slurmctld ctld{sim, cfg, partitions()};
-
-  // Usage is charged when a job ENDS, so the heavy job must finish
-  // before the probes are submitted for its account to carry a debit.
-  ctld.submit(hpc_job(1, SimTime::minutes(30), SimTime::minutes(30), "heavy"));
-  sim.run_until(SimTime::minutes(30) + SimTime::seconds(10));
-  ASSERT_GT(ctld.account_usage("heavy"), 0.0);
-
-  // A filler job pins the node so both probes queue behind it. Same
-  // spec.priority, "heavy" submitted first — FIFO would start it first;
-  // the fair-share debit must invert that.
-  ctld.submit(hpc_job(1, SimTime::minutes(10), SimTime::minutes(10), "filler"));
-  sim.run_until(SimTime::minutes(31));
-  const JobId h =
-      ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5), "heavy"));
-  const JobId l =
-      ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5), "light"));
-  sim.run_until(SimTime::minutes(60));
-  ASSERT_EQ(ctld.job(l).state, JobState::kCompleted);
-  ASSERT_EQ(ctld.job(h).state, JobState::kCompleted);
-  EXPECT_LT(ctld.job(l).start_time, ctld.job(h).start_time);
 }
 
 Slurmctld::Config qos_config(std::uint32_t nodes) {

@@ -7,7 +7,7 @@
 // decision — order, sizing, placement or reservation effect — fails here.
 //
 // It must equally survive the Slurm-fidelity generalization (per-TRES
-// packing, fair-share, QOS tiers, reservations): the LegacyKnobsOff leg
+// packing, QOS tiers, reservations): the LegacyKnobsOff leg
 // spells the fidelity defaults out explicitly and demands the same hash,
 // pinning the contract that all new semantics are opt-in.
 
@@ -44,7 +44,6 @@ TEST(SchedGolden, LegacyKnobsOffKeepsBaseline) {
   const GoldenOutcome out = run_golden_trace(42, [](Slurmctld::Config& cfg) {
     cfg.fidelity.tres_mode = false;
     cfg.fidelity.node_capacity = TresVector{};
-    cfg.fidelity.fair_share.enabled = false;
     cfg.fidelity.qos.clear();
     cfg.fidelity.reservations.clear();
   });

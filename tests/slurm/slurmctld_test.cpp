@@ -27,7 +27,6 @@ std::vector<Partition> default_partitions() {
 Slurmctld::Config small_config(std::uint32_t nodes = 4) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.sched_interval = SimTime::seconds(30);
   cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();  // tests exercise instant reaction
   return cfg;
@@ -266,22 +265,22 @@ TEST(Slurmctld, MinPassGapDefersEventScheduling) {
   Simulation sim;
   auto cfg = small_config(1);
   cfg.min_pass_gap = SimTime::seconds(20);
-  cfg.sched_interval = SimTime::hours(10);  // keep periodic passes away
   Slurmctld ctld{sim, cfg, default_partitions()};
-  // First job triggers a pass immediately (no previous pass).
-  ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5)));
+  // First job triggers a pass immediately (no previous pass) and ends at
+  // 5:10, 10 s after the periodic pass of 5:00 (kSchedInterval = 30 s).
+  ctld.submit(hpc_job(1, SimTime::minutes(10),
+                      SimTime::minutes(5) + SimTime::seconds(10)));
   sim.run_until(SimTime::seconds(1));
   EXPECT_EQ(ctld.idle_node_count(), 0u);
-  // The node frees at t=5min; the end-of-job pass request is deferred to
-  // 20s after the *previous* pass... which was long ago, so it runs
-  // immediately. Submit a successor right before the free to check the
-  // deferral window after that pass.
   const JobId next =
       ctld.submit(hpc_job(1, SimTime::minutes(5), SimTime::minutes(5)));
-  sim.run_until(SimTime::minutes(5) + SimTime::seconds(1));
-  // The free-triggered pass at t=5min started the successor (gap elapsed
-  // since the submission pass).
+  // The end-of-job pass request waits out the 20 s gap after 5:00.
+  sim.run_until(SimTime::minutes(5) + SimTime::seconds(15));
+  EXPECT_EQ(ctld.job(next).state, JobState::kPending);
+  sim.run_until(SimTime::minutes(5) + SimTime::seconds(21));
   EXPECT_EQ(ctld.job(next).state, JobState::kRunning);
+  EXPECT_EQ(ctld.job(next).start_time,
+            SimTime::minutes(5) + SimTime::seconds(20));
 }
 
 }  // namespace

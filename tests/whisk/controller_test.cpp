@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hpcwhisk::whisk {
 namespace {
 
@@ -253,6 +256,41 @@ TEST(Controller, MembershipChangeRemapsRouting) {
   for (InvokerId id = 0; id < 2; ++id)
     total += f.broker.topic(Controller::invoker_topic_name(id)).size();
   EXPECT_EQ(total, 2u);
+}
+
+TEST(Controller, HashProbingStrideSharingAFactorWithNVisitsItsCosetOnly) {
+  // The probe stride (hash >> 32 | 1) % n is odd, which makes it co-prime
+  // with a power-of-two n only. With 6 invokers and stride 3 the probes
+  // visit the home and home + 3 alone; the least-loaded fallback then
+  // takes the lowest-id idle invoker. This pins today's decisions.
+  constexpr std::size_t kInvokers = 6;
+  Simulation sim;
+  mq::Broker broker;
+  FunctionRegistry registry;
+  Controller::Config cfg;
+  cfg.invoker_slots = 1;
+  Controller controller{sim, broker, registry, cfg};
+  std::string name;
+  for (int i = 0;; ++i) {
+    name = "probe-" + std::to_string(i);
+    const std::uint64_t h = function_hash(name);
+    if ((h >> 32 | 1) % kInvokers == 3 && h % kInvokers % 3 != 0) break;
+  }
+  registry.put(fixed_duration_function(name, SimTime::minutes(1)));
+  for (std::size_t i = 0; i < kInvokers; ++i) controller.register_invoker();
+  const auto home = static_cast<InvokerId>(function_hash(name) % kInvokers);
+  const auto partner = static_cast<InvokerId>((home + 3) % kInvokers);
+
+  std::vector<InvokerId> routed;
+  for (int i = 0; i < 4; ++i) {
+    const auto r = controller.submit(name);
+    ASSERT_TRUE(r.accepted);
+    routed.push_back(controller.activation(r.activation).routed_to);
+  }
+  // Home {1, 2, 4, 5}: the coset {home, home + 3} excludes invokers 0
+  // and 3, so the fallback picks 0 and then the lowest id still idle.
+  const InvokerId lowest_idle = home == 1 || partner == 1 ? 2 : 1;
+  EXPECT_EQ(routed, (std::vector<InvokerId>{home, partner, 0, lowest_idle}));
 }
 
 }  // namespace

@@ -228,7 +228,6 @@ TEST(Invoker, CapacityRejectionFailsActivation) {
   Invoker::Config cfg;
   cfg.max_concurrent = 8;
   cfg.pool.max_containers = 2;  // tiny node: 3rd concurrent exec rejected
-  cfg.cpu_dilation = false;
   auto inv = f.make_invoker(cfg);
   inv->start();
   std::vector<ActivationId> ids;

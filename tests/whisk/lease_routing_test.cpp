@@ -23,9 +23,6 @@ struct Fixture {
   static Controller::Config lease_on() {
     Controller::Config cfg;
     cfg.lease.enabled = true;
-    cfg.lease.term = SimTime::seconds(30);
-    cfg.lease.hot_interarrival = SimTime::millis(800);
-    cfg.lease.min_arrivals = 3;
     return cfg;
   }
 
@@ -75,7 +72,7 @@ TEST(LeaseRouting, HotFunctionEarnsLeaseThenBypassesTheQueue) {
   inv->start();
   const auto ids = f.drive("fast", 10);
   f.sim.run_until(SimTime::seconds(30));
-  // Arrivals 1-2 are below min_arrivals, the 3rd routes normally and
+  // Arrivals 1-2 are below kMinArrivals, the 3rd routes normally and
   // grants; every later call goes through the seam.
   EXPECT_EQ(f.controller.counters().lease_granted, 1u);
   EXPECT_EQ(f.controller.counters().lease_hits, 7u);
@@ -140,7 +137,7 @@ TEST(LeaseRouting, FullPoolFallsBackInsteadOfEvicting) {
   Fixture f;
   Invoker::Config cfg;
   cfg.pool.max_containers = 1;  // tiny node: one container total
-  cfg.pool.prewarm_kind.clear();
+  cfg.pool.prewarm_count = 0;
   auto inv = f.make_invoker(cfg);
   inv->start();
   (void)f.drive("fast", 5);

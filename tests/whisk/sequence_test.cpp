@@ -1,5 +1,4 @@
-// Action sequences ("functions triggered by other functions", Sec. II)
-// and completion callbacks.
+// Action sequences ("functions triggered by other functions", Sec. II).
 
 #include <gtest/gtest.h>
 
@@ -70,8 +69,11 @@ TEST(Sequence, NoChainOnTimeout) {
   f.registry.put(slow);
   f.chain("never", "");
   f.invoker->start();
-  ASSERT_TRUE(f.controller.submit("slow").accepted);
+  const auto result = f.controller.submit("slow");
+  ASSERT_TRUE(result.accepted);
   f.sim.run_until(SimTime::minutes(2));
+  EXPECT_EQ(f.controller.activation(result.activation).state,
+            ActivationState::kTimedOut);
   EXPECT_EQ(f.controller.counters().sequence_invocations, 0u);
 }
 
@@ -91,67 +93,6 @@ TEST(Sequence, SurvivesWorkerChurnMidChain) {
   f.sim.run_until(SimTime::minutes(3));
   EXPECT_EQ(f.controller.counters().sequence_invocations, 1u);
   EXPECT_EQ(f.controller.counters().completed, 2u);
-}
-
-TEST(CompletionCallback, FiresOnceOnTerminalState) {
-  Fixture f;
-  f.registry.put(fixed_duration_function("fn", SimTime::millis(10)));
-  f.invoker->start();
-  const auto result = f.controller.submit("fn");
-  int fired = 0;
-  ActivationState seen{};
-  f.controller.on_completion(result.activation,
-                             [&](const ActivationRecord& rec) {
-                               ++fired;
-                               seen = rec.state;
-                             });
-  f.sim.run_until(SimTime::minutes(1));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(seen, ActivationState::kCompleted);
-}
-
-TEST(CompletionCallback, ImmediateIfAlreadyTerminal) {
-  Fixture f;
-  f.registry.put(fixed_duration_function("fn", SimTime::millis(10)));
-  f.invoker->start();
-  const auto result = f.controller.submit("fn");
-  f.sim.run_until(SimTime::minutes(1));
-  int fired = 0;
-  f.controller.on_completion(result.activation,
-                             [&](const ActivationRecord&) { ++fired; });
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(CompletionCallback, FiresOnTimeoutToo) {
-  Fixture f;
-  FunctionSpec fn = fixed_duration_function("fn", SimTime::millis(10));
-  fn.timeout = SimTime::seconds(10);
-  f.registry.put(fn);
-  // No invoker started: accepted activation times out.
-  f.controller.register_invoker();  // healthy entry but nobody pulls
-  const auto result = f.controller.submit("fn");
-  ASSERT_TRUE(result.accepted);
-  ActivationState seen{};
-  f.controller.on_completion(result.activation,
-                             [&](const ActivationRecord& rec) {
-                               seen = rec.state;
-                             });
-  f.sim.run_until(SimTime::minutes(1));
-  EXPECT_EQ(seen, ActivationState::kTimedOut);
-}
-
-TEST(CompletionCallback, MultipleCallbacksAllFire) {
-  Fixture f;
-  f.registry.put(fixed_duration_function("fn", SimTime::millis(10)));
-  f.invoker->start();
-  const auto result = f.controller.submit("fn");
-  int fired = 0;
-  for (int i = 0; i < 3; ++i) {
-    f.controller.on_completion(result.activation,
-                               [&](const ActivationRecord&) { ++fired; });
-  }
-  f.sim.run_until(SimTime::minutes(1));
-  EXPECT_EQ(fired, 3);
 }
 
 }  // namespace

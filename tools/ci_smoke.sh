@@ -11,6 +11,7 @@
 #   COVERAGE=1    add an instrumented build (build-cov/), print a gcov
 #                 line-coverage summary for src/ and list the src/
 #                 functions no test or simcheck seed ever entered
+# The last step prints tools/knob_census.sh's totals line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -374,5 +375,10 @@ fi
 # (The committed BENCH_federation.json is the full {1,2,4}-cluster sweep
 # at HW_BENCH_TRIALS=3; the smoke above runs a single 2-cluster leg, so
 # there is no matching committed baseline to gate against here.)
+
+# Informational, gates nothing: how many src/ Config members exist and
+# how many of them only tests set (candidates for named constants).
+echo "== knob census =="
+tools/knob_census.sh --totals
 
 echo "ci_smoke: OK"
