@@ -39,13 +39,15 @@ void BM_topic_batch_poll(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   mq::Broker broker;
   mq::Topic& topic = broker.topic("bench");
+  std::vector<mq::Message> scratch;
   for (auto _ : state) {
     for (std::size_t i = 0; i < batch; ++i) {
       mq::Message m;
       m.id = i;
       topic.publish(std::move(m), sim::SimTime::zero());
     }
-    benchmark::DoNotOptimize(topic.poll(batch));
+    scratch.clear();
+    benchmark::DoNotOptimize(topic.poll_into(batch, scratch));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
@@ -53,22 +55,22 @@ void BM_topic_batch_poll(benchmark::State& state) {
 BENCHMARK(BM_topic_batch_poll)->Arg(8)->Arg(64)->Arg(512);
 
 /// The steady-state message hot path at production scale: one topic per
-/// invoker on a 2,239-node cluster, handles resolved once at wiring time
-/// (mq::TopicRef), publishes and poll_into through the cached pointer —
-/// zero string hashing, zero broker locking, zero allocation per event
-/// once the scratch vector has grown.
+/// invoker on a 2,239-node cluster, topics resolved once at wiring time,
+/// publishes and poll_into through the cached pointer — zero string
+/// hashing and zero allocation per event once the scratch vector has
+/// grown.
 void BM_mq_publish_consume(benchmark::State& state) {
   constexpr std::size_t kTopics = 2239;
   mq::Broker broker;
-  std::vector<mq::TopicRef> refs;
-  refs.reserve(kTopics);
+  std::vector<mq::Topic*> topics;
+  topics.reserve(kTopics);
   for (std::size_t i = 0; i < kTopics; ++i)
-    refs.push_back(broker.resolve("invoker-" + std::to_string(i)));
+    topics.push_back(&broker.topic("invoker-" + std::to_string(i)));
   std::vector<mq::Message> scratch;
   std::uint64_t id = 0;
   std::size_t cursor = 0;
   for (auto _ : state) {
-    mq::Topic& topic = *refs[cursor];
+    mq::Topic& topic = *topics[cursor];
     cursor = (cursor + 1) % kTopics;
     mq::Message m;
     m.id = id++;

@@ -53,6 +53,9 @@ enum class FedPolicy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FedPolicy p);
 
+/// Health snapshot refresh cadence — the staleness bound.
+inline constexpr sim::SimTime kHealthRefresh = sim::SimTime::seconds(1);
+
 class FederatedGateway {
  public:
   struct ClusterSpec {
@@ -72,9 +75,6 @@ class FederatedGateway {
   struct Config {
     std::vector<ClusterSpec> clusters;  ///< at least one
     FedPolicy policy{FedPolicy::kPowerOfTwo};
-    /// Health snapshot refresh cadence — the staleness bound. Zero
-    /// disables the periodic sampler (tests call refresh_health()).
-    sim::SimTime health_refresh{sim::SimTime::seconds(1)};
     /// The shared commercial fallback backend; every offload asks for
     /// core::kOffloadMemoryMb.
     cloud::LambdaService::Config cloud;
@@ -126,7 +126,7 @@ class FederatedGateway {
     sim::SimTime sampled_at;
   };
 
-  /// Re-samples every cluster now. Called on the health_refresh cadence;
+  /// Re-samples every cluster now. Called on the kHealthRefresh cadence;
   /// tests drive it manually to pin staleness semantics.
   void refresh_health();
   [[nodiscard]] const std::vector<ClusterHealth>& health() const {

@@ -81,10 +81,7 @@ void FederatedGateway::start() {
     if (c.workload) c.workload->start();
     c.system->start();
   }
-  if (config_.health_refresh > sim::SimTime::zero()) {
-    sampler_ =
-        sim_.every(config_.health_refresh, [this] { refresh_health(); });
-  }
+  sampler_ = sim_.every(kHealthRefresh, [this] { refresh_health(); });
 }
 
 void FederatedGateway::refresh_health() {

@@ -3,25 +3,15 @@
 // global "fast lane" topic that drained invokers re-publish into and that
 // every invoker polls before its own topic (Sec. III-C of the paper).
 //
-// Lookup structure: the name map is sharded by name hash, each shard
-// behind its own mutex, so concurrent resolution from benchmark worker
-// threads never funnels through one broker-wide lock. But the intended
-// steady state is cheaper still: components resolve a TopicRef once at
-// wiring time (invoker registration) and afterwards publish/consume
-// straight through the cached handle — zero string hashing and zero
-// broker locking per message. The string-keyed topic() API remains as a
-// thin resolve-then-forward wrapper for tests and one-off lookups.
-//
-// A small directory (its own mutex, strictly after any shard mutex in
-// lock order) interns TopicIds, caches the sorted name list, and lets
-// the observability collector snapshot the topic set without stalling
-// publishes.
+// Not thread-safe, and nothing needs it to be: each HpcWhiskSystem owns
+// its broker, one sim::Simulation drives it, and parallel trials
+// (exec::parallel_trials) each build their own system. Components
+// resolve their topics once at wiring time (invoker registration) and
+// afterwards publish and consume through the Topic& — no name lookup
+// per message.
 
-#include <array>
-#include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,98 +24,49 @@ struct Observability;
 
 namespace hpcwhisk::mq {
 
-/// Cached topic handle: the broker lookup (name hash + shard lock) is
-/// paid once when the ref is resolved; every publish/consume through it
-/// afterwards touches only the topic itself. Refs stay valid for the
-/// broker's lifetime (topics are never destroyed).
-class TopicRef {
- public:
-  TopicRef() = default;
-
-  [[nodiscard]] Topic* get() const { return t_; }
-  Topic* operator->() const { return t_; }
-  Topic& operator*() const { return *t_; }
-  [[nodiscard]] explicit operator bool() const { return t_ != nullptr; }
-  [[nodiscard]] TopicId id() const { return t_ != nullptr ? t_->id() : TopicId{}; }
-
- private:
-  friend class Broker;
-  explicit TopicRef(Topic* t) : t_{t} {}
-  Topic* t_{nullptr};
-};
-
 class Broker {
  public:
   /// Conventional name of the global fast-lane topic.
   static constexpr const char* kFastLane = "fast-lane";
-  static constexpr std::size_t kShardCount = 16;
 
   Broker();
 
-  /// Resolves (creating if absent) and returns a cached handle. Wiring-
-  /// time API: call once per consumer/producer, keep the ref.
-  TopicRef resolve(const std::string& name);
-
-  /// Returns the topic, creating it if absent. The pointer stays valid for
-  /// the broker's lifetime (topics are never destroyed, matching Kafka's
-  /// durable-topic semantics within a run). Thin wrapper over resolve().
-  Topic& topic(const std::string& name) { return *resolve(name); }
+  /// Returns the topic, creating it if absent. The reference stays valid
+  /// for the broker's lifetime (topics are never destroyed, matching
+  /// Kafka's durable-topic semantics within a run). Wiring-time API:
+  /// call once per consumer/producer and keep the reference.
+  Topic& topic(const std::string& name);
 
   /// Returns the topic or nullptr if it was never created.
   [[nodiscard]] Topic* find(const std::string& name);
 
-  /// Resolves an interned id back to its topic; nullptr for invalid or
-  /// foreign ids.
-  [[nodiscard]] Topic* by_id(TopicId id) const;
-
   Topic& fast_lane() { return *fast_lane_; }
 
   /// Runs `hook` on every existing topic and on each topic created later
-  /// (invoker topics appear dynamically as pilots register). The chaos
-  /// engine uses this to install fault filters broker-wide. One hook at a
-  /// time; an empty function clears it.
+  /// (invoker topics appear dynamically as pilots register), in creation
+  /// order. The chaos engine uses this to install fault filters
+  /// broker-wide. One hook at a time; an empty function clears it.
   void set_topic_hook(std::function<void(Topic&)> hook);
 
-  /// Names sorted lexicographically: the underlying maps are unordered,
-  /// so sorting keeps logs and reports reproducible across platforms.
-  /// The sorted list is cached and only rebuilt after a topic was
-  /// created, so repeated calls (report loops) don't re-sort.
+  /// Names of every topic ever created, sorted lexicographically so logs
+  /// and reports read the same on every platform.
   [[nodiscard]] std::vector<std::string> topic_names() const;
-  [[nodiscard]] std::size_t topic_count() const;
 
   /// Registers a metrics collector on `obs` that sums every topic's
   /// counters into the mq.* instruments at snapshot time (publishes stay
-  /// uninstrumented — the hot path is untouched). The collector snapshots
-  /// the topic list under the directory lock, then sums counters through
-  /// per-topic locks only — no broker-wide lock is held while summing,
-  /// so a slow metrics sweep never stalls publishes. `obs` must not
-  /// outlive the broker. Null is a no-op.
+  /// uninstrumented — the hot path is untouched). `mq.topics` counts the
+  /// topics created so far. `obs` must not outlive the broker. Null is a
+  /// no-op.
   void set_observability(obs::Observability* obs);
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::unique_ptr<Topic>> topics;
-  };
-
-  [[nodiscard]] Shard& shard_for(const std::string& name) {
-    return shards_[std::hash<std::string>{}(name) % kShardCount];
-  }
-  [[nodiscard]] const Shard& shard_for(const std::string& name) const {
-    return const_cast<Broker*>(this)->shard_for(name);
-  }
-
-  std::array<Shard, kShardCount> shards_;
-
-  /// Directory: id interning, name cache, hook. Lock order: a shard
-  /// mutex may be held when taking dir_mu_ (topic creation), never the
-  /// reverse.
-  mutable std::mutex dir_mu_;
-  std::vector<Topic*> by_id_;
-  mutable std::vector<std::string> names_cache_;
-  mutable bool names_dirty_{false};
+  /// Looked up by name, never iterated: its order is unspecified.
+  std::unordered_map<std::string, std::unique_ptr<Topic>> by_name_;
+  /// Creation order, for everything that walks the topics.
+  std::vector<Topic*> topics_;
   std::function<void(Topic&)> topic_hook_;
-  Topic* fast_lane_{nullptr};
+  /// Declared last: the constructor creates it through topic().
+  Topic* fast_lane_;
 };
 
 }  // namespace hpcwhisk::mq

@@ -2,16 +2,13 @@
 // A FIFO topic with pull-based consumption, mirroring how OpenWhisk
 // invokers consume their individual Kafka topics.
 //
-// Thread-safe: the simulator itself is single-threaded, but benchmark
-// harnesses drive independent brokers from worker threads, so the topic
-// guards its queue with a mutex (uncontended locks are cheap).
-//
-// Hot-path shape: consumers poll far more often than producers publish,
-// so the empty case is the common case. approx_empty() answers it with
-// one relaxed atomic load — no lock — and poll_into()/poll_one() bail
-// out through it before ever touching the mutex. poll_into() appends to
-// a caller-owned scratch vector, so a steady-state poll tick performs
-// zero allocations.
+// Not thread-safe, and nothing needs it to be: a topic belongs to one
+// Broker, which belongs to one HpcWhiskSystem driven by one
+// sim::Simulation; parallel trials (exec::parallel_trials) each build
+// their own. Consumers poll far more often than producers publish, so
+// the empty case is the common case and an empty poll is one size
+// check. poll_into() appends to a caller-owned scratch vector, so a
+// steady-state poll tick performs zero allocations.
 //
 // Fault injection: an optional fault filter intercepts every publish and
 // may drop, delay, or duplicate the message — the broker-level failure
@@ -19,11 +16,9 @@
 // once per publish; delayed and duplicated copies are delivered through
 // an internal path that bypasses it, so a fault decision never cascades.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,24 +31,6 @@ class Simulation;
 
 namespace hpcwhisk::mq {
 
-/// Dense broker-assigned topic handle (interning): stable for the
-/// broker's lifetime, resolvable back to the topic without hashing the
-/// name. Default-constructed ids are invalid (a topic created outside a
-/// broker never gets one).
-class TopicId {
- public:
-  constexpr TopicId() = default;
-  [[nodiscard]] constexpr bool valid() const { return value_ != kInvalid; }
-  [[nodiscard]] constexpr std::uint32_t value() const { return value_; }
-  constexpr bool operator==(const TopicId&) const = default;
-
- private:
-  friend class Broker;
-  static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
-  constexpr explicit TopicId(std::uint32_t v) : value_{v} {}
-  std::uint32_t value_{kInvalid};
-};
-
 class Topic {
  public:
   explicit Topic(std::string name) : name_{std::move(name)} {}
@@ -62,35 +39,20 @@ class Topic {
   Topic& operator=(const Topic&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// The broker-assigned intern id; invalid for free-standing topics.
-  [[nodiscard]] TopicId id() const { return id_; }
 
   /// Appends a message to the tail. Stamps first_published on the first
   /// publish and bumps delivery_count. Subject to the fault filter.
-  void publish(Message msg, sim::SimTime now);
+  void publish(Message msg, sim::SimTime now) { admit(msg, now, false); }
 
   /// Like publish(), but enqueues at the *head*: the message preempts
   /// queue position (deadline-class dispatch), never a consumer that has
   /// already pulled. Subject to the fault filter; a fault-delayed copy
   /// loses its front position (it re-enters whenever the delay fires).
-  void publish_front(Message msg, sim::SimTime now);
-
-  /// One relaxed atomic load, no lock. Precise whenever publishes and
-  /// polls happen on one thread (the simulator); under concurrent
-  /// producers a consumer may see a just-published message one poll
-  /// late, which pull-based consumption tolerates by construction.
-  [[nodiscard]] bool approx_empty() const {
-    return approx_size_.load(std::memory_order_relaxed) == 0;
-  }
+  void publish_front(Message msg, sim::SimTime now) { admit(msg, now, true); }
 
   /// Pops up to `max_count` messages from the head (FIFO), appending to
-  /// `out`. Returns the number popped. The empty case returns through
-  /// approx_empty() without locking or allocating.
+  /// `out`. Returns the number popped.
   std::size_t poll_into(std::size_t max_count, std::vector<Message>& out);
-
-  /// Pops up to `max_count` messages from the head (FIFO). Convenience
-  /// wrapper over poll_into() that allocates the result vector.
-  [[nodiscard]] std::vector<Message> poll(std::size_t max_count);
 
   /// Pops a single message, if any.
   [[nodiscard]] std::optional<Message> poll_one();
@@ -99,8 +61,8 @@ class Topic {
   /// move a draining invoker's unpulled backlog to the fast-lane topic.
   [[nodiscard]] std::vector<Message> drain();
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const { return queue_.size(); }
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
 
   // --- Fault injection -----------------------------------------------------
 
@@ -132,21 +94,16 @@ class Topic {
     std::uint64_t fault_delayed{0};
     std::uint64_t fault_duplicated{0};  ///< extra copies enqueued
   };
-  [[nodiscard]] Counters counters() const;
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  friend class Broker;  ///< assigns id_ at interning time
-
-  /// Enqueues one copy, bypassing the fault filter.
-  void deliver(Message msg, sim::SimTime now);
-  void deliver_front(Message msg, sim::SimTime now);
+  /// Runs the fault filter on one publish to the head (`front`) or tail.
+  void admit(Message msg, sim::SimTime now, bool front);
+  /// Enqueues one copy at the head or tail, bypassing the fault filter.
+  void deliver(Message msg, sim::SimTime now, bool front);
 
   const std::string name_;
-  TopicId id_;
-  mutable std::mutex mu_;
   std::deque<Message> queue_;
-  /// Mirrors queue_.size(); written under mu_, readable without it.
-  std::atomic<std::size_t> approx_size_{0};
   FaultFilter fault_filter_;
   sim::Simulation* sim_{nullptr};
   Counters counters_;

@@ -6,102 +6,51 @@
 
 namespace hpcwhisk::mq {
 
-Broker::Broker() { fast_lane_ = resolve(kFastLane).get(); }
+Broker::Broker() : fast_lane_{&topic(kFastLane)} {}
 
-TopicRef Broker::resolve(const std::string& name) {
-  Shard& sh = shard_for(name);
-  Topic* created = nullptr;
-  Topic* result = nullptr;
-  std::function<void(Topic&)> hook;
-  {
-    std::lock_guard lock{sh.mu};
-    auto it = sh.topics.find(name);
-    if (it == sh.topics.end()) {
-      it = sh.topics.emplace(name, std::make_unique<Topic>(name)).first;
-      created = it->second.get();
-      // Intern under the directory lock (shard -> dir order, never the
-      // reverse): creation is rare, so the nested lock is off the hot
-      // path by construction.
-      std::lock_guard dir{dir_mu_};
-      created->id_ = TopicId{static_cast<std::uint32_t>(by_id_.size())};
-      by_id_.push_back(created);
-      names_dirty_ = true;
-      hook = topic_hook_;
-    }
-    result = it->second.get();
-  }
-  // The hook runs outside all broker locks so it may take the topic's own.
-  if (created != nullptr && hook) hook(*created);
-  return TopicRef{result};
+Topic& Broker::topic(const std::string& name) {
+  auto [it, created] = by_name_.try_emplace(name);
+  if (!created) return *it->second;
+  it->second = std::make_unique<Topic>(name);
+  Topic& t = *it->second;
+  topics_.push_back(&t);
+  if (topic_hook_) topic_hook_(t);
+  return t;
 }
 
 Topic* Broker::find(const std::string& name) {
-  const Shard& sh = shard_for(name);
-  std::lock_guard lock{sh.mu};
-  const auto it = sh.topics.find(name);
-  return it == sh.topics.end() ? nullptr : it->second.get();
-}
-
-Topic* Broker::by_id(TopicId id) const {
-  std::lock_guard lock{dir_mu_};
-  if (!id.valid() || id.value() >= by_id_.size()) return nullptr;
-  return by_id_[id.value()];
+  const auto it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : it->second.get();
 }
 
 void Broker::set_topic_hook(std::function<void(Topic&)> hook) {
-  std::vector<Topic*> existing;
-  {
-    std::lock_guard lock{dir_mu_};
-    topic_hook_ = std::move(hook);
-    if (!topic_hook_) return;
-    existing = by_id_;
-  }
-  for (Topic* t : existing) topic_hook_(*t);
+  topic_hook_ = std::move(hook);
+  if (!topic_hook_) return;
+  for (Topic* t : topics_) topic_hook_(*t);
 }
 
 std::vector<std::string> Broker::topic_names() const {
-  std::lock_guard lock{dir_mu_};
-  if (names_dirty_) {
-    names_cache_.clear();
-    names_cache_.reserve(by_id_.size());
-    for (const Topic* t : by_id_) names_cache_.push_back(t->name());
-    std::sort(names_cache_.begin(), names_cache_.end());
-    names_dirty_ = false;
-  }
-  return names_cache_;
-}
-
-std::size_t Broker::topic_count() const {
-  std::lock_guard lock{dir_mu_};
-  return by_id_.size();
+  std::vector<std::string> names;
+  names.reserve(topics_.size());
+  for (const Topic* t : topics_) names.push_back(t->name());
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 void Broker::set_observability(obs::Observability* obs) {
   HW_OBS_IF(obs) {
     obs->metrics.add_collector([this](obs::MetricsRegistry& m) {
-      // Snapshot the topic set under the directory lock, sum outside it:
-      // each counters() call takes only that topic's mutex, so publishes
-      // to other topics (and resolution on every shard) proceed
-      // concurrently with the sweep.
-      std::vector<Topic*> snapshot;
-      Topic* fast_ptr = nullptr;
-      {
-        std::lock_guard lock{dir_mu_};
-        snapshot = by_id_;
-        fast_ptr = fast_lane_;
-      }
       Topic::Counters total;
-      Topic::Counters fast;
-      for (const Topic* t : snapshot) {
-        const Topic::Counters c = t->counters();
+      for (const Topic* t : topics_) {
+        const Topic::Counters& c = t->counters();
         total.published += c.published;
         total.consumed += c.consumed;
         total.drained += c.drained;
         total.fault_dropped += c.fault_dropped;
         total.fault_delayed += c.fault_delayed;
         total.fault_duplicated += c.fault_duplicated;
-        if (t == fast_ptr) fast = c;
       }
+      const Topic::Counters& fast = fast_lane_->counters();
       m.counter("mq.published").set(total.published);
       m.counter("mq.consumed").set(total.consumed);
       m.counter("mq.drained").set(total.drained);
@@ -110,7 +59,7 @@ void Broker::set_observability(obs::Observability* obs) {
       m.counter("mq.fault_duplicated").set(total.fault_duplicated);
       m.counter("mq.fast_lane.published").set(fast.published);
       m.counter("mq.fast_lane.consumed").set(fast.consumed);
-      m.gauge("mq.topics").set(static_cast<double>(snapshot.size()));
+      m.gauge("mq.topics").set(static_cast<double>(topics_.size()));
     });
   }
 }

@@ -399,7 +399,7 @@ InvokerId Controller::register_invoker() {
   // Resolve the topic once; every later publish to this invoker goes
   // through the cached handle (and the topic exists before any routing
   // decision targets it).
-  entry.topic = broker_.resolve(invoker_topic_name(id)).get();
+  entry.topic = &broker_.topic(invoker_topic_name(id));
   invokers_.push_back(entry);
   live_ids_.push_back(id);
   healthy_dirty_ = true;

@@ -54,7 +54,7 @@ void Invoker::start() {
   id_ = controller_.register_invoker();
   // Both handles resolved once here; every poll tick afterwards is
   // broker-free.
-  own_topic_ = broker_.resolve(Controller::invoker_topic_name(id_)).get();
+  own_topic_ = &broker_.topic(Controller::invoker_topic_name(id_));
   fast_lane_ = &broker_.fast_lane();
   // Install the lease bypass seam. Only consulted when the controller
   // runs with leasing enabled; installing it unconditionally keeps the
@@ -94,12 +94,12 @@ void Invoker::poll() {
     (void)pool_.reap_idle(sim_.now());
   }
   // Fast lane first (highest priority), then the invoker's own topic.
-  // Steady state — both empty — is decided by two relaxed atomic loads:
-  // no topic locks, no allocation, on the simulation's most frequent
-  // event (every invoker, every poll tick).
+  // Steady state — both empty — is decided by two size checks, with no
+  // allocation, on the simulation's most frequent event (every invoker,
+  // every poll tick).
   mq::Topic& fast = *fast_lane_;
-  const bool fast_has = !fast.approx_empty();
-  const bool own_has = !own_topic_->approx_empty();
+  const bool fast_has = !fast.empty();
+  const bool own_has = !own_topic_->empty();
   if (!fast_has && !own_has) {
     dispatch_buffer();
     return;

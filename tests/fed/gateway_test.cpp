@@ -21,7 +21,6 @@ using sim::Simulation;
 FederatedGateway::Config make_config(std::size_t clusters, FedPolicy policy) {
   FederatedGateway::Config cfg;
   cfg.policy = policy;
-  cfg.health_refresh = SimTime::zero();  // tests refresh by hand
   cfg.log_decisions = true;
   for (std::size_t i = 0; i < clusters; ++i) {
     FederatedGateway::ClusterSpec spec;

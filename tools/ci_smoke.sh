@@ -15,6 +15,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Concurrency lint: only src/exec runs threads. Every other module is
+# driven by one sim::Simulation, so a mutex, atomic or thread there
+# guards nothing; fail with file:line on any such name or header.
+echo "== concurrency lint =="
+if grep -rnE \
+    '\bstd::(mutex|atomic|thread|shared_mutex|condition_variable)|#[[:space:]]*include[[:space:]]*<(mutex|atomic|thread|shared_mutex|condition_variable)>' \
+    src --exclude-dir=exec; then
+  echo "concurrency lint: the lines above use threads outside src/exec" >&2
+  exit 1
+fi
+
 if [[ "${SANITIZE:-0}" == "1" ]]; then
   BUILD_DIR=${BUILD_DIR:-build-asan}
   SAN_FLAG=ON
