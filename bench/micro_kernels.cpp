@@ -99,36 +99,6 @@ void BM_event_queue_schedule(benchmark::State& state) {
 }
 BENCHMARK(BM_event_queue_schedule);
 
-/// Batched drain of same-deadline runs with 2,239 events in flight —
-/// the shape Simulation::run() sees when many invokers share a poll
-/// deadline. Items processed counts drained events, not iterations.
-void BM_event_queue_pop_batch(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  constexpr std::int64_t kLive = 2239;
-  // Background population parked far in the future: every pop_batch below
-  // must drain exactly the same-deadline run this iteration scheduled.
-  constexpr std::int64_t kFarFuture = std::int64_t{1} << 40;
-  sim::EventQueue queue;
-  for (std::int64_t i = 0; i < kLive; ++i)
-    queue.schedule(sim::SimTime::micros(kFarFuture + i), [] {});
-  std::vector<sim::EventQueue::Popped> out;
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    ++t;
-    for (std::size_t i = 0; i < batch; ++i)
-      queue.schedule(sim::SimTime::micros(t), [] {});
-    std::size_t drained = 0;
-    while (drained < batch) {
-      out.clear();
-      drained += queue.pop_batch(batch - drained, out);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_event_queue_pop_batch)->Arg(8)->Arg(64)->Arg(512);
-
 void BM_event_queue_schedule_pop(benchmark::State& state) {
   sim::EventQueue queue;
   std::int64_t t = 0;

@@ -12,6 +12,15 @@
 namespace hpcwhisk::check {
 namespace {
 
+/// "c<index>", the head of a violation message. Appended rather than
+/// written `"c" + std::to_string(c)`: GCC 12 flags that form with a
+/// -Wrestrict false positive.
+std::string cluster_prefix(std::size_t c) {
+  std::string out{"c"};
+  out += std::to_string(c);
+  return out;
+}
+
 std::string job_tag(std::size_t cluster, const JobInfo& j) {
   std::ostringstream out;
   out << "c" << cluster << " job " << j.id << " (" << j.partition << ")";
@@ -24,7 +33,7 @@ void check_activation_conservation(const ScenarioSpec&,
   for (std::size_t c = 0; c < obs.clusters.size(); ++c) {
     for (const std::string& v : obs.clusters[c].audit.violations) {
       out.push_back({"activation-conservation",
-                     "c" + std::to_string(c) + ": " + v});
+                     cluster_prefix(c) + ": " + v});
     }
   }
 }
@@ -35,7 +44,7 @@ void check_terminal_balance(const ScenarioSpec&, const RunObservation& obs,
     const ClusterObservation& co = obs.clusters[c];
     const auto& ct = co.controller;
     const auto tag = [&](const std::string& msg) {
-      out.push_back({"terminal-balance", "c" + std::to_string(c) + ": " + msg});
+      out.push_back({"terminal-balance", cluster_prefix(c) + ": " + msg});
     };
     if (ct.submitted != ct.accepted + ct.rejected_503) {
       tag("submitted " + std::to_string(ct.submitted) + " != accepted " +
@@ -76,7 +85,7 @@ void check_pilot_accounting(const ScenarioSpec&, const RunObservation& obs,
     if (m.started != accounted) {
       out.push_back(
           {"pilot-accounting",
-           "c" + std::to_string(c) + ": started " + std::to_string(m.started) +
+           cluster_prefix(c) + ": started " + std::to_string(m.started) +
                " != preempted " + std::to_string(m.preempted) +
                " + timed_out " + std::to_string(m.timed_out) +
                " + completed " + std::to_string(m.completed) +
@@ -86,7 +95,7 @@ void check_pilot_accounting(const ScenarioSpec&, const RunObservation& obs,
     }
     if (m.hard_killed > m.node_failed) {
       out.push_back({"pilot-accounting",
-                     "c" + std::to_string(c) + ": hard_killed " +
+                     cluster_prefix(c) + ": hard_killed " +
                          std::to_string(m.hard_killed) +
                          " exceeds node_failed " +
                          std::to_string(m.node_failed)});
@@ -106,7 +115,7 @@ void check_node_timeline(const ScenarioSpec&, const RunObservation& obs,
     const auto close_node = [&](slurm::NodeId node) {
       if (open && cursor != obs.end_time) {
         out.push_back({"node-timeline",
-                       "c" + std::to_string(c) + " node " +
+                       cluster_prefix(c) + " node " +
                            std::to_string(node) + " timeline ends at " +
                            std::to_string(cursor.ticks()) + " ticks, not " +
                            std::to_string(obs.end_time.ticks())});
@@ -122,13 +131,13 @@ void check_node_timeline(const ScenarioSpec&, const RunObservation& obs,
       }
       if (iv.start != cursor) {
         out.push_back({"node-timeline",
-                       "c" + std::to_string(c) + " node " +
+                       cluster_prefix(c) + " node " +
                            std::to_string(iv.node) + " has a gap/overlap at " +
                            std::to_string(iv.start.ticks()) + " ticks"});
       }
       if (iv.end < iv.start) {
         out.push_back({"node-timeline",
-                       "c" + std::to_string(c) + " node " +
+                       cluster_prefix(c) + " node " +
                            std::to_string(iv.node) +
                            " has a negative-length interval"});
       }
@@ -137,7 +146,7 @@ void check_node_timeline(const ScenarioSpec&, const RunObservation& obs,
     if (open) close_node(current);
     for (std::uint32_t n = 0; n < co.node_count; ++n) {
       if (!seen[n]) {
-        out.push_back({"node-timeline", "c" + std::to_string(c) + " node " +
+        out.push_back({"node-timeline", cluster_prefix(c) + " node " +
                                             std::to_string(n) +
                                             " has no timeline at all"});
       }
@@ -173,7 +182,7 @@ void check_no_double_allocation(const ScenarioSpec& spec,
       for (std::size_t i = 1; i < hv.size(); ++i) {
         if (hv[i].start < hv[i - 1].release) {
           out.push_back({"no-double-allocation",
-                         "c" + std::to_string(c) + " node " +
+                         cluster_prefix(c) + " node " +
                              std::to_string(node) + " held by jobs " +
                              std::to_string(hv[i - 1].id) + " and " +
                              std::to_string(hv[i].id) + " simultaneously"});
@@ -358,7 +367,7 @@ void check_tres_capacity(const ScenarioSpec& spec, const RunObservation& obs,
         if (!used.fits_within(cap)) {
           out.push_back(
               {"tres-capacity",
-               "c" + std::to_string(c) + " node " + std::to_string(node) +
+               cluster_prefix(c) + " node " + std::to_string(node) +
                    " allocated " + used.to_string() + " > promised " +
                    cap.to_string() + " at " + std::to_string(e.at.ticks()) +
                    " ticks (job " + std::to_string(e.id) + " launching)"});

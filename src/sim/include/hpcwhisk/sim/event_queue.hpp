@@ -27,12 +27,22 @@
 // now + interval, so everything one interval's series schedule arrives
 // already sorted by (when, seq); so do one-shots that share a fixed
 // delay (Simulation::after_fixed, e.g. activation timeouts). Such
-// entries are appended to a FIFO ring ("lane") per interval; a pop takes the (when, seq) minimum over
-// the stage, the heap front and the earliest lane head. The lane with
-// the earliest head, and a copy of that head, are cached and rescanned
-// only when a lane head moves; at most kMaxLanes lanes exist, and
-// further intervals use the heap, so that rescan stays a bounded
-// handful of compares.
+// entries are appended to a FIFO ring ("lane") per interval; a pop takes
+// the (when, seq) minimum over the stage, the heap front and the
+// earliest lane head. The queue caches the lane with the earliest head
+// and the runner-up lane, with a copy of each head: a lane pop compares
+// the lane's next head against the runner-up's and rescans the lanes
+// only when it loses. At most kMaxLanes lanes exist, and further
+// intervals use the heap, so that rescan stays a bounded handful of
+// compares.
+//
+// Periodic series live in the queue itself (start_series). A series
+// keeps its callback for its whole life, in chunked storage whose
+// addresses never move, and its queued entry is (when, seq, series):
+// live while seq equals the series' current seq. pop_due() claims a tick
+// without moving the callback; the run loop calls it in place and then
+// rearm() queues the next tick with a newly drawn seq — so a tick costs
+// no slot, no callback move and, mostly, no lane rescan.
 //
 // Cancellation is O(1): the slot's callback is destroyed eagerly (so
 // captured state is reclaimed at once, not when the tombstone is
@@ -43,6 +53,7 @@
 // entries.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hpcwhisk/sim/inplace_callback.hpp"
@@ -67,8 +78,8 @@ class EventId {
 };
 
 /// 4-ary min-heap of (time, sequence) plus FIFO lanes for recurring
-/// events, with slab-allocated callbacks, batched same-deadline draining
-/// and lazy tombstone removal.
+/// events, with slab-allocated callbacks, in-place periodic series,
+/// batched same-deadline draining and lazy tombstone removal.
 class EventQueue {
  public:
   using Callback = InplaceCallback<64>;
@@ -96,6 +107,45 @@ class EventQueue {
   /// it captures) is destroyed before this returns.
   bool cancel(EventId id);
 
+  /// Identifies a periodic series: its storage index and the generation
+  /// of that storage, so an id that outlives its series never reaches
+  /// the next series stored there.
+  struct SeriesId {
+    std::uint32_t index{0};
+    std::uint32_t gen{0};
+  };
+
+  /// A periodic series. Its address never changes while the queue
+  /// lives, so the run loop calls `cb` where it is stored.
+  struct Series {
+    Callback cb;
+    SimTime interval;
+    /// Seq of the series' queued entry; 0 while it fires or once stopped.
+    std::uint64_t seq{0};
+    std::uint32_t index{0};
+    /// Bumped whenever the storage is released.
+    std::uint32_t gen{0};
+    std::uint32_t next_free{0};
+    Lane lane{kNoLane};
+    bool active{false};
+  };
+
+  /// Starts a series whose first tick is due at `now + interval`; it
+  /// draws its seq now, as schedule() would.
+  SeriesId start_series(SimTime now, SimTime interval, Callback cb);
+
+  /// Stops a series before its next tick. From inside the series' own
+  /// callback the storage is released by rearm() once the callback has
+  /// returned. Returns false if the series was already stopped.
+  bool stop_series(SeriesId id);
+
+  [[nodiscard]] bool series_active(SeriesId id) const;
+
+  /// Finishes a tick that pop_due() claimed, after its callback has
+  /// returned: queues the next tick at `now + interval` with a newly
+  /// drawn seq, or releases the series if it was stopped meanwhile.
+  void rearm(Series& s, SimTime now);
+
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
@@ -110,9 +160,12 @@ class EventQueue {
   /// Time of the earliest live event; SimTime::max() when empty.
   [[nodiscard]] SimTime next_time() const;
 
+  /// A claimed event: a one-shot's callback, moved out of the slab, or
+  /// a series tick (`series` set, `cb` empty) whose callback stays put.
   struct Popped {
     SimTime when;
     Callback cb;
+    Series* series{nullptr};
   };
 
   /// Pops and returns the earliest live event. Precondition: !empty().
@@ -124,17 +177,14 @@ class EventQueue {
   /// next_time() + pop() — the run loop's fast path.
   bool pop_due(SimTime until, Popped& out);
 
-  /// Claims every event sharing the earliest live deadline (up to
-  /// `max_n`) across heap and lanes, appending to `out` in FIFO order.
-  /// Returns the number claimed. Claimed events can no longer be
-  /// cancelled — callers that may cancel same-instant events from within
-  /// a callback (the simulation driver) must claim one event at a time
-  /// via pop()/pop_due(), which stage the run internally but revalidate
-  /// cancellation per event.
-  std::size_t pop_batch(std::size_t max_n, std::vector<Popped>& out);
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Set in Entry::slot when the entry is a series tick; the other bits
+  /// are the series index.
+  static constexpr std::uint32_t kSeriesBit = 0x80000000u;
+  /// Series are stored in chunks of 2^kSeriesChunkBits.
+  static constexpr std::uint32_t kSeriesChunkBits = 6;
+  static constexpr std::uint32_t kSeriesChunk = 1u << kSeriesChunkBits;
   /// Compaction triggers when tombstones exceed both this floor and the
   /// live count — amortized O(1) per cancellation.
   static constexpr std::size_t kCompactFloor = 64;
@@ -168,10 +218,18 @@ class EventQueue {
     std::uint32_t next_free{kNoSlot};
   };
 
+  [[nodiscard]] Series& series_at(std::uint32_t index) const {
+    return series_[index >> kSeriesChunkBits][index & (kSeriesChunk - 1)];
+  }
   [[nodiscard]] bool entry_live(const Entry& e) const {
+    if ((e.slot & kSeriesBit) != 0)
+      return series_at(e.slot & ~kSeriesBit).seq == e.seq;
     return slots_[e.slot].seq == e.seq;
   }
   void release_slot(std::uint32_t slot);
+  void release_series(Series& s);
+  /// Puts `e` on `lane`, or on the heap past the lane cap or out of order.
+  void enqueue(const Entry& e, Lane lane);
   void claim(const Entry& e, Popped& out);
 
   // 4-ary heap primitives over heap_.
@@ -188,9 +246,12 @@ class EventQueue {
 
   /// Appends `e` to `lane` if that keeps the lane sorted.
   bool append_to_lane(Lane lane, const Entry& e);
-  /// Re-picks best_lane_ and lane_head_ after a lane head moved.
+  /// Ranks a new head of `lane` against the cached lead and runner-up.
+  void admit_lane_head(Lane lane, const Entry& head) const;
+  /// Re-picks the lead and runner-up lanes from every lane's head.
   void rescan_lanes() const;
-  /// Drops the head of best_lane_.
+  /// Drops the head of best_lane_; rescans only when the lane's next
+  /// head no longer beats the runner-up.
   void pop_lane_front() const;
 
   void drain_cancelled() const;
@@ -217,9 +278,18 @@ class EventQueue {
   /// Lane whose head (live or not) sorts first; kNoLane when every lane
   /// is empty.
   mutable Lane best_lane_{kNoLane};
-  /// Copy of best_lane_'s head, so the per-pop compare stays on this
-  /// object. Meaningless while best_lane_ is kNoLane.
+  /// Lane whose head sorts first among the others; kNoLane when no other
+  /// lane holds an entry.
+  mutable Lane runner_lane_{kNoLane};
+  /// Copies of both heads, so the per-pop compares stay on this object.
+  /// Meaningless while the matching lane is kNoLane.
   mutable Entry lane_head_{};
+  mutable Entry runner_head_{};
+  /// Series storage, in chunks that never move; free indices are chained
+  /// through Series::next_free.
+  std::vector<std::unique_ptr<Series[]>> series_;
+  std::uint32_t series_count_{0};
+  std::uint32_t free_series_{kNoSlot};
 };
 
 }  // namespace hpcwhisk::sim

@@ -93,6 +93,12 @@ class InplaceCallback {
         destroy_ = [](std::byte* p) {
           std::launder(reinterpret_cast<Fn*>(p))->~Fn();
         };
+      } else if constexpr (std::is_empty_v<Fn>) {
+        // An empty closure writes no byte, so a move's memcpy would copy
+        // a wholly indeterminate buffer, which GCC reports as
+        // -Wuninitialized. One defined byte is enough; zeroing the whole
+        // tail instead costs every closure a store-forwarding stall.
+        buf_[0] = std::byte{0};
       }
       // Trivially-copyable case: relocate_/destroy_ stay null — moves are
       // a memcpy of the buffer, destruction is free.

@@ -4,47 +4,41 @@
 // Components schedule callbacks with at()/after()/every(); run() advances
 // the clock event by event. The driver is strictly single-threaded; all
 // determinism guarantees follow from EventQueue's FIFO tie-breaking.
+//
+// Periodic series live in the event queue: the run loop calls a series'
+// callback where it is stored and then re-arms it, so a tick moves no
+// callback and takes no slab slot.
 
-#include <functional>
-#include <memory>
 #include <stdexcept>
-#include <vector>
+#include <utility>
 
 #include "hpcwhisk/sim/event_queue.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::sim {
 
-class Simulation;
-
-namespace detail {
-struct PeriodicState {
-  Simulation* sim{nullptr};
-  SimTime interval;
-  /// The queue's FIFO lane for `interval` (kNoLane past the lane cap).
-  EventQueue::Lane lane{EventQueue::kNoLane};
-  EventQueue::Callback cb;
-  EventId current;
-  bool stopped{false};
-};
-}  // namespace detail
-
 /// Handle controlling a periodic series created by Simulation::every().
 /// Default-constructed handles are inert. Copyable: all copies control the
-/// same series.
+/// same series. A handle does not own its series and must not be used
+/// after its Simulation is destroyed.
 class PeriodicHandle {
  public:
   PeriodicHandle() = default;
 
   /// Stops the series before its next firing. Idempotent.
-  void stop();
-  [[nodiscard]] bool active() const { return st_ && !st_->stopped; }
+  void stop() {
+    if (queue_ != nullptr) queue_->stop_series(id_);
+  }
+  [[nodiscard]] bool active() const {
+    return queue_ != nullptr && queue_->series_active(id_);
+  }
 
  private:
   friend class Simulation;
-  explicit PeriodicHandle(std::shared_ptr<detail::PeriodicState> st)
-      : st_{std::move(st)} {}
-  std::shared_ptr<detail::PeriodicState> st_;
+  PeriodicHandle(EventQueue* queue, EventQueue::SeriesId id)
+      : queue_{queue}, id_{id} {}
+  EventQueue* queue_{nullptr};
+  EventQueue::SeriesId id_;
 };
 
 class Simulation {
@@ -54,9 +48,6 @@ class Simulation {
   using Callback = EventQueue::Callback;
 
   Simulation() = default;
-  /// Breaks callback<->handle reference cycles of still-armed periodic
-  /// series so they are freed with the simulation.
-  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -85,7 +76,11 @@ class Simulation {
 
   /// Schedules `cb` every `interval`, starting one interval from now,
   /// until the returned handle is stopped or the simulation ends.
-  PeriodicHandle every(SimTime interval, Callback cb);
+  PeriodicHandle every(SimTime interval, Callback cb) {
+    if (interval <= SimTime::zero())
+      throw std::invalid_argument("Simulation::every: non-positive interval");
+    return PeriodicHandle{&queue_, queue_.start_series(now_, interval, std::move(cb))};
+  }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
@@ -111,21 +106,12 @@ class Simulation {
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
-  friend class PeriodicHandle;
-
-  /// Fires one periodic tick and re-arms. The scheduled closure captures
-  /// only the raw state pointer (8 trivially-copyable bytes), so every
-  /// rearm fits std::function's small-buffer storage — periodic series
-  /// (invoker poll loops, samplers: millions of firings per run) never
-  /// touch the heap after creation. Ownership lives in periodics_.
-  void fire_periodic(detail::PeriodicState* st);
-  void arm_periodic(detail::PeriodicState* st);
-  void release_periodic(const detail::PeriodicState* st);
+  /// Advances the clock to a claimed event and runs it.
+  void fire(EventQueue::Popped& p);
 
   SimTime now_{SimTime::zero()};
   EventQueue queue_;
   std::uint64_t executed_{0};
-  std::vector<std::shared_ptr<detail::PeriodicState>> periodics_;
 };
 
 }  // namespace hpcwhisk::sim

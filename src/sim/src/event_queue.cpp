@@ -102,33 +102,52 @@ bool EventQueue::append_to_lane(Lane lane, const Entry& e) {
   if (!l.ring.empty() && e.when < l.ring.back().when) return false;
   l.ring.push_back(e);
   ++lane_entries_;
-  if (l.ring.size() == 1 &&
-      (best_lane_ == kNoLane || entry_before(e, lane_head_))) {
-    best_lane_ = lane;
-    lane_head_ = e;
-  }
+  if (l.ring.size() == 1) admit_lane_head(lane, e);
   return true;
+}
+
+void EventQueue::admit_lane_head(Lane lane, const Entry& head) const {
+  if (best_lane_ == kNoLane || entry_before(head, lane_head_)) {
+    runner_lane_ = best_lane_;
+    runner_head_ = lane_head_;
+    best_lane_ = lane;
+    lane_head_ = head;
+  } else if (runner_lane_ == kNoLane || entry_before(head, runner_head_)) {
+    runner_lane_ = lane;
+    runner_head_ = head;
+  }
 }
 
 void EventQueue::rescan_lanes() const {
   best_lane_ = kNoLane;
+  runner_lane_ = kNoLane;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     const LaneRing& l = lanes_[k];
-    if (l.ring.empty()) continue;
-    if (best_lane_ == kNoLane || entry_before(l.ring.front(), lane_head_)) {
-      best_lane_ = static_cast<Lane>(k);
-      lane_head_ = l.ring.front();
-    }
+    if (!l.ring.empty()) admit_lane_head(static_cast<Lane>(k), l.ring.front());
   }
 }
 
 void EventQueue::pop_lane_front() const {
-  lanes_[best_lane_].ring.pop_front();
+  Ring<Entry>& ring = lanes_[best_lane_].ring;
+  ring.pop_front();
   --lane_entries_;
+  // Only the lead lane's head moved, so the runner-up still heads every
+  // other lane: while the lead's next head beats it, the lead holds.
+  if (!ring.empty() &&
+      (runner_lane_ == kNoLane || entry_before(ring.front(), runner_head_))) {
+    lane_head_ = ring.front();
+    return;
+  }
   rescan_lanes();
 }
 
 // --- Scheduling --------------------------------------------------------------
+
+// Shared by schedule() and rearm(); `inline` ahead of both so neither pays
+// a call per event.
+inline void EventQueue::enqueue(const Entry& e, Lane lane) {
+  if (lane == kNoLane || !append_to_lane(lane, e)) push_entry(e);
+}
 
 EventId EventQueue::schedule(SimTime when, Callback cb, Lane lane) {
   const std::uint64_t seq = next_seq_++;
@@ -145,8 +164,7 @@ EventId EventQueue::schedule(SimTime when, Callback cb, Lane lane) {
   s.seq = seq;
   s.next_free = kNoSlot;
   ++live_;
-  const Entry e{when, seq, slot};
-  if (lane == kNoLane || !append_to_lane(lane, e)) push_entry(e);
+  enqueue(Entry{when, seq, slot}, lane);
   return EventId{seq, slot};
 }
 
@@ -172,6 +190,71 @@ void EventQueue::release_slot(std::uint32_t slot) {
   s.seq = 0;
   s.next_free = free_head_;
   free_head_ = slot;
+}
+
+// --- Periodic series ---------------------------------------------------------
+
+EventQueue::SeriesId EventQueue::start_series(SimTime now, SimTime interval,
+                                              Callback cb) {
+  std::uint32_t index;
+  if (free_series_ != kNoSlot) {
+    index = free_series_;
+    free_series_ = series_at(index).next_free;
+  } else {
+    index = series_count_++;
+    if ((index & (kSeriesChunk - 1)) == 0)
+      series_.push_back(std::make_unique<Series[]>(kSeriesChunk));
+  }
+  Series& s = series_at(index);
+  s.cb = std::move(cb);
+  s.interval = interval;
+  s.index = index;
+  s.lane = lane_for(interval);
+  s.active = true;
+  rearm(s, now);
+  return SeriesId{index, s.gen};
+}
+
+void EventQueue::rearm(Series& s, SimTime now) {
+  if (!s.active) {
+    release_series(s);
+    return;
+  }
+  // Drawn after the callback returned, as a one-shot re-armed from inside
+  // it would be: events that callback scheduled for the same instant
+  // fire before the next tick.
+  s.seq = next_seq_++;
+  ++live_;
+  enqueue(Entry{now + s.interval, s.seq, s.index | kSeriesBit}, s.lane);
+}
+
+bool EventQueue::stop_series(SeriesId id) {
+  if (id.index >= series_count_) return false;
+  Series& s = series_at(id.index);
+  if (s.gen != id.gen || !s.active) return false;
+  s.active = false;
+  // seq 0: the series is firing, and rearm() releases it afterwards.
+  if (s.seq == 0) return true;
+  s.seq = 0;  // its queued entry is a tombstone from here on
+  --live_;
+  release_series(s);
+  maybe_compact();
+  return true;
+}
+
+bool EventQueue::series_active(SeriesId id) const {
+  if (id.index >= series_count_) return false;
+  const Series& s = series_at(id.index);
+  return s.gen == id.gen && s.active;
+}
+
+void EventQueue::release_series(Series& s) {
+  // The callback dies first: a capture's destructor that starts a series
+  // cannot be handed this storage while it is still being torn down.
+  s.cb = nullptr;
+  ++s.gen;
+  s.next_free = free_series_;
+  free_series_ = s.index;
 }
 
 // --- Tombstone handling ------------------------------------------------------
@@ -288,9 +371,16 @@ SimTime EventQueue::next_time() const {
 
 void EventQueue::claim(const Entry& e, Popped& out) {
   out.when = e.when;
+  --live_;
+  if ((e.slot & kSeriesBit) != 0) {
+    Series& s = series_at(e.slot & ~kSeriesBit);
+    s.seq = 0;  // firing: nothing queued until rearm()
+    out.series = &s;
+    return;
+  }
+  out.series = nullptr;
   out.cb = std::move(slots_[e.slot].cb);
   release_slot(e.slot);
-  --live_;
 }
 
 bool EventQueue::pop_due(SimTime until, Popped& out) {
@@ -307,23 +397,6 @@ EventQueue::Popped EventQueue::pop() {
   [[maybe_unused]] const bool popped = pop_due(SimTime::max(), out);
   assert(popped && "pop() on empty EventQueue");
   return out;
-}
-
-std::size_t EventQueue::pop_batch(std::size_t max_n, std::vector<Popped>& out) {
-  // The first claim fixes the deadline; the rest are claimed while the
-  // earliest live entry still sits at it.
-  SimTime until = SimTime::max();
-  std::size_t claimed = 0;
-  while (claimed < max_n) {
-    out.emplace_back();
-    if (!pop_due(until, out.back())) {
-      out.pop_back();
-      break;
-    }
-    until = out.back().when;
-    ++claimed;
-  }
-  return claimed;
 }
 
 }  // namespace hpcwhisk::sim

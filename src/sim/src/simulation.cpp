@@ -26,86 +26,26 @@ std::string SimTime::to_string() const {
   return buf;
 }
 
-void PeriodicHandle::stop() {
-  if (!st_ || st_->stopped) return;
-  // Keep the state alive on the stack: clearing cb below may destroy the
-  // last handle referencing it (user callbacks often capture their own
-  // handle, forming a cycle state->cb->handle->state).
-  const std::shared_ptr<detail::PeriodicState> st = st_;
-  st->stopped = true;
-  if (st->sim != nullptr) {
-    // cancel() fails exactly when the tick already popped, i.e. we are
-    // being stopped from inside the callback; fire_periodic() then owns
-    // the release (the state must stay alive until cb() returns).
-    if (st->sim->cancel(st->current)) {
-      st->sim->release_periodic(st.get());
-      st->cb = nullptr;
-    }
+inline void Simulation::fire(EventQueue::Popped& p) {
+  now_ = p.when;
+  ++executed_;
+  if (p.series == nullptr) {
+    p.cb();
+    // Captures die here, before the next event is claimed.
+    p.cb.reset();
+    return;
   }
-}
-
-void Simulation::arm_periodic(detail::PeriodicState* st) {
-  // now_ never goes backwards, so every series of one interval appends
-  // to that interval's lane in (when, seq) order.
-  st->current = queue_.schedule(
-      now_ + st->interval, [st] { st->sim->fire_periodic(st); }, st->lane);
-}
-
-void Simulation::fire_periodic(detail::PeriodicState* st) {
-  st->cb();
-  // The registry entry is guaranteed alive here: stop() only releases
-  // when it managed to cancel the pending tick, which it cannot while
-  // that tick is executing.
-  if (!st->stopped) {
-    arm_periodic(st);
-  } else {
-    st->cb = nullptr;  // safe: cb() has returned; breaks handle cycles
-    release_periodic(st);
-  }
-}
-
-Simulation::~Simulation() {
-  // Series still armed at teardown: their callbacks routinely capture
-  // their own handle (state->cb->handle->state); break the cycle so the
-  // registry drop actually frees them.
-  for (const auto& st : periodics_) st->cb = nullptr;
-}
-
-void Simulation::release_periodic(const detail::PeriodicState* st) {
-  for (auto& owned : periodics_) {
-    if (owned.get() == st) {
-      owned = std::move(periodics_.back());
-      periodics_.pop_back();
-      return;
-    }
-  }
-}
-
-PeriodicHandle Simulation::every(SimTime interval, Callback cb) {
-  if (interval <= SimTime::zero())
-    throw std::invalid_argument("Simulation::every: non-positive interval");
-  auto st = std::make_shared<detail::PeriodicState>();
-  st->sim = this;
-  st->interval = interval;
-  st->lane = queue_.lane_for(interval);
-  st->cb = std::move(cb);
-  periodics_.push_back(st);
-  arm_periodic(st.get());
-  return PeriodicHandle{std::move(st)};
+  // Series storage never moves, so the callback runs where it lives even
+  // if it starts or stops series; rearm() reads now_ after it returns.
+  p.series->cb();
+  queue_.rearm(*p.series, now_);
 }
 
 void Simulation::run_until(SimTime until) {
-  // Single-pass batched dispatch: pop_due merges the staged same-deadline
-  // run with the heap and claims in one call (no separate next_time()
-  // peek per event). The explicit reset after the call keeps capture
-  // destruction at the same point the old per-iteration Popped gave it.
+  // pop_due merges the staged same-deadline run, the heap and the lanes
+  // and claims in one call (no separate next_time() peek per event).
   EventQueue::Popped p;
-  while (queue_.pop_due(until, p)) {
-    now_ = p.when;
-    ++executed_;
-    p.cb();
-    p.cb.reset();
-  }
+  while (queue_.pop_due(until, p)) fire(p);
   if (now_ < until) now_ = until;
 }
 
@@ -117,9 +57,7 @@ void Simulation::run() {
 bool Simulation::step() {
   EventQueue::Popped p;
   if (!queue_.pop_due(SimTime::max(), p)) return false;
-  now_ = p.when;
-  ++executed_;
-  p.cb();
+  fire(p);
   return true;
 }
 

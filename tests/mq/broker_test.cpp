@@ -25,7 +25,11 @@ TEST(Broker, TopicCreatesOnDemand) {
 TEST(Broker, TopicPointersStable) {
   Broker b;
   Topic& first = b.topic("a");
-  for (int i = 0; i < 100; ++i) b.topic("t" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name{"t"};
+    name += std::to_string(i);
+    b.topic(name);
+  }
   EXPECT_EQ(&b.topic("a"), &first);
 }
 

@@ -7,7 +7,9 @@
 // The mix covers what the event queue's lanes must get right: periodic
 // series at more distinct intervals than there are lanes, one-shots at
 // the same instant as a lane head, cancel() and PeriodicHandle::stop()
-// from inside callbacks (including a series stopping itself),
+// from inside callbacks (including a series stopping itself), a series
+// stopped and another started in the same callback (the new one reuses
+// the stopped one's storage while its dead entry is still queued),
 // settle_to() followed by same-instant scheduling, and fixed-delay
 // one-shots (after_fixed) at three delays — one shared with a series
 // interval, so a lane holds both — cancelled from inside callbacks.
@@ -222,7 +224,12 @@ class Script {
       for (std::size_t i = 0; i < series_tags_.size(); ++i) {
         if (series_tags_[i] == tag) series_[i].stop();
       }
-    } else if (roll < 40) {
+    } else if (roll < 39) {
+      start_series();
+    } else if (roll < 40) {  // stop a series, start another in its place
+      const auto i = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(series_.size()) - 1));
+      series_[i].stop();
       start_series();
     } else if (roll < 55) {
       start_fixed();

@@ -188,53 +188,6 @@ TEST(EventQueue, TombstoneBoundHoldsUnderAdversarialCancels) {
   EXPECT_EQ(fired, window.size() + series.size());
 }
 
-TEST(EventQueue, PopBatchKeepsFifoAcrossCompaction) {
-  EventQueue q;
-  // A same-deadline run of 100, plus enough cancellable filler to force
-  // a tombstone compaction while the run is still pending.
-  std::vector<int> fired;
-  for (int i = 0; i < 100; ++i)
-    q.schedule(SimTime::seconds(1), [&fired, i] { fired.push_back(i); });
-  std::vector<EventId> filler;
-  for (int i = 0; i < 400; ++i)
-    filler.push_back(q.schedule(SimTime::seconds(2), [] {}));
-  for (const EventId id : filler) ASSERT_TRUE(q.cancel(id));
-  // 400 tombstones against 100 live guarantees a compaction happened.
-  ASSERT_LE(q.heap_entries(), 2 * q.size() + 65);
-
-  std::vector<EventQueue::Popped> out;
-  std::size_t claimed = q.pop_batch(64, out);
-  EXPECT_EQ(claimed, 64u);
-
-  // Force a second compaction between the two batch claims, with the
-  // tail of the run still in the heap.
-  filler.clear();
-  for (int i = 0; i < 400; ++i)
-    filler.push_back(q.schedule(SimTime::seconds(3), [] {}));
-  for (const EventId id : filler) ASSERT_TRUE(q.cancel(id));
-
-  claimed += q.pop_batch(64, out);
-  EXPECT_EQ(claimed, 100u);
-  for (auto& p : out) {
-    EXPECT_EQ(p.when, SimTime::seconds(1));
-    p.cb();
-  }
-  ASSERT_EQ(fired.size(), 100u);
-  // FIFO must survive both compactions: schedule order, exactly.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[i], i);
-}
-
-TEST(EventQueue, PopBatchStopsAtDeadlineBoundary) {
-  EventQueue q;
-  for (int i = 0; i < 5; ++i) q.schedule(SimTime::seconds(1), [] {});
-  q.schedule(SimTime::seconds(2), [] {});
-  std::vector<EventQueue::Popped> out;
-  // max_n exceeds the run length: only the same-deadline run is claimed.
-  EXPECT_EQ(q.pop_batch(100, out), 5u);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), SimTime::seconds(2));
-}
-
 TEST(EventQueue, LanesMergeWithHeapInScheduleOrder) {
   // Lane and heap entries at shared instants: the pop order is (when,
   // seq) — schedule order within an instant — whichever container holds
@@ -334,32 +287,88 @@ TEST(EventQueue, LaneCompactionKeepsFifo) {
   EXPECT_EQ(fired, expected);
 }
 
-TEST(EventQueue, PopBatchMergesLaneAndHeapAtSharedDeadline) {
-  // One deadline held by heap entries on both sides of a lane entry (and
-  // a staged run in front): pop_batch claims all of them, in schedule
-  // order, and stops before the next deadline.
+TEST(EventQueue, LeadLaneYieldsToRunnerUp) {
+  // Three lanes whose heads take turns: each lane pop hands the lead to
+  // the runner-up or keeps it, and a cancelled head drops out. The pop
+  // order is (when, seq) throughout.
   EventQueue q;
-  const EventQueue::Lane lane = q.lane_for(SimTime::millis(100));
+  const EventQueue::Lane lanes[] = {q.lane_for(SimTime::seconds(1)),
+                                    q.lane_for(SimTime::seconds(2)),
+                                    q.lane_for(SimTime::seconds(3))};
   std::vector<int> fired;
-  const auto log = [&fired](int tag) { return [&fired, tag] { fired.push_back(tag); }; };
-  const EventQueue::Lane other = q.lane_for(SimTime::seconds(2));
-  q.schedule(SimTime::seconds(1), log(0));
-  q.schedule(SimTime::seconds(1), log(1), lane);
-  q.schedule(SimTime::seconds(1), log(2));
-  q.schedule(SimTime::seconds(1), log(3), lane);
-  q.schedule(SimTime::seconds(1), log(4), other);
-  q.schedule(SimTime::seconds(1), log(5));
-  q.schedule(SimTime::seconds(2), log(6), lane);
-  EXPECT_EQ(q.next_time(), SimTime::seconds(1));  // stages the heap run
-  std::vector<EventQueue::Popped> out;
-  EXPECT_EQ(q.pop_batch(100, out), 6u);
-  for (auto& p : out) {
-    EXPECT_EQ(p.when, SimTime::seconds(1));
-    p.cb();
+  std::vector<EventId> ids;
+  for (int t = 1; t <= 12; ++t) {
+    const EventQueue::Lane lane = lanes[t % 3 == 0 ? 2 : (t % 4 == 0 ? 1 : 0)];
+    ids.push_back(q.schedule(SimTime::seconds(t), [&fired, t] { fired.push_back(t); },
+                             lane));
   }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  // Same instant as lane 0's head, later seq: pops right after it.
+  q.schedule(SimTime::seconds(1), [&fired] { fired.push_back(100); }, lanes[1]);
+  ASSERT_TRUE(q.cancel(ids[2]));  // t = 3, lane 2's head
+  ASSERT_TRUE(q.cancel(ids[4]));  // t = 5, lane 0
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, (std::vector<int>{1, 100, 2, 4, 6, 7, 8, 9, 10, 11, 12}));
+  EXPECT_EQ(q.heap_entries(), 0u);
+}
+
+/// Runs one claimed event the way Simulation's run loop does.
+void fire(EventQueue& q, EventQueue::Popped& p) {
+  if (p.series == nullptr) {
+    p.cb();
+    return;
+  }
+  p.series->cb();
+  q.rearm(*p.series, p.when);
+}
+
+TEST(EventQueue, SeriesTickFiresInPlace) {
+  EventQueue q;
+  int calls = 0;
+  const EventQueue::SeriesId id =
+      q.start_series(SimTime::zero(), SimTime::seconds(2), [&calls] { ++calls; });
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), SimTime::seconds(2));
+  std::vector<std::int64_t> at;
+  const EventQueue::Series* first = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    EventQueue::Popped p = q.pop();
+    ASSERT_NE(p.series, nullptr);
+    EXPECT_FALSE(p.cb);
+    if (first == nullptr) first = p.series;
+    EXPECT_EQ(p.series, first);  // the same storage every tick
+    EXPECT_EQ(q.size(), 0u);     // not counted while it fires
+    at.push_back(p.when.ticks());
+    fire(q, p);
+  }
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(at, (std::vector<std::int64_t>{2'000'000, 4'000'000, 6'000'000}));
+  EXPECT_EQ(q.next_time(), SimTime::seconds(8));
+  EXPECT_TRUE(q.series_active(id));
+  EXPECT_TRUE(q.stop_series(id));
+  EXPECT_FALSE(q.stop_series(id));
+  EXPECT_FALSE(q.series_active(id));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, StoppedSeriesEntryNeverFiresItsSuccessor) {
+  // Stopping a series releases its storage at once while its entry stays
+  // queued as a tombstone; the next series reuses that storage, and the
+  // old entry must not fire it.
+  EventQueue q;
+  std::vector<int> fired;
+  const EventQueue::SeriesId a = q.start_series(
+      SimTime::zero(), SimTime::seconds(1), [&fired] { fired.push_back(1); });
+  ASSERT_TRUE(q.stop_series(a));
+  const EventQueue::SeriesId b = q.start_series(
+      SimTime::zero(), SimTime::seconds(3), [&fired] { fired.push_back(3); });
+  EXPECT_EQ(b.index, a.index);
+  EXPECT_FALSE(q.series_active(a));
+  EXPECT_TRUE(q.series_active(b));
+  EXPECT_FALSE(q.stop_series(a));  // a stale id leaves the successor alone
+  EXPECT_EQ(q.size(), 1u);
+  EventQueue::Popped p = q.pop();
+  EXPECT_EQ(p.when, SimTime::seconds(3));
+  fire(q, p);
+  EXPECT_EQ(fired, (std::vector<int>{3}));
 }
 
 TEST(EventQueue, ManyInterleavedCancellations) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace hpcwhisk::sim {
@@ -115,6 +116,62 @@ TEST(Simulation, PeriodicCanStopItself) {
   });
   sim.run_until(SimTime::minutes(1));
   EXPECT_EQ(count, 5);
+}
+
+TEST(Simulation, SeriesStoppedBySameInstantSeriesDoesNotFire) {
+  // Both series are due at every second; the first one's callback stops
+  // the second, whose tick at that same instant is already queued.
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  PeriodicHandle victim;
+  auto stopper = sim.every(SimTime::seconds(1), [&] {
+    ++first;
+    victim.stop();
+  });
+  victim = sim.every(SimTime::seconds(1), [&] { ++second; });
+  sim.run_until(SimTime::seconds(5));
+  EXPECT_EQ(first, 5);
+  EXPECT_EQ(second, 0);
+  EXPECT_FALSE(victim.active());
+  EXPECT_TRUE(stopper.active());
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulation, SeriesStoppingItselfKeepsItsCapturesUntilItReturns) {
+  // The series stops itself, then starts another and still reads its own
+  // captures: its storage is released only after the callback returns,
+  // so the new series cannot take it over mid-call.
+  Simulation sim;
+  std::vector<std::string> log;
+  PeriodicHandle self;
+  PeriodicHandle next;
+  self = sim.every(SimTime::seconds(1), [&, tag = std::string(40, 'a')] {
+    self.stop();
+    next = sim.every(SimTime::seconds(1), [&log] { log.emplace_back("next"); });
+    log.push_back(tag);
+  });
+  sim.run_until(SimTime::seconds(3));
+  EXPECT_EQ(log, (std::vector<std::string>{std::string(40, 'a'), "next", "next"}));
+  EXPECT_FALSE(self.active());
+  EXPECT_TRUE(next.active());
+  PeriodicHandle reuser = sim.every(SimTime::seconds(1), [] {});
+  self.stop();  // stale: must not stop the series now in its storage
+  EXPECT_TRUE(reuser.active());
+}
+
+TEST(Simulation, SeriesTickFollowsWhatItsCallbackScheduledForThatInstant) {
+  // The next tick draws its seq after the callback returns, so a one-shot
+  // the callback schedules for the next tick's instant fires first.
+  Simulation sim;
+  std::vector<int> order;
+  auto series = sim.every(SimTime::seconds(1), [&] {
+    order.push_back(0);
+    sim.after(SimTime::seconds(1), [&order] { order.push_back(1); });
+  });
+  sim.run_until(SimTime::seconds(3));
+  series.stop();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0}));
 }
 
 TEST(Simulation, ZeroIntervalPeriodicThrows) {

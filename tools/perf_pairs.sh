@@ -16,6 +16,11 @@
 # inter-quartile range, the working tree's median, the change of the
 # median in percent and in how many pairs the working tree was better.
 # peak_rss_mb is each child's ru_maxrss, as hwbench run records it.
+# A second table does the same for the BENCHMARK.json per-layer metrics
+# that an untraced child reports (sim.ns_per_event, sim.slice_ms_p50,
+# setup.wiring_ms, the counts, ...), so the layer that moved shows up in
+# the same pairs; a count metric whose value differs between the two
+# sides of any pair is flagged there and listed on stderr.
 # Exits 1 if any pair's digests differ: a speed-up is only comparable
 # when both sides simulated the same run.
 set -euo pipefail
@@ -72,7 +77,8 @@ import sys
 base_bin, head_bin, workload, pairs, seed, spec_path, rev = sys.argv[1:]
 pairs = int(pairs)
 with open(spec_path) as f:
-    metrics = json.load(f)["end_to_end"]
+    spec = json.load(f)
+metrics = spec["end_to_end"]
 
 
 def run(binary):
@@ -117,20 +123,39 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def table(specs):
+    """One row per metric that every run reports; returns the names of
+    count metrics whose two sides differ in some pair."""
+    print(f"{'metric':<24} {'base median':>12} {'base IQR':>10} "
+          f"{'head median':>12} {'change':>9} {'wins':>6}")
+    differing = []
+    for m in specs:
+        name = m["name"]
+        if not all(name in r for side in runs.values() for r in side):
+            continue
+        base = [r[name] for r in runs["base"]]
+        head = [r[name] for r in runs["head"]]
+        higher = m["better"] == "higher"
+        wins = sum(1 for b, h in zip(base, head) if (h > b if higher else h < b))
+        q1, q3 = quartiles(base)
+        bm, hm = statistics.median(base), statistics.median(head)
+        change = (hm - bm) / bm * 100.0 if bm else 0.0
+        flag = ""
+        if m["unit"] == "count" and base != head:
+            differing.append(name)
+            flag = "  COUNT DIFFERS"
+        print(f"{name:<24} {bm:>12.6g} {q3 - q1:>10.4g} {hm:>12.6g} "
+              f"{change:>+8.2f}% {wins:>3}/{pairs}{flag}")
+    return differing
+
+
 print(f"\n{workload} seed {seed}: {pairs} pairs, base {rev} vs working tree")
-print(f"{'metric':<20} {'base median':>12} {'base IQR':>10} "
-      f"{'head median':>12} {'change':>9} {'wins':>6}")
-for m in metrics:
-    name = m["name"]
-    base = [r[name] for r in runs["base"]]
-    head = [r[name] for r in runs["head"]]
-    higher = m["better"] == "higher"
-    wins = sum(1 for b, h in zip(base, head) if (h > b if higher else h < b))
-    q1, q3 = quartiles(base)
-    bm, hm = statistics.median(base), statistics.median(head)
-    change = (hm - bm) / bm * 100.0 if bm else 0.0
-    print(f"{name:<20} {bm:>12.6g} {q3 - q1:>10.4g} {hm:>12.6g} "
-          f"{change:>+8.2f}% {wins:>3}/{pairs}")
+table(metrics)
+print("\nper-layer (untraced child)")
+differing = table(spec["per_layer"])
+if differing:
+    print("perf_pairs: count metrics differ between the sides: "
+          + ", ".join(differing), file=sys.stderr)
 
 if mismatches:
     print(f"perf_pairs: {mismatches} of {pairs} pairs simulated different "
