@@ -9,8 +9,10 @@
 
 namespace hpcwhisk::analysis {
 
-/// p in [0,1]; nearest-rank percentile of an unsorted copy.
-[[nodiscard]] double percentile(std::vector<double> values, double p);
+/// p in [0,1]; nearest-rank percentile of unsorted, NaN-free values;
+/// 0 when empty. Returns exactly what std::nth_element on a copy would
+/// leave at the rank, without copying or reordering `values`.
+[[nodiscard]] double percentile(const std::vector<double>& values, double p);
 
 [[nodiscard]] double mean(const std::vector<double>& values);
 

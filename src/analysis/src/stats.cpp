@@ -1,20 +1,62 @@
 #include "hpcwhisk/analysis/stats.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 namespace hpcwhisk::analysis {
 
-double percentile(std::vector<double> values, double p) {
+namespace {
+
+/// A key whose unsigned order is the order of the (non-NaN) doubles,
+/// with -0.0 just below +0.0: negatives flip every bit, the rest flip
+/// the sign bit.
+std::uint64_t order_key(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+}  // namespace
+
+double percentile(const std::vector<double>& values, double p) {
   if (values.empty()) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
   const std::size_t k = static_cast<std::size_t>(
       std::ceil(p * static_cast<double>(values.size())));
-  const std::size_t idx = k == 0 ? 0 : k - 1;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(idx),
-                   values.end());
-  return values[idx];
+  // Radix select on order_key: fix the key's digits from the top, a
+  // digit per pass over `values`. Each pass counts the next digit among
+  // the values that share the digits fixed so far and steps into the
+  // bucket holding the wanted rank, until one value is left or the
+  // whole key is fixed; a last pass returns a value with that key.
+  // Equal keys are equal doubles, so this is the element nth_element
+  // would place at the rank (equal up to the sign of a zero).
+  constexpr unsigned kDigitBits = 11;
+  std::size_t rank = k == 0 ? 0 : k - 1;  // among the matching values
+  std::size_t matching = values.size();
+  std::uint64_t fixed_mask = 0;  // key bits fixed so far
+  std::uint64_t prefix = 0;      // their value
+  unsigned hi = 64;              // bits below this are not yet fixed
+  while (matching > 1 && hi > 0) {
+    const unsigned lo = hi > kDigitBits ? hi - kDigitBits : 0;
+    const std::uint64_t digit_mask = (std::uint64_t{1} << (hi - lo)) - 1;
+    std::array<std::size_t, std::size_t{1} << kDigitBits> counts{};
+    for (const double v : values) {
+      const std::uint64_t key = order_key(v);
+      if ((key & fixed_mask) == prefix) ++counts[(key >> lo) & digit_mask];
+    }
+    std::size_t digit = 0;
+    while (rank >= counts[digit]) rank -= counts[digit++];
+    matching = counts[digit];
+    prefix |= static_cast<std::uint64_t>(digit) << lo;
+    fixed_mask |= digit_mask << lo;
+    hi = lo;
+  }
+  for (const double v : values) {
+    if ((order_key(v) & fixed_mask) == prefix) return v;
+  }
+  return 0.0;  // unreachable: `matching` values share the prefix
 }
 
 double mean(const std::vector<double>& values) {

@@ -10,6 +10,11 @@
 // check. poll_into() appends to a caller-owned scratch vector, so a
 // steady-state poll tick performs zero allocations.
 //
+// The queue is a ring buffer (sim::Ring) that keeps its capacity while
+// messages flow and is freed by drain(): an empty topic that was never
+// published to, or a drained one, owns no buffer — only its name and
+// counters.
+//
 // Fault injection: an optional fault filter intercepts every publish and
 // may drop, delay, or duplicate the message — the broker-level failure
 // modes an at-least-once pipeline must survive. The filter is consulted
@@ -17,13 +22,13 @@
 // an internal path that bypasses it, so a fault decision never cascades.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "hpcwhisk/mq/message.hpp"
+#include "hpcwhisk/sim/ring.hpp"
 
 namespace hpcwhisk::sim {
 class Simulation;
@@ -57,8 +62,9 @@ class Topic {
   /// Pops a single message, if any.
   [[nodiscard]] std::optional<Message> poll_one();
 
-  /// Removes and returns *all* queued messages. Used by the controller to
-  /// move a draining invoker's unpulled backlog to the fast-lane topic.
+  /// Removes and returns *all* queued messages, and frees the queue's
+  /// buffer. Used by the controller to move a draining invoker's unpulled
+  /// backlog to the fast-lane topic.
   [[nodiscard]] std::vector<Message> drain();
 
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
@@ -103,7 +109,7 @@ class Topic {
   void deliver(Message msg, sim::SimTime now, bool front);
 
   const std::string name_;
-  std::deque<Message> queue_;
+  sim::Ring<Message> queue_;
   FaultFilter fault_filter_;
   sim::Simulation* sim_{nullptr};
   Counters counters_;

@@ -69,9 +69,11 @@ std::optional<Message> Topic::poll_one() {
 }
 
 std::vector<Message> Topic::drain() {
-  std::vector<Message> out{queue_.begin(), queue_.end()};
+  std::vector<Message> out;
+  out.reserve(queue_.size());
+  for (std::size_t k = 0; k < queue_.size(); ++k) out.push_back(queue_[k]);
   counters_.drained += out.size();
-  queue_.clear();
+  queue_.reset();
   return out;
 }
 

@@ -37,7 +37,7 @@
 // compares.
 //
 // Periodic series live in the queue itself (start_series). A series
-// keeps its callback for its whole life, in chunked storage whose
+// keeps its callback for its whole life, in a sim::Chunked store whose
 // addresses never move, and its queued entry is (when, seq, series):
 // live while seq equals the series' current seq. pop_due() claims a tick
 // without moving the callback; the run loop calls it in place and then
@@ -53,9 +53,9 @@
 // entries.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "hpcwhisk/sim/chunked.hpp"
 #include "hpcwhisk/sim/inplace_callback.hpp"
 #include "hpcwhisk/sim/ring.hpp"
 #include "hpcwhisk/sim/time.hpp"
@@ -183,8 +183,7 @@ class EventQueue {
   /// are the series index.
   static constexpr std::uint32_t kSeriesBit = 0x80000000u;
   /// Series are stored in chunks of 2^kSeriesChunkBits.
-  static constexpr std::uint32_t kSeriesChunkBits = 6;
-  static constexpr std::uint32_t kSeriesChunk = 1u << kSeriesChunkBits;
+  static constexpr unsigned kSeriesChunkBits = 6;
   /// Compaction triggers when tombstones exceed both this floor and the
   /// live count — amortized O(1) per cancellation.
   static constexpr std::size_t kCompactFloor = 64;
@@ -218,12 +217,9 @@ class EventQueue {
     std::uint32_t next_free{kNoSlot};
   };
 
-  [[nodiscard]] Series& series_at(std::uint32_t index) const {
-    return series_[index >> kSeriesChunkBits][index & (kSeriesChunk - 1)];
-  }
   [[nodiscard]] bool entry_live(const Entry& e) const {
     if ((e.slot & kSeriesBit) != 0)
-      return series_at(e.slot & ~kSeriesBit).seq == e.seq;
+      return series_[e.slot & ~kSeriesBit].seq == e.seq;
     return slots_[e.slot].seq == e.seq;
   }
   void release_slot(std::uint32_t slot);
@@ -285,10 +281,9 @@ class EventQueue {
   /// Meaningless while the matching lane is kNoLane.
   mutable Entry lane_head_{};
   mutable Entry runner_head_{};
-  /// Series storage, in chunks that never move; free indices are chained
+  /// Series storage, indexed by Series::index; free indices are chained
   /// through Series::next_free.
-  std::vector<std::unique_ptr<Series[]>> series_;
-  std::uint32_t series_count_{0};
+  Chunked<Series, kSeriesChunkBits> series_;
   std::uint32_t free_series_{kNoSlot};
 };
 

@@ -1,7 +1,8 @@
 #pragma once
-// A FIFO ring buffer: push at the back, pop at the front, index from the
-// front. Capacity is zero or a power of two and doubles when full; it
-// never shrinks, so a FIFO in steady state stops allocating.
+// A FIFO ring buffer: push at either end, pop at the front, index from
+// the front. Capacity is zero or a power of two and doubles when full;
+// only reset() gives the buffer back, so a FIFO in steady state stops
+// allocating.
 
 #include <cstddef>
 #include <utility>
@@ -14,6 +15,7 @@ class Ring {
  public:
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
 
   /// The k-th entry from the front (k < size()).
   [[nodiscard]] T& operator[](std::size_t k) {
@@ -30,12 +32,24 @@ class Ring {
     ++count_;
     (*this)[count_ - 1] = v;
   }
+  void push_front(const T& v) {
+    if (count_ == buf_.size()) grow();
+    head_ = (head_ - 1) & (buf_.size() - 1);
+    ++count_;
+    buf_[head_] = v;
+  }
   void pop_front() {
     head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
   }
   /// Keeps the first `n` entries (n <= size()).
   void truncate(std::size_t n) { count_ = n; }
+  /// Empties the ring and frees its buffer.
+  void reset() {
+    std::vector<T>().swap(buf_);
+    head_ = 0;
+    count_ = 0;
+  }
 
  private:
   void grow() {

@@ -199,13 +199,12 @@ EventQueue::SeriesId EventQueue::start_series(SimTime now, SimTime interval,
   std::uint32_t index;
   if (free_series_ != kNoSlot) {
     index = free_series_;
-    free_series_ = series_at(index).next_free;
+    free_series_ = series_[index].next_free;
   } else {
-    index = series_count_++;
-    if ((index & (kSeriesChunk - 1)) == 0)
-      series_.push_back(std::make_unique<Series[]>(kSeriesChunk));
+    index = static_cast<std::uint32_t>(series_.size());
+    series_.emplace_back();
   }
-  Series& s = series_at(index);
+  Series& s = series_[index];
   s.cb = std::move(cb);
   s.interval = interval;
   s.index = index;
@@ -229,8 +228,8 @@ void EventQueue::rearm(Series& s, SimTime now) {
 }
 
 bool EventQueue::stop_series(SeriesId id) {
-  if (id.index >= series_count_) return false;
-  Series& s = series_at(id.index);
+  if (id.index >= series_.size()) return false;
+  Series& s = series_[id.index];
   if (s.gen != id.gen || !s.active) return false;
   s.active = false;
   // seq 0: the series is firing, and rearm() releases it afterwards.
@@ -243,8 +242,8 @@ bool EventQueue::stop_series(SeriesId id) {
 }
 
 bool EventQueue::series_active(SeriesId id) const {
-  if (id.index >= series_count_) return false;
-  const Series& s = series_at(id.index);
+  if (id.index >= series_.size()) return false;
+  const Series& s = series_[id.index];
   return s.gen == id.gen && s.active;
 }
 
@@ -373,7 +372,7 @@ void EventQueue::claim(const Entry& e, Popped& out) {
   out.when = e.when;
   --live_;
   if ((e.slot & kSeriesBit) != 0) {
-    Series& s = series_at(e.slot & ~kSeriesBit);
+    Series& s = series_[e.slot & ~kSeriesBit];
     s.seq = 0;  // firing: nothing queued until rearm()
     out.series = &s;
     return;

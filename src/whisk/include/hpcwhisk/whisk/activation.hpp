@@ -5,13 +5,19 @@
 // per-minute success/failure/lost series (Figs. 5b, 6b).
 //
 // One record per accepted or rejected call, so at hundreds of calls per
-// second the record array is the simulator's largest structure. The
+// second the record store is the simulator's largest structure. The
 // record holds no string: the function is its registry index (the name
 // is registry.spec(function_index).name), and the fields are laid out
 // to fill exactly one 64-byte cache line.
+//
+// The store (ActivationStore) is chunked: records are appended into
+// fixed 64 KiB chunks that are never copied or moved, so growing it
+// needs no transient second copy and a record's address is stable for
+// the controller's life.
 
 #include <cstdint>
 
+#include "hpcwhisk/sim/chunked.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::whisk {
@@ -71,5 +77,9 @@ struct ActivationRecord {
     return first_start_time - submit_time;
   }
 };
+
+/// 2^10 records (64 KiB) per chunk.
+inline constexpr unsigned kActivationChunkBits = 10;
+using ActivationStore = sim::Chunked<ActivationRecord, kActivationChunkBits>;
 
 }  // namespace hpcwhisk::whisk

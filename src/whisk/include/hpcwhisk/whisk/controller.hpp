@@ -130,7 +130,7 @@ class Controller {
   SubmitResult submit(const std::string& function);
 
   [[nodiscard]] const ActivationRecord& activation(ActivationId id) const;
-  [[nodiscard]] const std::vector<ActivationRecord>& activations() const {
+  [[nodiscard]] const ActivationStore& activations() const {
     return records_;
   }
 
@@ -315,7 +315,7 @@ class Controller {
   std::vector<InvokerEntry> invokers_;
   mutable std::vector<InvokerId> healthy_cache_;
   mutable bool healthy_dirty_{true};
-  std::vector<ActivationRecord> records_;       // index == ActivationId
+  ActivationStore records_;  // index == ActivationId
   TimeoutRing timeouts_;
   /// Present only for data-driven route modes.
   std::unique_ptr<sched::CallScheduler> scheduler_;

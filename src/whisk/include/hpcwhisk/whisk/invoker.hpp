@@ -22,12 +22,12 @@
 // surface as client timeouts.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "hpcwhisk/mq/broker.hpp"
 #include "hpcwhisk/runtime/container_pool.hpp"
+#include "hpcwhisk/sim/ring.hpp"
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/sim/simulation.hpp"
 #include "hpcwhisk/whisk/controller.hpp"
@@ -174,7 +174,8 @@ class Invoker {
   mq::Topic* fast_lane_{nullptr};
   /// Reused across poll ticks: pulling never allocates in steady state.
   std::vector<mq::Message> pull_scratch_;
-  std::deque<mq::Message> buffer_;
+  /// Pulled, not yet started; freed once the invoker drains or dies.
+  sim::Ring<mq::Message> buffer_;
   /// Execution slots. Grown to the invoker's peak concurrency (at most
   /// max_concurrent: the dispatch gate and the direct seam both check
   /// it) and reused after, so a steady-state execution never allocates;

@@ -124,7 +124,7 @@ void Invoker::poll() {
           obs::Track::kInvoker, id_, pull_scratch_[i].id, sim_.now(),
           /*arg0=*/i < from_fast ? 1.0 : 0.0);
     }
-    buffer_.push_back(std::move(pull_scratch_[i]));
+    buffer_.push_back(pull_scratch_[i]);
   }
   pull_scratch_.clear();
   dispatch_buffer();
@@ -132,9 +132,9 @@ void Invoker::poll() {
 
 void Invoker::dispatch_buffer() {
   while (!buffer_.empty() && running_count_ < config_.max_concurrent) {
-    mq::Message msg = std::move(buffer_.front());
+    const mq::Message msg = buffer_.front();
     buffer_.pop_front();
-    begin_execution(std::move(msg));
+    begin_execution(msg);
   }
 }
 
@@ -338,10 +338,9 @@ void Invoker::sigterm(std::function<void()> on_drained) {
   controller_.begin_drain(id_);
 
   // 2. Pulled-but-not-started buffer goes to the fast lane.
-  while (!buffer_.empty()) {
-    controller_.requeue_to_fast_lane(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
+  for (std::size_t k = 0; k < buffer_.size(); ++k)
+    controller_.requeue_to_fast_lane(buffer_[k]);
+  buffer_.reset();
 
   // 3. Interrupt running executions of interruptible functions, in
   // ascending activation id.
@@ -418,7 +417,7 @@ void Invoker::hard_kill() {
   }
   slots_.clear();
   running_count_ = 0;
-  buffer_.clear();
+  buffer_.reset();
   pool_.clear();
   // No controller *protocol* interaction: the watchdog will notice the
   // silence (and revoke any leases then). Dropping the seam here is pure

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "hpcwhisk/analysis/report.hpp"
@@ -17,6 +22,74 @@ TEST(Stats, PercentileNearestRank) {
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 10.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
+}
+
+/// What percentile() returned before it stopped copying: nth_element
+/// on a copy.
+double nth_element_percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  p = std::clamp(p, 0.0, 1.0);
+  const std::size_t k = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(values.size())));
+  const std::size_t idx = k == 0 ? 0 : k - 1;
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<std::ptrdiff_t>(idx),
+                   values.end());
+  return values[idx];
+}
+
+/// Seeded non-NaN doubles. `mode` 0 draws from a small pool (heavy
+/// duplicates, both zeros, infinities, subnormals and the extremes), 1
+/// draws raw bit patterns (every sign and magnitude), 2 mixes the pool
+/// with uniform values around zero.
+std::vector<double> differential_input(sim::Rng& rng, std::size_t n,
+                                       int mode) {
+  using L = std::numeric_limits<double>;
+  const double pool[] = {0.0,       -0.0,     1.0,          -1.0,
+                         L::min(),  -L::min(), L::denorm_min(),
+                         -L::denorm_min(),     L::max(),     -L::max(),
+                         L::infinity(),        -L::infinity(), 1e300,
+                         -1e-300,   2.5,      -2.5};
+  constexpr std::int64_t kPool = sizeof pool / sizeof pool[0];
+  std::vector<double> xs;
+  xs.reserve(n);
+  while (xs.size() < n) {
+    double v;
+    if (mode == 0 || (mode == 2 && rng.uniform_int(0, 1) == 0)) {
+      v = pool[rng.uniform_int(0, kPool - 1)];
+    } else if (mode == 1) {
+      v = std::bit_cast<double>(rng.next_u64());
+      if (std::isnan(v)) continue;
+    } else {
+      v = rng.uniform(-1e3, 1e3);
+    }
+    xs.push_back(v);
+  }
+  return xs;
+}
+
+TEST(Stats, PercentileMatchesNthElementOnACopy) {
+  sim::Rng rng{2024};
+  const std::size_t sizes[] = {1, 2, 3, 5, 17, 1000, 4097, 100000};
+  for (const std::size_t n : sizes) {
+    for (int mode = 0; mode < 3; ++mode) {
+      const std::vector<double> xs = differential_input(rng, n, mode);
+      std::vector<std::uint64_t> bits;
+      for (const double v : xs) bits.push_back(std::bit_cast<std::uint64_t>(v));
+      const double ps[] = {0.0,  1e-9, 1.0 / static_cast<double>(n),
+                           0.5,  0.95, 0.99,
+                           1.0};
+      for (const double p : ps) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " mode=" << mode << " p=" << p);
+        EXPECT_TRUE(percentile(xs, p) == nth_element_percentile(xs, p));
+      }
+      // The input is read, never reordered.
+      for (std::size_t i = 0; i < xs.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(xs[i]), bits[i]);
+    }
+  }
+  EXPECT_EQ(percentile({}, 0.5), 0.0);
 }
 
 TEST(Stats, SummaryQuartilesAndMean) {

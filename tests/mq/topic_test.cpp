@@ -74,6 +74,24 @@ TEST(Topic, DrainRemovesEverythingInOrder) {
   EXPECT_TRUE(t.empty());
 }
 
+TEST(Topic, FrontPublishesLeadAndADrainedTopicIsReusable) {
+  Topic t{"t"};
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (std::uint64_t i = 0; i < 20; ++i) t.publish(make(i), SimTime::zero());
+    t.publish_front(make(100), SimTime::zero());
+    t.publish_front(make(101), SimTime::zero());
+    std::vector<std::uint64_t> ids;
+    for (const Message& m : poll(t, 3)) ids.push_back(m.id);
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{101, 100, 0}));
+    const auto drained = t.drain();
+    ASSERT_EQ(drained.size(), 19u);
+    EXPECT_EQ(drained.front().id, 1u);
+    EXPECT_EQ(drained.back().id, 19u);
+    EXPECT_TRUE(t.empty());
+  }
+  EXPECT_EQ(t.counters().front_published, 4u);
+}
+
 TEST(Topic, CountersTrackTraffic) {
   Topic t{"t"};
   for (std::uint64_t i = 0; i < 6; ++i) t.publish(make(i), SimTime::zero());

@@ -138,6 +138,27 @@ TEST(Diff, GlobRulesFanOutOverBaselinePaths) {
   EXPECT_EQ(r.checks[1].status, CheckStatus::kRegression);
 }
 
+// The obs baseline's run counts are pinned exactly, like its hash: a
+// committed `events` that the run no longer produces fails the gate.
+TEST(Diff, StaleObsEventCountFailsTheGate) {
+  const std::string counts =
+      R"("decision_log_hash": "2a51898d669001d6", "trace_events": 961636, )"
+      R"("fast_lane_reroute_events": 3810, )";
+  const JsonValue run =
+      parse_or_die(header("obs_report") + counts + R"("events": 4278829})");
+  const JsonValue stale =
+      parse_or_die(header("obs_report") + counts + R"("events": 4278869})");
+  EXPECT_EQ(diff(run, run).verdict, Verdict::kPass);
+  const DiffResult r = diff(stale, run);
+  EXPECT_EQ(r.verdict, Verdict::kFail);
+  ASSERT_EQ(r.regressions, 1u);
+  for (const Check& c : r.checks) {
+    if (c.status != CheckStatus::kPass) {
+      EXPECT_EQ(c.path, "events");
+    }
+  }
+}
+
 TEST(Diff, VerdictJsonRoundTrips) {
   const JsonValue base =
       parse_or_die(header("obs_report") + R"("traced_overhead": 0.01})");

@@ -293,5 +293,25 @@ TEST(Controller, HashProbingStrideSharingAFactorWithNVisitsItsCosetOnly) {
   EXPECT_EQ(routed, (std::vector<InvokerId>{home, partner, 0, lowest_idle}));
 }
 
+// The store is chunked: appending past a chunk (1,024 records) neither
+// moves nor copies the records already in it.
+TEST(Controller, ActivationRecordsKeepTheirAddressAsTheStoreGrows) {
+  Fixture f;
+  f.controller.register_invoker();
+  f.sim.run_until(SimTime::seconds(1));
+  ASSERT_TRUE(f.controller.submit("other").accepted);
+  const ActivationRecord* const first = &f.controller.activation(0);
+  const ActivationRecord before = *first;
+  for (int i = 0; i < 2500; ++i) (void)f.controller.submit("fn");
+  ASSERT_EQ(f.controller.activations().size(), 2501u);
+  EXPECT_EQ(&f.controller.activation(0), first);
+  EXPECT_EQ(first->id, before.id);
+  EXPECT_EQ(first->state, before.state);
+  EXPECT_EQ(first->function_index, before.function_index);
+  EXPECT_EQ(first->submit_time, before.submit_time);
+  EXPECT_EQ(first->routed_to, before.routed_to);
+  EXPECT_EQ(&f.controller.activations().back(), &f.controller.activation(2500));
+}
+
 }  // namespace
 }  // namespace hpcwhisk::whisk

@@ -116,6 +116,11 @@ inline const std::vector<Rule>& default_rules() {
       {"obs_report", "reroute_across_invokers", Direction::kRequireTrue},
       {"obs_report", "decision_log_hash", Direction::kExact},
       {"obs_report", "decision_log_bytes", Direction::kExact},
+      // The counts of the run the hash pins are as deterministic as the
+      // hash; a baseline whose counts drift no longer describes its run.
+      {"obs_report", "events", Direction::kExact},
+      {"obs_report", "trace_events", Direction::kExact},
+      {"obs_report", "fast_lane_reroute_events", Direction::kExact},
       {"obs_report", "traced_overhead", Direction::kLowerBetter, 0, 0.10},
       {"obs_report", "trace_dropped", Direction::kLowerBetter, 0, 0},
       {"obs_report", "untraced_events_per_sec", Direction::kHigherBetter, 0.5,
