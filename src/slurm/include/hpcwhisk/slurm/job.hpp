@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hpcwhisk/sim/event_queue.hpp"
 #include "hpcwhisk/sim/time.hpp"
 #include "hpcwhisk/slurm/tres.hpp"
 
@@ -116,6 +117,14 @@ struct JobRecord {
   /// While kCompleting: why the grace period started (kPreempted or
   /// kTimeLimit). A job exiting during grace is attributed to this cause.
   EndReason grace_reason{EndReason::kCompleted};
+
+  // Scheduler bookkeeping, resolved or scheduled by Slurmctld.
+  /// Index of spec.partition in the scheduler's partition table.
+  std::uint32_t partition_index{0};
+  /// While active: the pending natural-end or time-limit event, and the
+  /// SIGKILL at the end of the grace window (invalid when none).
+  sim::EventId end_event{};
+  sim::EventId kill_event{};
 
   [[nodiscard]] bool is_active() const {
     return state == JobState::kRunning || state == JobState::kCompleting;

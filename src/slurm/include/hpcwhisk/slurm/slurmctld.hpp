@@ -20,14 +20,14 @@
 // if the declared limit fits before the head-job reservation).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "hpcwhisk/sim/chunked.hpp"
 #include "hpcwhisk/sim/simulation.hpp"
 #include "hpcwhisk/slurm/job.hpp"
 #include "hpcwhisk/slurm/node.hpp"
@@ -209,6 +209,9 @@ class Slurmctld {
   [[nodiscard]] ObservedNodeState observed_state(NodeId id) const;
   [[nodiscard]] std::vector<ObservedNodeState> observed_states() const;
   [[nodiscard]] std::size_t idle_node_count() const;
+  /// The job that claimed `id` and waits for its preempted victims to
+  /// leave; 0 when the node is not claimed.
+  [[nodiscard]] JobId claimant(NodeId id) const;
 
   /// All four observed-state counts in one allocation-free pass: the
   /// node-timeline sample of the time-series tier (idle + pilot is the
@@ -329,12 +332,25 @@ class Slurmctld {
                    sim::SimTime grace_override = sim::SimTime::max());
   void finish_job(JobRecord& rec, EndReason reason);
   void free_nodes(const JobRecord& rec);
+  /// Recomputes node `n`'s summary from its state and running jobs,
+  /// moves it in or out of idle_order_ and pilot_order_, and announces the
+  /// node if its observed state changed.
+  void refresh_node(NodeId n);
   void announce(NodeId node);
   void notify_job(JobEventKind kind, const JobRecord& rec,
                   sim::SimTime deadline = sim::SimTime::zero(),
                   sim::SimTime grace = sim::SimTime::zero(),
                   EndReason reason = EndReason::kCompleted);
-  [[nodiscard]] const Partition& partition_of(const JobRecord& rec) const;
+  [[nodiscard]] const Partition& partition_of(const JobRecord& rec) const {
+    return partitions_[rec.partition_index];
+  }
+  /// Index of the partition called `name`; partitions_.size() if none.
+  [[nodiscard]] std::size_t partition_index(const std::string& name) const;
+  /// Job ids are 1, 2, ... in submit order and never reused.
+  [[nodiscard]] JobRecord& record(JobId id) { return jobs_[id - 1]; }
+  [[nodiscard]] const JobRecord& record(JobId id) const {
+    return jobs_[id - 1];
+  }
 
   /// Jobs whose allocation is decided but whose nodes are still draining
   /// preempted victims; launched when the last victim leaves.
@@ -386,16 +402,44 @@ class Slurmctld {
   [[nodiscard]] const Qos* find_qos(const std::string& name) const;
 
 
+  /// What the passes, availability_snapshot() and observed_state() read
+  /// per node, so none of them visits a JobRecord. refresh_node() keeps it
+  /// in step with the node wherever its state or running jobs change:
+  /// launch, begin_grace, free_nodes and the down/up/drain paths.
+  struct NodeSummary {
+    /// Latest expected free time over the node's jobs (a completing job
+    /// counts min(expected_end, SIGKILL deadline)); allocated nodes only.
+    sim::SimTime free_at{};
+    /// Start of the node's only job when that is a running preemptible
+    /// tier-0 pilot; max() otherwise.
+    sim::SimTime pilot_start{sim::SimTime::max()};
+    /// Highest preempt tier over the node's jobs, or kNotPreemptible if
+    /// any of them is not preemptible: the node is free for any tier
+    /// above it.
+    std::int32_t preempt_tier{kNotPreemptible};
+    ObservedNodeState state{ObservedNodeState::kIdle};
+  };
+  static constexpr std::int32_t kNotPreemptible =
+      std::numeric_limits<std::int32_t>::max();
+
   sim::Simulation& sim_;
   Config config_;
-  std::unordered_map<std::string, Partition> partitions_;
+  std::vector<Partition> partitions_;
   std::vector<Node> nodes_;
-  std::unordered_map<JobId, JobRecord> jobs_;
+  std::vector<NodeSummary> summary_;
+  /// Kept in the orders a whole-node pass takes them in, so a pass copies
+  /// them instead of scanning and sorting every node: idle nodes, most
+  /// recently freed first, and nodes running a pilot (pilot_start !=
+  /// max()), youngest first; ties by id. refresh_node() maintains both.
+  std::vector<NodeId> idle_order_;
+  std::vector<NodeId> pilot_order_;
+  /// Every job ever submitted, at index id - 1; records never move.
+  sim::Chunked<JobRecord, 7> jobs_;
+  /// Running and completing jobs.
+  std::size_t active_jobs_{0};
   /// Pending jobs per tier (descending tier order via std::greater);
   /// each queue kept sorted by (priority desc, id asc).
   std::map<std::int32_t, std::vector<QueueEntry>, std::greater<>> pending_;
-  std::unordered_map<JobId, sim::EventId> end_events_;
-  std::unordered_map<JobId, sim::EventId> kill_events_;
   std::vector<PendingLaunch> pending_launches_;
   /// When each node last became idle (drives LIFO reuse: recently freed
   /// nodes are preferred, matching Slurm's stable node-weight ordering
@@ -403,10 +447,10 @@ class Slurmctld {
   std::vector<sim::SimTime> last_freed_;
   /// Nodes marked for maintenance: no new jobs; down when freed.
   std::vector<bool> draining_;
-  std::unordered_map<NodeId, JobId> node_claims_;  // node -> waiting job
+  /// Per node: the claimant waiting on it (pending_launches_), 0 if none.
+  std::vector<JobId> node_claims_;
   std::function<void(const NodeTransition&)> node_observer_;
   std::function<void(const JobEvent&)> job_observer_;
-  JobId next_job_id_{1};
   bool pass_requested_{false};
   sim::SimTime last_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
   sim::SimTime last_var_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
@@ -429,7 +473,6 @@ class Slurmctld {
   std::vector<JobId> victim_scratch_;
   std::vector<std::size_t> taken_idle_scratch_;
   std::vector<std::size_t> taken_pilot_scratch_;
-  std::vector<sim::SimTime> pilot_start_scratch_;  ///< per node, pilot_held only
   std::vector<NodeId> cold_first_scratch_;
   std::vector<NodeId> unused_nodes_scratch_;
 

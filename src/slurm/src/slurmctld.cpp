@@ -67,12 +67,16 @@ Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
   if (config_.node_count == 0)
     throw std::invalid_argument("Slurmctld: node_count must be positive");
   for (auto& p : partitions) {
-    const std::string name = p.name;
-    if (!partitions_.emplace(name, std::move(p)).second)
-      throw std::invalid_argument("Slurmctld: duplicate partition " + name);
+    if (partition_index(p.name) != partitions_.size())
+      throw std::invalid_argument("Slurmctld: duplicate partition " + p.name);
+    partitions_.push_back(std::move(p));
   }
   nodes_.resize(config_.node_count);
   for (std::uint32_t i = 0; i < config_.node_count; ++i) nodes_[i].id = i;
+  summary_.resize(config_.node_count);
+  idle_order_.resize(config_.node_count);
+  for (std::uint32_t i = 0; i < config_.node_count; ++i) idle_order_[i] = i;
+  node_claims_.assign(config_.node_count, 0);
   last_freed_.assign(config_.node_count, sim::SimTime::zero());
   draining_.assign(config_.node_count, false);
   last_pass_reserved_from_.assign(config_.node_count, sim::SimTime::max());
@@ -131,11 +135,11 @@ void Slurmctld::remove_pending(std::int32_t tier, JobId id) {
 }
 
 JobId Slurmctld::submit(JobSpec spec) {
-  const auto pit = partitions_.find(spec.partition);
-  if (pit == partitions_.end())
+  const std::size_t part_index = partition_index(spec.partition);
+  if (part_index == partitions_.size())
     throw std::invalid_argument("Slurmctld::submit: unknown partition '" +
                                 spec.partition + "'");
-  const Partition& part = pit->second;
+  const Partition& part = partitions_[part_index];
   if (spec.num_nodes == 0 || spec.num_nodes > nodes_.size())
     throw std::invalid_argument("Slurmctld::submit: bad node count");
   if (spec.time_limit <= sim::SimTime::zero())
@@ -156,8 +160,9 @@ JobId Slurmctld::submit(JobSpec spec) {
     throw std::invalid_argument("Slurmctld::submit: unknown QOS '" + spec.qos +
                                 "'");
 
-  JobRecord rec;
-  rec.id = next_job_id_++;
+  JobRecord& rec = jobs_.emplace_back();
+  rec.id = jobs_.size();
+  rec.partition_index = static_cast<std::uint32_t>(part_index);
   rec.priority_tier = part.priority_tier;
   rec.preemptible = part.preempt_mode == PreemptMode::kCancel;
   rec.submit_time = sim_.now();
@@ -167,19 +172,17 @@ JobId Slurmctld::submit(JobSpec spec) {
   const JobId id = rec.id;
   const bool is_var = rec.spec.time_min > sim::SimTime::zero();
   const std::int32_t tier = rec.priority_tier;
-  const auto [it, inserted] = jobs_.emplace(id, std::move(rec));
-  enqueue_pending(tier, it->second);
+  enqueue_pending(tier, rec);
   ++counters_.submitted;
-  notify_job(JobEventKind::kSubmitted, it->second);
+  notify_job(JobEventKind::kSubmitted, rec);
   // Variable-length pilots wait for the periodic pass.
   if (!(is_var && tier == 0)) request_schedule();
   return id;
 }
 
 bool Slurmctld::cancel(JobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  JobRecord& rec = it->second;
+  if (!is_known(id)) return false;
+  JobRecord& rec = record(id);
   switch (rec.state) {
     case JobState::kPending:
       remove_pending(rec.priority_tier, id);
@@ -196,9 +199,8 @@ bool Slurmctld::cancel(JobId id) {
 }
 
 void Slurmctld::job_exited(JobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
-  JobRecord& rec = it->second;
+  if (!is_known(id)) return;
+  JobRecord& rec = record(id);
   if (!rec.is_active()) return;
   finish_job(rec, rec.state == JobState::kCompleting
                       ? rec.grace_reason  // exited during grace
@@ -216,14 +218,14 @@ void Slurmctld::set_node_down(NodeId id) {
     ++counters_.node_failures;
     const std::vector<JobId> doomed = node.running_jobs;
     for (const JobId jid : doomed) {
-      JobRecord& rec = jobs_.at(jid);
+      JobRecord& rec = record(jid);
       if (rec.is_active()) finish_job(rec, EndReason::kNodeFailed);
     }
   }
   requeue_claim_on(id);
   if (node.state != NodeState::kDown) {
     node.state = NodeState::kDown;
-    announce(id);
+    refresh_node(id);
   }
   request_schedule();
 }
@@ -247,7 +249,7 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
   draining_[id] = true;
   const std::vector<JobId> doomed = node.running_jobs;
   for (const JobId jid : doomed) {
-    JobRecord& rec = jobs_.at(jid);
+    JobRecord& rec = record(jid);
     if (rec.state == JobState::kRunning)
       begin_grace(rec, EndReason::kNodeFailed, grace);
   }
@@ -258,7 +260,7 @@ void Slurmctld::set_node_up(NodeId id) {
   draining_[id] = false;
   if (node.state != NodeState::kDown) return;
   node.state = NodeState::kIdle;
-  announce(id);
+  refresh_node(id);
   request_schedule();
 }
 
@@ -268,7 +270,7 @@ void Slurmctld::drain_node(NodeId id) {
   draining_[id] = true;
   if (node.state == NodeState::kIdle) {
     node.state = NodeState::kDown;
-    announce(id);
+    refresh_node(id);
   }
   // Allocated: the running job finishes normally; free_nodes handles the
   // hand-over to maintenance.
@@ -277,77 +279,56 @@ void Slurmctld::drain_node(NodeId id) {
 bool Slurmctld::is_draining(NodeId id) const { return draining_.at(id); }
 
 const JobRecord& Slurmctld::job(JobId id) const {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw std::out_of_range("Slurmctld::job: unknown id");
-  return it->second;
+  if (!is_known(id)) throw std::out_of_range("Slurmctld::job: unknown id");
+  return record(id);
 }
 
-bool Slurmctld::is_known(JobId id) const { return jobs_.contains(id); }
+bool Slurmctld::is_known(JobId id) const {
+  return id >= 1 && id <= jobs_.size();
+}
 
 void Slurmctld::for_each_job(
     const std::function<void(const JobRecord&)>& fn) const {
-  // jobs_ is unordered; visit in id order for stable output.
-  std::vector<JobId> ids;
-  ids.reserve(jobs_.size());
-  for (const auto& [id, rec] : jobs_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const JobId id : ids) fn(jobs_.at(id));
+  for (const JobRecord& rec : jobs_) fn(rec);
+}
+
+std::size_t Slurmctld::partition_index(const std::string& name) const {
+  std::size_t i = 0;
+  while (i < partitions_.size() && partitions_[i].name != name) ++i;
+  return i;
 }
 
 std::size_t Slurmctld::pending_count(const std::string& partition) const {
+  const std::size_t index = partition_index(partition);
   std::size_t n = 0;
   for (const auto& [tier, q] : pending_) {
     for (const QueueEntry& e : q) {
-      if (jobs_.at(e.id).spec.partition == partition) ++n;
+      if (record(e.id).partition_index == index) ++n;
     }
   }
   return n;
 }
 
-std::size_t Slurmctld::running_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, rec] : jobs_) {
-    if (rec.is_active()) ++n;
-  }
-  return n;
-}
+std::size_t Slurmctld::running_count() const { return active_jobs_; }
 
 ObservedNodeState Slurmctld::observed_state(NodeId id) const {
-  const Node& node = nodes_.at(id);
-  switch (node.state) {
-    case NodeState::kDown:
-      return ObservedNodeState::kDown;
-    case NodeState::kIdle:
-      return ObservedNodeState::kIdle;
-    case NodeState::kAllocated:
-      // Prime HPC work dominates the observed role: the paper's sinfo
-      // perspective reports a shared node as busy with HPC.
-      for (const JobId jid : node.running_jobs) {
-        if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
-      }
-      return ObservedNodeState::kPilot;
-  }
-  return ObservedNodeState::kIdle;
+  return summary_.at(id).state;
 }
 
 std::vector<ObservedNodeState> Slurmctld::observed_states() const {
-  std::vector<ObservedNodeState> out(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    out[i] = observed_state(static_cast<NodeId>(i));
+  std::vector<ObservedNodeState> out(summary_.size());
+  for (std::size_t i = 0; i < summary_.size(); ++i) out[i] = summary_[i].state;
   return out;
 }
 
-std::size_t Slurmctld::idle_node_count() const {
-  std::size_t n = 0;
-  for (const Node& node : nodes_)
-    if (node.state == NodeState::kIdle) ++n;
-  return n;
-}
+std::size_t Slurmctld::idle_node_count() const { return idle_order_.size(); }
+
+JobId Slurmctld::claimant(NodeId id) const { return node_claims_.at(id); }
 
 Slurmctld::StateTotals Slurmctld::state_totals() const {
   StateTotals t;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    switch (observed_state(static_cast<NodeId>(i))) {
+  for (const NodeSummary& s : summary_) {
+    switch (s.state) {
       case ObservedNodeState::kIdle: ++t.idle; break;
       case ObservedNodeState::kHpc: ++t.hpc; break;
       case ObservedNodeState::kPilot: ++t.pilot; break;
@@ -370,47 +351,29 @@ void Slurmctld::request_schedule() {
   });
 }
 
-const Partition& Slurmctld::partition_of(const JobRecord& rec) const {
-  return partitions_.at(rec.spec.partition);
-}
-
 void Slurmctld::build_availability_into(std::int32_t tier,
                                         Availability& a) const {
   const sim::SimTime now = sim_.now();
-  a.free_at.assign(nodes_.size(), now);
-  const bool any_claims = !node_claims_.empty();
-  for (const Node& node : nodes_) {
-    sim::SimTime hpc_free = now;
-    if (node.state == NodeState::kDown) {
-      hpc_free = sim::SimTime::max();
-    } else if (node.state == NodeState::kAllocated) {
-      // Free when the *last* co-resident job is expected out; the node is
-      // transparent to `tier` only if every job on it is preemptable by
-      // that tier.
-      sim::SimTime expected_max = now;
-      bool all_preemptable = true;
-      for (const JobId jid : node.running_jobs) {
-        const JobRecord& rec = jobs_.at(jid);
-        sim::SimTime expected = rec.expected_end();
-        if (rec.state == JobState::kCompleting)
-          expected = std::min(expected, rec.end_time);
-        expected_max = std::max(expected_max, expected);
-        if (!(rec.preemptible && rec.preempt_tier < tier))
-          all_preemptable = false;
-      }
-      hpc_free = all_preemptable ? now : expected_max;
+  a.free_at.resize(summary_.size());
+  for (std::size_t i = 0; i < summary_.size(); ++i) {
+    const NodeSummary& s = summary_[i];
+    // An allocated node is free when its *last* co-resident job is
+    // expected out, unless every job on it is preemptable by `tier`.
+    sim::SimTime free = now;
+    if (s.state == ObservedNodeState::kDown) {
+      free = sim::SimTime::max();
+    } else if (s.state != ObservedNodeState::kIdle && s.preempt_tier >= tier) {
+      free = std::max(now, s.free_at);
     }
-    // Claimed nodes are spoken for until the claimant's expected end.
-    if (any_claims) {
-      const auto claim = node_claims_.find(node.id);
-      if (claim != node_claims_.end()) {
-        const JobRecord& claimant = jobs_.at(claim->second);
-        const sim::SimTime claim_end =
-            now + claimant.granted_limit + partition_of(claimant).grace_time;
-        hpc_free = std::max(hpc_free, claim_end);
-      }
-    }
-    a.free_at[node.id] = hpc_free;
+    a.free_at[i] = free;
+  }
+  // Claimed nodes are spoken for until the claimant's expected end.
+  for (const PendingLaunch& pl : pending_launches_) {
+    const JobRecord& claimant = record(pl.id);
+    const sim::SimTime claim_end =
+        now + claimant.granted_limit + partition_of(claimant).grace_time;
+    for (const NodeId n : pl.nodes)
+      a.free_at[n] = std::max(a.free_at[n], claim_end);
   }
 }
 
@@ -433,41 +396,19 @@ void Slurmctld::run_sched_pass(bool periodic) {
   const sim::SimTime now = sim_.now();
   last_pass_ = now;
 
-  // Node lists for this pass, updated in place as launches happen. All
-  // pass-local vectors are member scratch: steady-state passes allocate
-  // nothing (ISSUE 2 hot-path contract, pinned by SchedGolden).
+  // Node lists for this pass: idle nodes in LIFO reuse order (most
+  // recently freed first) and pilot nodes in preemption order (youngest
+  // first), less the claimed ones. Taking a node erases it in place, so
+  // both stay in order all pass. All pass-local vectors are member
+  // scratch: steady-state passes allocate nothing (pinned by SchedGolden).
   PassCache& cache = pass_cache_;
-  cache.idle.clear();
-  cache.pilot_held.clear();
-  std::vector<sim::SimTime>& pilot_start = pilot_start_scratch_;
-  pilot_start.resize(nodes_.size());
-  const bool any_claims = !node_claims_.empty();
-  for (const Node& node : nodes_) {
-    if (any_claims && node_claims_.contains(node.id)) continue;
-    if (node.state == NodeState::kIdle) {
-      cache.idle.push_back(node.id);
-    } else if (node.state == NodeState::kAllocated) {
-      const JobRecord& rec = jobs_.at(node.running_jobs.front());
-      if (rec.preemptible && rec.priority_tier == 0 &&
-          rec.state == JobState::kRunning) {
-        cache.pilot_held.push_back(node.id);
-        pilot_start[node.id] = rec.start_time;
-      }
-    }
+  cache.idle = idle_order_;
+  cache.pilot_held = pilot_order_;
+  if (!pending_launches_.empty()) {
+    const auto claimed = [this](NodeId n) { return node_claims_[n] != 0; };
+    std::erase_if(cache.idle, claimed);
+    std::erase_if(cache.pilot_held, claimed);
   }
-  // LIFO reuse: most recently freed first (ties by id for determinism).
-  std::sort(cache.idle.begin(), cache.idle.end(), [this](NodeId a, NodeId b) {
-    if (last_freed_[a] != last_freed_[b]) return last_freed_[a] > last_freed_[b];
-    return a < b;
-  });
-  // Preemption order: youngest pilot first (ties by id). Taking a victim
-  // erases it in place, so the list stays in this order all pass.
-  std::sort(cache.pilot_held.begin(), cache.pilot_held.end(),
-            [&pilot_start](NodeId a, NodeId b) {
-              if (pilot_start[a] != pilot_start[b])
-                return pilot_start[a] > pilot_start[b];
-              return a < b;
-            });
 
   // ---- Phase 1: HPC tiers (>= 1), highest first, backfill with up to
   // reservation_depth future reservations. reserved_from[n] = earliest
@@ -485,14 +426,14 @@ void Slurmctld::run_sched_pass(bool periodic) {
     // Built once per (pass, tier) into the cached buffer and then
     // mutated in place — never rebuilt or copied mid-tier.
     build_availability_into(tier, avail_scratch_);
-    horizon_.reset(avail_scratch_.free_at);
+    horizon_.reset(avail_scratch_.free_at, now + kBackfillWindow);
 
     std::vector<QueueEntry>& still_pending = still_pending_scratch_;
     still_pending.clear();
     still_pending.reserve(queue.size());
     std::size_t examined = 0;
     for (const QueueEntry& entry : queue) {
-      JobRecord& rec = jobs_.at(entry.id);
+      JobRecord& rec = record(entry.id);
       if (examined++ >= config_.backfill_depth) {
         still_pending.push_back(entry);
         continue;
@@ -509,7 +450,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
       // free earliest in the planning timeline.
       if (reservations_made < config_.reservation_depth &&
           horizon_.book(rec.spec.num_nodes, rec.spec.time_limit,
-                        now + kBackfillWindow, reserved_from)) {
+                        reserved_from)) {
         ++reservations_made;
       }
     }
@@ -519,8 +460,9 @@ void Slurmctld::run_sched_pass(bool periodic) {
   // ---- Phase 2: tier-0 pilot placement on idle nodes. ------------------
   place_pilots(cache, reserved_from, periodic);
 
-  // Remember this pass's reservation picture for stale var sizing.
-  if (periodic) last_pass_reserved_from_ = reserved_from;
+  // Remember this pass's reservation picture for stale var sizing (the
+  // next pass refills the scratch it leaves behind).
+  if (periodic) last_pass_reserved_from_.swap(reserved_from);
 
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record(
@@ -653,7 +595,7 @@ void Slurmctld::place_pilots(PassCache& cache,
 
     bool placed = false;
     for (auto it = queue.begin(); it != queue.end(); ++it) {
-      JobRecord& rec = jobs_.at(it->id);
+      JobRecord& rec = record(it->id);
       assert(rec.spec.num_nodes == 1 &&
              "tier-0 pilots are single-node by design");
       const bool is_var = rec.spec.time_min > sim::SimTime::zero();
@@ -697,12 +639,12 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
   for (const NodeId n : rec.nodes) {
     Node& node = nodes_.at(n);
     assert(rec.spec.tres_per_node.fits_within(node.capacity - node.allocated));
-    const ObservedNodeState prev = observed_state(n);
     node.allocated += rec.spec.tres_per_node;
     node.running_jobs.push_back(rec.id);
     node.state = NodeState::kAllocated;
-    if (observed_state(n) != prev) announce(n);
+    refresh_node(n);
   }
+  ++active_jobs_;
   ++counters_.started;
   notify_job(JobEventKind::kLaunched, rec);
   HW_OBS_IF(config_.obs) {
@@ -719,17 +661,19 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
           : now + rec.spec.actual_runtime;
   const sim::SimTime at_limit = now + granted_limit;
   if (natural <= at_limit) {
-    end_events_[id] = sim_.at(natural, [this, id] {
-      end_events_.erase(id);
-      finish_job(jobs_.at(id), EndReason::kCompleted);
+    rec.end_event = sim_.at(natural, [this, id] {
+      JobRecord& r = record(id);
+      r.end_event = {};
+      finish_job(r, EndReason::kCompleted);
     });
   } else {
     // The job will outlive its granted limit: SIGTERM at the limit,
     // grace, then SIGKILL (Prometheus grants the full grace on timeout
     // too — Sec. III-C: "because of eviction or timeout").
-    end_events_[id] = sim_.at(at_limit, [this, id] {
-      end_events_.erase(id);
-      begin_grace(jobs_.at(id), EndReason::kTimeLimit);
+    rec.end_event = sim_.at(at_limit, [this, id] {
+      JobRecord& r = record(id);
+      r.end_event = {};
+      begin_grace(r, EndReason::kTimeLimit);
     });
   }
 
@@ -739,7 +683,7 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
       // A job that got SIGTERM inside the latency is already leaving: it
       // never learns it started.
       sim_.after(config_.launch_latency, [this, id, cb] {
-        if (jobs_.at(id).state == JobState::kRunning) cb(jobs_.at(id));
+        if (record(id).state == JobState::kRunning) cb(record(id));
       });
     } else {
       rec.spec.on_start(rec);
@@ -762,10 +706,9 @@ void Slurmctld::begin_grace(JobRecord& rec, EndReason reason,
 
   // The natural-end event no longer applies (we are being terminated);
   // unless the job would finish on its own before the SIGKILL deadline.
-  const auto evt = end_events_.find(rec.id);
-  if (evt != end_events_.end()) {
-    sim_.cancel(evt->second);
-    end_events_.erase(evt);
+  if (rec.end_event.valid()) {
+    sim_.cancel(rec.end_event);
+    rec.end_event = {};
   }
   const JobId id = rec.id;
   const sim::SimTime natural =
@@ -773,16 +716,20 @@ void Slurmctld::begin_grace(JobRecord& rec, EndReason reason,
           ? sim::SimTime::max()
           : rec.start_time + rec.spec.actual_runtime;
   if (natural < rec.end_time) {
-    end_events_[id] = sim_.at(natural, [this, id] {
-      end_events_.erase(id);
-      finish_job(jobs_.at(id), EndReason::kCompleted);
+    rec.end_event = sim_.at(natural, [this, id] {
+      JobRecord& r = record(id);
+      r.end_event = {};
+      finish_job(r, EndReason::kCompleted);
     });
   }
 
-  kill_events_[id] = sim_.at(rec.end_time, [this, id, reason] {
-    kill_events_.erase(id);
-    finish_job(jobs_.at(id), reason);
+  rec.kill_event = sim_.at(rec.end_time, [this, id, reason] {
+    JobRecord& r = record(id);
+    r.kill_event = {};
+    finish_job(r, reason);
   });
+  // The SIGKILL deadline may free the nodes before the granted limit.
+  for (const NodeId n : rec.nodes) refresh_node(n);
 
   HW_OBS_IF(config_.obs) {
     config_.obs->trace.record_chained(
@@ -796,17 +743,16 @@ void Slurmctld::begin_grace(JobRecord& rec, EndReason reason,
 }
 
 void Slurmctld::finish_job(JobRecord& rec, EndReason reason) {
-  const auto evt = end_events_.find(rec.id);
-  if (evt != end_events_.end()) {
-    sim_.cancel(evt->second);
-    end_events_.erase(evt);
+  if (rec.end_event.valid()) {
+    sim_.cancel(rec.end_event);
+    rec.end_event = {};
   }
-  const auto kevt = kill_events_.find(rec.id);
-  if (kevt != kill_events_.end()) {
-    sim_.cancel(kevt->second);
-    kill_events_.erase(kevt);
+  if (rec.kill_event.valid()) {
+    sim_.cancel(rec.kill_event);
+    rec.kill_event = {};
   }
   const bool was_active = rec.is_active();
+  if (was_active) --active_jobs_;
   rec.end_time = sim_.now();
   switch (reason) {
     case EndReason::kCompleted:
@@ -850,7 +796,6 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
     auto& rj = node.running_jobs;
     const auto it = std::find(rj.begin(), rj.end(), rec.id);
     if (it == rj.end()) continue;
-    const ObservedNodeState prev = observed_state(n);
     rj.erase(it);
     node.allocated -= rec.spec.tres_per_node;
     if (rj.empty()) {
@@ -864,7 +809,7 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
         last_freed_[n] = sim_.now();
       }
     }
-    if (observed_state(n) != prev) announce(n);
+    refresh_node(n);
     // Claims complete per victim job in victim_ended.
   }
 }
@@ -911,7 +856,7 @@ void Slurmctld::run_sched_pass_tres(bool periodic) {
     bool head_blocked = false;
     std::size_t examined = 0;
     for (const QueueEntry& entry : queue) {
-      JobRecord& rec = jobs_.at(entry.id);
+      JobRecord& rec = record(entry.id);
       if (examined++ >= config_.backfill_depth) {
         still_pending.push_back(entry);
         continue;
@@ -954,7 +899,7 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
 
   const auto node_usable = [&](const Node& node) {
     return node.state != NodeState::kDown && !draining_[node.id] &&
-           !node_claims_.contains(node.id) &&
+           node_claims_[node.id] == 0 &&
            reservation_allows(res_next_start, node.id, fence);
   };
 
@@ -994,7 +939,7 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
       if (want.fits_within(freeable)) continue;  // already in `chosen`
       evict.clear();
       for (const JobId jid : node.running_jobs) {
-        const JobRecord& v = jobs_.at(jid);
+        const JobRecord& v = record(jid);
         if (!v.preemptible || !v.is_active()) continue;
         if (v.preempt_tier >= rec.preempt_tier) continue;
         evict.push_back({v.preempt_tier, v.start_time, jid, v.spec.tres_per_node});
@@ -1061,7 +1006,7 @@ sim::SimTime Slurmctld::tres_shadow_time(
   fits.clear();
   for (const Node& node : nodes_) {
     if (node.state == NodeState::kDown || draining_[node.id]) continue;
-    if (node_claims_.contains(node.id)) continue;
+    if (node_claims_[node.id] != 0) continue;
     if (!reservation_allows(res_next_start, node.id, fence)) continue;
     TresVector free = node.capacity - node.allocated;
     if (want.fits_within(free)) {
@@ -1070,7 +1015,7 @@ sim::SimTime Slurmctld::tres_shadow_time(
     }
     ends.clear();
     for (const JobId jid : node.running_jobs) {
-      const JobRecord& j = jobs_.at(jid);
+      const JobRecord& j = record(jid);
       sim::SimTime expected = j.expected_end();
       if (j.state == JobState::kCompleting)
         expected = std::min(expected, j.end_time);
@@ -1110,7 +1055,7 @@ void Slurmctld::place_pilots_tres(
   order.clear();
   for (const Node& node : nodes_) {
     if (node.state == NodeState::kDown || draining_[node.id]) continue;
-    if (node_claims_.contains(node.id)) continue;
+    if (node_claims_[node.id] != 0) continue;
     if ((node.capacity - node.allocated).is_zero()) continue;
     // The fresh-idle gate only guards fully idle nodes: partial nodes
     // are already pinned down by their HPC resident.
@@ -1137,7 +1082,7 @@ void Slurmctld::place_pilots_tres(
       const TresVector free = node.capacity - node.allocated;
       if (free.is_zero()) break;
       for (auto it = queue.begin(); it != queue.end(); ++it) {
-        JobRecord& rec = jobs_.at(it->id);
+        JobRecord& rec = record(it->id);
         assert(rec.spec.num_nodes == 1 &&
                "tier-0 pilots are single-node by design");
         const bool is_var = rec.spec.time_min > sim::SimTime::zero();
@@ -1175,13 +1120,16 @@ void Slurmctld::claim(JobRecord& rec, const std::vector<NodeId>& nodes,
   pl.nodes = nodes;
   pl.granted_limit = granted_limit;
   pl.victims_left = victims.size();
-  for (const NodeId n : nodes) node_claims_[n] = rec.id;
+  for (const NodeId n : nodes) {
+    assert(node_claims_[n] == 0 && "a node has at most one claimant");
+    node_claims_[n] = rec.id;
+  }
   for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
   pending_launches_.push_back(std::move(pl));
   notify_job(JobEventKind::kClaimed, rec);
 
   for (const JobId v : victims) {
-    JobRecord& victim = jobs_.at(v);
+    JobRecord& victim = record(v);
     if (victim.state == JobState::kRunning)
       begin_grace(victim, EndReason::kPreempted);
     // kCompleting victims are already draining; the claim waits for them.
@@ -1206,8 +1154,8 @@ void Slurmctld::victim_ended(JobId victim) {
 
     PendingLaunch pl = std::move(*plit);
     pending_launches_.erase(plit);
-    for (const NodeId n : pl.nodes) node_claims_.erase(n);
-    JobRecord& rec = jobs_.at(pl.id);
+    for (const NodeId n : pl.nodes) node_claims_[n] = 0;
+    JobRecord& rec = record(pl.id);
 
     // Re-check the world: a reservation window, drain or node failure may
     // have closed in while the victims drained.
@@ -1238,7 +1186,7 @@ void Slurmctld::drop_claim(JobId claimant) {
   for (auto it = pending_launches_.begin(); it != pending_launches_.end();
        ++it) {
     if (it->id != claimant) continue;
-    for (const NodeId n : it->nodes) node_claims_.erase(n);
+    for (const NodeId n : it->nodes) node_claims_[n] = 0;
     pending_launches_.erase(it);
     break;
   }
@@ -1248,11 +1196,10 @@ void Slurmctld::drop_claim(JobId claimant) {
 }
 
 void Slurmctld::requeue_claim_on(NodeId id) {
-  const auto claim = node_claims_.find(id);
-  if (claim == node_claims_.end()) return;
-  const JobId claimant = claim->second;
+  const JobId claimant = node_claims_[id];
+  if (claimant == 0) return;
   drop_claim(claimant);
-  JobRecord& rec = jobs_.at(claimant);
+  JobRecord& rec = record(claimant);
   rec.state = JobState::kPending;
   enqueue_pending(rec.priority_tier, rec);
 }
@@ -1288,7 +1235,7 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     requeue_claim_on(id);
     if (node.state == NodeState::kIdle) {
       node.state = NodeState::kDown;
-      announce(id);
+      refresh_node(id);
       continue;
     }
     // Jobs still on the node (the reservation was registered after they
@@ -1296,9 +1243,9 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     // already on their way out.
     std::vector<JobId> doomed = node.running_jobs;
     for (const JobId jid : doomed) {
-      const auto jit = jobs_.find(jid);
-      if (jit != jobs_.end() && jit->second.state == JobState::kRunning)
-        begin_grace(jit->second, EndReason::kPreempted);
+      JobRecord& rec = record(jid);
+      if (rec.state == JobState::kRunning)
+        begin_grace(rec, EndReason::kPreempted);
     }
   }
 }
@@ -1344,7 +1291,7 @@ Slurmctld::TresTotals Slurmctld::tres_totals() const {
     if (node.state == NodeState::kDown) continue;
     t.capacity += node.capacity;
     for (const JobId jid : node.running_jobs) {
-      const JobRecord& rec = jobs_.at(jid);
+      const JobRecord& rec = record(jid);
       if (rec.priority_tier == 0) {
         t.pilot += rec.spec.tres_per_node;
       } else {
@@ -1353,6 +1300,73 @@ Slurmctld::TresTotals Slurmctld::tres_totals() const {
     }
   }
   return t;
+}
+
+void Slurmctld::refresh_node(NodeId n) {
+  const Node& node = nodes_[n];
+  NodeSummary s;
+  switch (node.state) {
+    case NodeState::kDown: s.state = ObservedNodeState::kDown; break;
+    case NodeState::kIdle: s.state = ObservedNodeState::kIdle; break;
+    case NodeState::kAllocated: {
+      // Prime HPC work dominates the observed role: the paper's sinfo
+      // perspective reports a shared node as busy with HPC.
+      s.state = ObservedNodeState::kPilot;
+      s.preempt_tier = std::numeric_limits<std::int32_t>::min();
+      for (const JobId jid : node.running_jobs) {
+        const JobRecord& rec = record(jid);
+        sim::SimTime expected = rec.expected_end();
+        if (rec.state == JobState::kCompleting)
+          expected = std::min(expected, rec.end_time);
+        s.free_at = std::max(s.free_at, expected);
+        s.preempt_tier = rec.preemptible
+                             ? std::max(s.preempt_tier, rec.preempt_tier)
+                             : kNotPreemptible;
+        if (rec.priority_tier != 0) s.state = ObservedNodeState::kHpc;
+      }
+      if (node.running_jobs.size() == 1) {
+        const JobRecord& only = record(node.running_jobs.front());
+        if (only.preemptible && only.priority_tier == 0 &&
+            only.state == JobState::kRunning)
+          s.pilot_start = only.start_time;
+      }
+      break;
+    }
+  }
+
+  // The pass orders: idle nodes most recently freed first, pilots
+  // youngest first, ties by id. A node leaves an order by the key it
+  // entered with: its last_freed_ only changes while it is not idle, and
+  // its summary is replaced only after it has left.
+  const auto by_freed = [this](NodeId a, NodeId b) {
+    if (last_freed_[a] != last_freed_[b]) return last_freed_[a] > last_freed_[b];
+    return a < b;
+  };
+  const auto by_age = [this](NodeId a, NodeId b) {
+    const sim::SimTime sa = summary_[a].pilot_start;
+    const sim::SimTime sb = summary_[b].pilot_start;
+    if (sa != sb) return sa > sb;
+    return a < b;
+  };
+  const auto leave = [n](std::vector<NodeId>& order, auto before) {
+    const auto it = std::lower_bound(order.begin(), order.end(), n, before);
+    assert(it != order.end() && *it == n);
+    order.erase(it);
+  };
+  const auto enter = [n](std::vector<NodeId>& order, auto before) {
+    order.insert(std::lower_bound(order.begin(), order.end(), n, before), n);
+  };
+  const NodeSummary old = summary_[n];
+  const bool was_idle = old.state == ObservedNodeState::kIdle;
+  const bool is_idle = s.state == ObservedNodeState::kIdle;
+  if (was_idle && !is_idle) leave(idle_order_, by_freed);
+  if (old.pilot_start != s.pilot_start && old.pilot_start != sim::SimTime::max())
+    leave(pilot_order_, by_age);
+  summary_[n] = s;
+  if (is_idle && !was_idle) enter(idle_order_, by_freed);
+  if (old.pilot_start != s.pilot_start && s.pilot_start != sim::SimTime::max())
+    enter(pilot_order_, by_age);
+  if (s.state != old.state) announce(n);
 }
 
 void Slurmctld::announce(NodeId node) {

@@ -12,21 +12,30 @@
 # container fill (`.name.push_back(`). Members are matched by name, so a
 # name that two structs share counts as set for both. Nested structs
 # (Slurmctld::Config::Fidelity, ...) count as the one member that holds
-# them. Informational: exits 0 whatever it finds.
+# them. Informational: exits 0 whatever it finds. Reads the file list
+# from `git ls-files`, so it must run in a git checkout: elsewhere (a
+# `git archive` export, say) it finds no src/ header and exits 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 totals_only=0
 [[ "${1:-}" == "--totals" ]] && totals_only=1
 
-# Setting sites: C++ sources outside tests/ and examples/.
+# Config headers, and setting sites: C++ sources outside tests/ and
+# examples/.
+mapfile -t headers < <(git ls-files -- 'src/*.hpp' 2>/dev/null || true)
+if (( ${#headers[@]} == 0 )); then
+  echo "knob_census: git ls-files lists no src/ header in $(pwd);" \
+       "run it in a git checkout of the repository" >&2
+  exit 1
+fi
 mapfile -t sites < <(git ls-files -- '*.cpp' '*.hpp' '*.h' |
                      grep -v -e '^tests/' -e '^examples/')
 
 # Emits "<header>\t<Owner::Config>\t<member>" for each direct member.
 list_members() {
   local header
-  for header in $(git ls-files -- 'src/*.hpp'); do
+  for header in "${headers[@]}"; do
     awk -v file="$header" '
       function strip_templates(s) {
         while (gsub(/<[^<>]*>/, "", s)) {}
