@@ -1,5 +1,6 @@
 // Micro-benchmarks of the substrates: message-broker throughput, the
-// container pool's fast paths, the event queue, and SeBS kernel scaling.
+// container pool's fast paths, the event queue, the activation store,
+// and SeBS kernel scaling.
 // These are performance benches for the library itself, not paper
 // reproductions.
 
@@ -16,6 +17,7 @@
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/sim/simulation.hpp"
 #include "hpcwhisk/slurm/slurmctld.hpp"
+#include "hpcwhisk/whisk/activation.hpp"
 
 namespace {
 
@@ -308,6 +310,50 @@ void BM_timeout_arm_cancel(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(simulation.pending_events());
 }
 BENCHMARK(BM_timeout_arm_cancel);
+
+/// The activation store at hot_lease's peak: 26,000 calls open. Each
+/// iteration is one call's life as the controller drives the store: the
+/// prefix of terminal records is archived, a call is submitted, the call
+/// submitted 13,000 calls ago starts, and the oldest open call finishes.
+/// Reports the archive's bytes per archived record.
+void BM_activation_store_churn(benchmark::State& state) {
+  constexpr whisk::ActivationId kOpen = 26'000;
+  whisk::ActivationStore store;
+  sim::Rng rng{11};
+  sim::SimTime now = sim::SimTime::seconds(1);
+  const auto submit = [&] {
+    store.archive_terminal_prefix();
+    whisk::ActivationRecord& rec = store.emplace_back();
+    rec.id = store.size() - 1;
+    rec.function_index = static_cast<std::uint32_t>(rng.uniform_int(0, 7));
+    rec.submit_time = now;
+    rec.routed_to = static_cast<whisk::InvokerId>(rng.uniform_int(0, 63));
+  };
+  for (whisk::ActivationId i = 0; i < kOpen; ++i) submit();
+  for (auto _ : state) {
+    now += sim::SimTime::micros(rng.uniform_int(1, 5000));
+    submit();
+    const whisk::ActivationId newest = store.size() - 1;
+    whisk::ActivationRecord& starting = store.live(newest - kOpen / 2);
+    starting.state = whisk::ActivationState::kRunning;
+    starting.first_start_time = starting.start_time = now;
+    starting.executed_by = starting.routed_to;
+    whisk::ActivationRecord& done = store.live(newest - kOpen);
+    done.state = whisk::ActivationState::kCompleted;
+    done.end_time = now;
+    benchmark::DoNotOptimize(&done);
+  }
+  const double archived = static_cast<double>(store.base());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["bytes_per_archived"] =
+      archived == 0
+          ? 0.0
+          : (archived * sizeof(whisk::ArchivedRecord) +
+             static_cast<double>(store.exception_count()) *
+                 sizeof(whisk::ActivationRecord)) /
+                archived;
+}
+BENCHMARK(BM_activation_store_churn);
 
 void BM_bfs_scaling(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

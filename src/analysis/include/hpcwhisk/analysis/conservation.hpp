@@ -17,7 +17,6 @@
 // once every accepted activation had the chance to terminate.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -65,9 +64,13 @@ class ConservationAudit {
  private:
   whisk::Controller& controller_;
   obs::Observability* obs_{nullptr};
-  /// Terminal transitions seen per activation (ordered => deterministic
-  /// violation output).
-  std::map<whisk::ActivationId, std::uint32_t> terminal_seen_;
+  /// Terminal transitions seen per activation, indexed by id; grows with
+  /// the highest id seen (ids past the end were seen zero times).
+  std::vector<std::uint32_t> terminal_seen_;
+
+  [[nodiscard]] std::uint32_t seen(whisk::ActivationId id) const {
+    return id < terminal_seen_.size() ? terminal_seen_[id] : 0;
+  }
 };
 
 }  // namespace hpcwhisk::analysis

@@ -19,7 +19,10 @@ ConservationAudit::ConservationAudit(whisk::Controller& controller,
                                      obs::Observability* obs)
     : controller_{controller}, obs_{obs} {
   controller_.set_terminal_observer(
-      [this](const whisk::ActivationRecord& rec) { ++terminal_seen_[rec.id]; });
+      [this](const whisk::ActivationRecord& rec) {
+        if (rec.id >= terminal_seen_.size()) terminal_seen_.resize(rec.id + 1);
+        ++terminal_seen_[rec.id];
+      });
 }
 
 ConservationAudit::Result ConservationAudit::finalize() const {
@@ -50,9 +53,9 @@ ConservationAudit::Result ConservationAudit::finalize() const {
         ++r.rejected_503;
         // 503s are terminal at submit() and never pass the observer; an
         // observer event for one means a rejected id was re-finished.
-        if (terminal_seen_.count(rec.id) > 0) {
+        if (seen(rec.id) > 0) {
           v << "activation " << rec.id << ": rejected-503 yet saw "
-            << terminal_seen_.at(rec.id) << " terminal transition(s)";
+            << seen(rec.id) << " terminal transition(s)";
           flag(rec, kRejectedRefinished, v.str());
         }
         continue;
@@ -76,15 +79,14 @@ ConservationAudit::Result ConservationAudit::finalize() const {
     }
     ++r.accepted;
 
-    const auto it = terminal_seen_.find(rec.id);
-    const std::uint32_t seen = it == terminal_seen_.end() ? 0 : it->second;
-    if (seen == 0) {
+    const std::uint32_t n = seen(rec.id);
+    if (n == 0) {
       v << "activation " << rec.id << ": terminal ("
         << to_string(rec.state) << ") without an observed transition";
       flag(rec, kUnobservedTerminal, v.str());
-    } else if (seen > 1) {
+    } else if (n > 1) {
       ++r.double_terminal;
-      v << "activation " << rec.id << ": " << seen
+      v << "activation " << rec.id << ": " << n
         << " terminal transitions (state=" << to_string(rec.state) << ")";
       flag(rec, kDoubleTerminal, v.str());
     }

@@ -13,10 +13,18 @@
 //   release  terminal state, or requeued to the fast lane (-charge)
 //   forget   the worker vanished (hard kill): drop everything it held —
 //            rescued calls re-charge at their next assign/move.
+//
+// Call ids are activation ids, which the controller hands out in
+// ascending order, so the charges sit in a window indexed by
+// id - base: a new call appends, an older call charged again (a
+// requeued call that restarts) extends the window at the front, and
+// empty slots drop off the front before the window would grow.
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
+
+#include "hpcwhisk/sim/ring.hpp"
 
 namespace hpcwhisk::sched {
 
@@ -53,15 +61,28 @@ class BacklogLedger {
   [[nodiscard]] std::int64_t backlog(WorkerId worker) const;
   /// Sum over all workers, in ticks.
   [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] std::size_t charge_count() const { return charges_.size(); }
+  [[nodiscard]] std::size_t charge_count() const { return charge_count_; }
   /// The call's charge, if any (prediction-error reporting).
   [[nodiscard]] const Charge* find(CallId call) const;
 
  private:
+  /// Marks an empty slot: no real worker carries this id.
+  static constexpr WorkerId kNoWorker = std::numeric_limits<WorkerId>::max();
+
   /// Charges `delta` to `worker`, growing backlog_ to reach it.
   void add(WorkerId worker, std::int64_t delta);
+  /// The call's slot, or nullptr when the call holds no charge.
+  [[nodiscard]] Charge* slot(CallId call);
+  /// Empties a charged slot.
+  void erase(Charge& charge);
+  /// Drops the empty slots at the front of the window.
+  void trim_front();
 
-  std::unordered_map<CallId, Charge> charges_;
+  /// Slot k holds the charge of call base_ + k (worker kNoWorker if
+  /// none).
+  sim::Ring<Charge> charges_;
+  CallId base_{0};
+  std::size_t charge_count_{0};
   /// Indexed by WorkerId (invoker ids are dense and sequential); workers
   /// past the end have never been charged.
   std::vector<std::int64_t> backlog_;

@@ -1,22 +1,42 @@
 #include "hpcwhisk/sched/backlog.hpp"
 
+#include <cassert>
+#include <utility>
+
 namespace hpcwhisk::sched {
 
 void BacklogLedger::assign(CallId call, WorkerId worker,
                            std::int64_t cost_ticks,
                            std::int64_t predicted_ticks) {
-  const auto it = charges_.find(call);
-  if (it != charges_.end()) {
+  assert(worker != kNoWorker);
+  if (Charge* c = slot(call)) {
     // Reroute of a still-charged call: move the existing charge.
-    add(it->second.worker, -it->second.cost_ticks);
-    total_ -= it->second.cost_ticks;
-    it->second.worker = worker;
-    it->second.cost_ticks = cost_ticks;
+    add(c->worker, -c->cost_ticks);
+    total_ -= c->cost_ticks;
+    c->worker = worker;
+    c->cost_ticks = cost_ticks;
     add(worker, cost_ticks);
     total_ += cost_ticks;
     return;
   }
-  charges_.emplace(call, Charge{worker, cost_ticks, predicted_ticks});
+  constexpr Charge kEmpty{kNoWorker, 0, 0};
+  if (charge_count_ == 0) {
+    charges_.truncate(0);
+    base_ = call;
+  }
+  // Empty slots leave the front only when the ring would grow: a
+  // requeued call is charged again when it restarts, and a front trimmed
+  // at every release would be extended again slot by slot for it.
+  if (call >= base_ + charges_.size() &&
+      charges_.size() == charges_.capacity())
+    trim_front();
+  while (call < base_) {  // an older call charged again
+    charges_.push_front(kEmpty);
+    --base_;
+  }
+  while (base_ + charges_.size() <= call) charges_.push_back(kEmpty);
+  charges_[call - base_] = Charge{worker, cost_ticks, predicted_ticks};
+  ++charge_count_;
   add(worker, cost_ticks);
   total_ += cost_ticks;
 }
@@ -26,35 +46,51 @@ void BacklogLedger::add(WorkerId worker, std::int64_t delta) {
   backlog_[worker] += delta;
 }
 
+BacklogLedger::Charge* BacklogLedger::slot(CallId call) {
+  return const_cast<Charge*>(std::as_const(*this).find(call));
+}
+
+void BacklogLedger::erase(Charge& charge) {
+  charge.worker = kNoWorker;
+  --charge_count_;
+}
+
+void BacklogLedger::trim_front() {
+  while (!charges_.empty() && charges_.front().worker == kNoWorker) {
+    charges_.pop_front();
+    ++base_;
+  }
+}
+
 bool BacklogLedger::move(CallId call, WorkerId worker) {
-  const auto it = charges_.find(call);
-  if (it == charges_.end() || it->second.worker == worker) return false;
-  add(it->second.worker, -it->second.cost_ticks);
-  add(worker, it->second.cost_ticks);
-  it->second.worker = worker;
+  assert(worker != kNoWorker);
+  Charge* c = slot(call);
+  if (c == nullptr || c->worker == worker) return false;
+  add(c->worker, -c->cost_ticks);
+  add(worker, c->cost_ticks);
+  c->worker = worker;
   return true;
 }
 
 bool BacklogLedger::release(CallId call, Charge* out) {
-  const auto it = charges_.find(call);
-  if (it == charges_.end()) return false;
-  if (out != nullptr) *out = it->second;
-  add(it->second.worker, -it->second.cost_ticks);
-  total_ -= it->second.cost_ticks;
-  charges_.erase(it);
+  Charge* c = slot(call);
+  if (c == nullptr) return false;
+  if (out != nullptr) *out = *c;
+  add(c->worker, -c->cost_ticks);
+  total_ -= c->cost_ticks;
+  erase(*c);
   return true;
 }
 
 std::size_t BacklogLedger::forget_worker(WorkerId worker) {
+  // Only sums and empties slots, so the walk order decides nothing.
   std::size_t dropped = 0;
-  for (auto it = charges_.begin(); it != charges_.end();) {
-    if (it->second.worker == worker) {
-      total_ -= it->second.cost_ticks;
-      it = charges_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
+  for (std::size_t k = 0; k < charges_.size(); ++k) {
+    Charge& c = charges_[k];
+    if (c.worker != worker) continue;
+    total_ -= c.cost_ticks;
+    erase(c);
+    ++dropped;
   }
   if (worker < backlog_.size()) backlog_[worker] = 0;
   return dropped;
@@ -65,8 +101,9 @@ std::int64_t BacklogLedger::backlog(WorkerId worker) const {
 }
 
 const BacklogLedger::Charge* BacklogLedger::find(CallId call) const {
-  const auto it = charges_.find(call);
-  return it == charges_.end() ? nullptr : &it->second;
+  if (call < base_ || call - base_ >= charges_.size()) return nullptr;
+  const Charge& c = charges_[call - base_];
+  return c.worker == kNoWorker ? nullptr : &c;
 }
 
 }  // namespace hpcwhisk::sched

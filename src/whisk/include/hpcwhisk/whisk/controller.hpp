@@ -129,10 +129,13 @@ class Controller {
   /// the chosen invoker's topic.
   SubmitResult submit(const std::string& function);
 
-  [[nodiscard]] const ActivationRecord& activation(ActivationId id) const;
+  /// The record of `id`, by value: an archived record has no address.
+  [[nodiscard]] ActivationRecord activation(ActivationId id) const;
   [[nodiscard]] const ActivationStore& activations() const {
     return records_;
   }
+  /// FunctionSpec::index of activation `id`, without copying its record.
+  [[nodiscard]] std::uint32_t function_index(ActivationId id) const;
 
   // --- Invoker-facing API (the "status message" protocol) -----------------
 
@@ -251,11 +254,11 @@ class Controller {
   [[nodiscard]] InvokerId route(const FunctionSpec& spec,
                                 const std::vector<InvokerId>& healthy);
 
-  /// Serves an accepted call (records_.back()) through its lease's
-  /// direct seam: same bookkeeping, trace chain and decision-log entry
-  /// as the queue path, minus the topic publish.
-  SubmitResult submit_leased(const FunctionSpec& spec, const lease::Lease& l,
-                             const DirectSeam& seam);
+  /// Serves the accepted call `rec` through its lease's direct seam:
+  /// same bookkeeping, trace chain and decision-log entry as the queue
+  /// path, minus the topic publish.
+  SubmitResult submit_leased(ActivationRecord& rec, const FunctionSpec& spec,
+                             const lease::Lease& l, const DirectSeam& seam);
 
   /// Arms the client-visible timeout for an accepted activation.
   void arm_timeout(const FunctionSpec& spec, ActivationId id);
@@ -289,7 +292,9 @@ class Controller {
   /// deregistration, watchdog kill). No-op when leasing is off.
   void revoke_leases_on(InvokerId id);
 
-  ActivationRecord& record(ActivationId id);
+  /// The window record of `id` while it is not terminal; nullptr once
+  /// it is (an archived id is terminal). Throws for an unknown id.
+  ActivationRecord* open_record(ActivationId id);
   void finish(ActivationRecord& rec, ActivationState state);
   void watchdog_sweep();
   /// Returns the ids of the activations it re-published.
@@ -315,7 +320,9 @@ class Controller {
   std::vector<InvokerEntry> invokers_;
   mutable std::vector<InvokerId> healthy_cache_;
   mutable bool healthy_dirty_{true};
-  ActivationStore records_;  // index == ActivationId
+  /// Index == ActivationId. Its terminal prefix is archived at the top
+  /// of submit(), where no caller holds a record reference.
+  ActivationStore records_;
   TimeoutRing timeouts_;
   /// Present only for data-driven route modes.
   std::unique_ptr<sched::CallScheduler> scheduler_;

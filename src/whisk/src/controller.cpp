@@ -128,6 +128,9 @@ SubmitResult Controller::submit(const std::string& function) {
   const FunctionSpec& spec = registry_.at(function);
   ++counters_.submitted;
 
+  // Nothing holds a record reference here, so the terminal prefix can
+  // move to the archive. This schedules no event.
+  records_.archive_terminal_prefix();
   const ActivationId id = records_.size();
   ActivationRecord& rec = records_.emplace_back();
   rec.id = id;
@@ -169,7 +172,7 @@ SubmitResult Controller::submit(const std::string& function) {
         // pass) and pay the queue path for this call only.
         ++counters_.lease_fallback;
       } else {
-        return submit_leased(spec, *l, direct_[worker]);
+        return submit_leased(rec, spec, *l, direct_[worker]);
       }
     }
   }
@@ -243,10 +246,10 @@ SubmitResult Controller::submit(const std::string& function) {
   return SubmitResult{true, id};
 }
 
-SubmitResult Controller::submit_leased(const FunctionSpec& spec,
+SubmitResult Controller::submit_leased(ActivationRecord& rec,
+                                       const FunctionSpec& spec,
                                        const lease::Lease& l,
                                        const DirectSeam& seam) {
-  ActivationRecord& rec = records_.back();
   const ActivationId act_id = rec.id;
   const InvokerId target = l.worker;
   rec.routed_to = target;
@@ -291,10 +294,9 @@ void Controller::arm_timeout(const FunctionSpec& spec, ActivationId act_id) {
   // arming order, so the entry appends to a FIFO instead of the heap.
   timeouts_.arm(act_id, sim_.after_fixed(spec.timeout, [this, act_id] {
     (void)timeouts_.take(act_id);
-    ActivationRecord& r = record(act_id);
-    if (!is_terminal(r.state)) {
+    if (ActivationRecord* r = open_record(act_id)) {
       ++counters_.timed_out;
-      finish(r, ActivationState::kTimedOut);
+      finish(*r, ActivationState::kTimedOut);
     }
   }));
 }
@@ -387,10 +389,16 @@ std::size_t Controller::queued_messages() const {
   return n;
 }
 
-const ActivationRecord& Controller::activation(ActivationId id) const {
+ActivationRecord Controller::activation(ActivationId id) const {
   if (id >= records_.size())
     throw std::out_of_range("Controller::activation: unknown id");
   return records_[id];
+}
+
+std::uint32_t Controller::function_index(ActivationId id) const {
+  if (id >= records_.size())
+    throw std::out_of_range("Controller::function_index: unknown id");
+  return records_.function_index(id);
 }
 
 InvokerId Controller::register_invoker() {
@@ -470,9 +478,10 @@ std::vector<ActivationId> Controller::move_backlog_to_fast_lane(InvokerId id) {
 void Controller::rescue_in_flight(
     InvokerId id, const std::vector<ActivationId>& already_rescued) {
   // Every accepted call that is not yet terminal still has its timeout
-  // armed, so the ring's armed ids are the only candidates, ascending.
+  // armed, so the ring's armed ids are the only candidates, ascending;
+  // none of them is archived.
   timeouts_.for_each_armed([&](ActivationId act) {
-    const ActivationRecord& rec = records_[act];
+    const ActivationRecord& rec = records_.live(act);
     if (is_terminal(rec.state)) return;
     if (rec.routed_to != id) return;
     // Only work the dead invoker actually held: pulled into its buffer
@@ -493,8 +502,9 @@ void Controller::rescue_in_flight(
 
 void Controller::requeue_to_fast_lane(mq::Message msg) {
   if (msg.id < records_.size()) {
-    ActivationRecord& rec = records_[msg.id];
-    if (is_terminal(rec.state)) return;  // e.g. already timed out: drop
+    ActivationRecord* open = open_record(msg.id);
+    if (open == nullptr) return;  // e.g. already timed out: drop
+    ActivationRecord& rec = *open;
     ++rec.requeues;
     // The call no longer waits on the worker it was charged to; it
     // re-charges wherever it next starts executing.
@@ -512,8 +522,9 @@ void Controller::requeue_to_fast_lane(mq::Message msg) {
 
 void Controller::activation_started(ActivationId id, InvokerId by,
                                     bool cold_start) {
-  ActivationRecord& rec = record(id);
-  if (is_terminal(rec.state)) return;
+  ActivationRecord* open = open_record(id);
+  if (open == nullptr) return;
+  ActivationRecord& rec = *open;
   rec.state = ActivationState::kRunning;
   if (rec.first_start_time == sim::SimTime::zero()) {
     rec.first_start_time = sim_.now();
@@ -528,30 +539,30 @@ void Controller::activation_started(ActivationId id, InvokerId by,
 }
 
 void Controller::activation_completed(ActivationId id) {
-  ActivationRecord& rec = record(id);
-  if (is_terminal(rec.state)) return;
+  ActivationRecord* rec = open_record(id);
+  if (rec == nullptr) return;
   ++counters_.completed;
-  finish(rec, ActivationState::kCompleted);
+  finish(*rec, ActivationState::kCompleted);
 }
 
 void Controller::activation_failed(ActivationId id) {
-  ActivationRecord& rec = record(id);
-  if (is_terminal(rec.state)) return;
+  ActivationRecord* rec = open_record(id);
+  if (rec == nullptr) return;
   ++counters_.failed;
-  finish(rec, ActivationState::kFailed);
+  finish(*rec, ActivationState::kFailed);
 }
 
 void Controller::activation_interrupted(ActivationId id) {
-  ActivationRecord& rec = record(id);
-  if (is_terminal(rec.state)) return;
-  rec.state = ActivationState::kQueued;
-  ++rec.interruptions;
+  ActivationRecord* rec = open_record(id);
+  if (rec == nullptr) return;
+  rec->state = ActivationState::kQueued;
+  ++rec->interruptions;
   ++counters_.interrupted;
 }
 
 bool Controller::deliverable(ActivationId id) const {
-  if (id >= records_.size()) return false;
-  return !is_terminal(records_[id].state);
+  if (id >= records_.size() || id < records_.base()) return false;
+  return !is_terminal(records_.live(id).state);
 }
 
 std::size_t Controller::healthy_count() const {
@@ -587,10 +598,12 @@ const std::vector<InvokerId>& Controller::healthy_view() const {
   return healthy_cache_;
 }
 
-ActivationRecord& Controller::record(ActivationId id) {
+ActivationRecord* Controller::open_record(ActivationId id) {
   if (id >= records_.size())
-    throw std::out_of_range("Controller::record: unknown id");
-  return records_[id];
+    throw std::out_of_range("Controller::open_record: unknown id");
+  if (id < records_.base()) return nullptr;  // archived, so terminal
+  ActivationRecord& rec = records_.live(id);
+  return is_terminal(rec.state) ? nullptr : &rec;
 }
 
 void Controller::finish(ActivationRecord& rec, ActivationState state) {

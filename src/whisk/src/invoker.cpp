@@ -164,8 +164,7 @@ void Invoker::begin_execution(mq::Message msg) {
   }
   // The record carries the registry index resolved at submit: no name
   // lookup on the execution path.
-  const FunctionSpec& spec =
-      registry_.spec(controller_.activation(msg.id).function_index);
+  const FunctionSpec& spec = registry_.spec(controller_.function_index(msg.id));
   const auto acquired =
       pool_.acquire(spec.index, spec.kind, spec.memory_mb, sim_.now());
   if (acquired.kind == runtime::AcquireResult::Kind::kRejected) {

@@ -293,24 +293,39 @@ TEST(Controller, HashProbingStrideSharingAFactorWithNVisitsItsCosetOnly) {
   EXPECT_EQ(routed, (std::vector<InvokerId>{home, partner, 0, lowest_idle}));
 }
 
-// The store is chunked: appending past a chunk (1,024 records) neither
-// moves nor copies the records already in it.
+// A record in the store's window keeps its address while the store grows
+// past several chunks (1,024 records each) and the record stays open;
+// once it and every record before its chunk are terminal, the chunk is
+// archived and the record reads back field for field.
 TEST(Controller, ActivationRecordsKeepTheirAddressAsTheStoreGrows) {
   Fixture f;
-  f.controller.register_invoker();
+  const InvokerId inv = f.controller.register_invoker();
   f.sim.run_until(SimTime::seconds(1));
   ASSERT_TRUE(f.controller.submit("other").accepted);
-  const ActivationRecord* const first = &f.controller.activation(0);
-  const ActivationRecord before = *first;
-  for (int i = 0; i < 2500; ++i) (void)f.controller.submit("fn");
+  const ActivationRecord* const open = &f.controller.activations().live(0);
+  const ActivationRecord before = *open;
+  for (ActivationId id = 1; id <= 2500; ++id) {
+    ASSERT_TRUE(f.controller.submit("fn").accepted);
+    f.controller.activation_started(id, inv, id % 2 == 0);
+    f.controller.activation_completed(id);
+  }
   ASSERT_EQ(f.controller.activations().size(), 2501u);
-  EXPECT_EQ(&f.controller.activation(0), first);
-  EXPECT_EQ(first->id, before.id);
-  EXPECT_EQ(first->state, before.state);
-  EXPECT_EQ(first->function_index, before.function_index);
-  EXPECT_EQ(first->submit_time, before.submit_time);
-  EXPECT_EQ(first->routed_to, before.routed_to);
-  EXPECT_EQ(&f.controller.activations().back(), &f.controller.activation(2500));
+  EXPECT_EQ(f.controller.activations().base(), 0u);  // id 0 is open
+  EXPECT_EQ(&f.controller.activations().live(0), open);
+  EXPECT_EQ(*open, before);
+
+  f.sim.run_until(SimTime::seconds(2));
+  f.controller.activation_started(0, inv, true);
+  f.sim.run_until(SimTime::seconds(3));
+  f.controller.activation_completed(0);
+  const ActivationRecord done = f.controller.activation(0);
+  const ActivationRecord late = f.controller.activation(2047);
+  ASSERT_EQ(done.state, ActivationState::kCompleted);
+  ASSERT_TRUE(f.controller.submit("fn").accepted);  // archives ids 0-2047
+  EXPECT_EQ(f.controller.activations().base(), 2048u);
+  EXPECT_EQ(f.controller.activation(0), done);
+  EXPECT_EQ(f.controller.activation(2047), late);
+  EXPECT_EQ(f.controller.function_index(0), done.function_index);
 }
 
 }  // namespace

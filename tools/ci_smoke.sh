@@ -11,7 +11,8 @@
 #   COVERAGE=1    add an instrumented build (build-cov/), print a gcov
 #                 line-coverage summary for src/ and list the src/
 #                 functions no test or simcheck seed ever entered
-# The last step prints tools/knob_census.sh's totals line.
+# Near the end it prints tools/knob_census.sh's totals line; the last step
+# runs the ctest of hwbench's own build (build-benchmark/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -391,5 +392,18 @@ fi
 # how many of them only tests set (candidates for named constants).
 echo "== knob census =="
 tools/knob_census.sh --totals
+
+# Benchmark leg: hwbench's own Release build in build-benchmark/ (the
+# tree benchmark/run.sh uses) and its ctest: the compare self-test plus a
+# smoke run of every workload at seeds 1 and 2. The smoke runs check the
+# activation ledger ("every issued call has exactly one activation
+# record", "accepted = completed + failed + timed_out + in_flight"), the
+# checks an activation-store change breaks first.
+echo "== hwbench ctest =="
+if [[ ! -f build-benchmark/CMakeCache.txt ]]; then
+  cmake -S benchmark -B build-benchmark -DCMAKE_BUILD_TYPE=Release
+fi
+cmake --build build-benchmark --target hwbench -j"$(nproc)"
+ctest --test-dir build-benchmark --output-on-failure
 
 echo "ci_smoke: OK"
