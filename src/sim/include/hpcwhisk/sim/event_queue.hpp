@@ -15,26 +15,20 @@
 // (when, seq) is a total order, any correct priority queue pops the same
 // sequence — the arity is invisible to simulation outcomes.
 //
-// pop() drains same-deadline runs in batches: the first pop of a
-// deadline stages the whole run (up to kMaxStage) out of the heap in one
-// tight drain, and the following pops serve the stage without touching
-// the heap. Cancellation stays exact — staged entries are validated
-// against the slab at claim time, so cancelling an event that is already
-// staged (e.g. by an earlier event at the same instant) still prevents
-// it from firing.
-//
 // Recurring events skip the heap. A periodic series re-arms at
 // now + interval, so everything one interval's series schedule arrives
 // already sorted by (when, seq); so do one-shots that share a fixed
 // delay (Simulation::after_fixed, e.g. activation timeouts). Such
-// entries are appended to a FIFO ring ("lane") per interval; a pop takes
-// the (when, seq) minimum over the stage, the heap front and the
-// earliest lane head. The queue caches the lane with the earliest head
-// and the runner-up lane, with a copy of each head: a lane pop compares
-// the lane's next head against the runner-up's and rescans the lanes
-// only when it loses. At most kMaxLanes lanes exist, and further
-// intervals use the heap, so that rescan stays a bounded handful of
-// compares.
+// entries are appended to a FIFO ring ("lane") per interval.
+//
+// A pop claims one event: the (when, seq) minimum of the heap root and
+// the earliest lane head. Nothing is claimed ahead of its turn, so a
+// callback can still cancel a later event of the same instant. The
+// queue caches the lane with the earliest head and the runner-up lane,
+// with a copy of each head: a lane pop compares the lane's next head
+// against the runner-up's and rescans the lanes only when it loses. At
+// most kMaxLanes lanes exist, and further intervals use the heap, so
+// that rescan stays a bounded handful of compares.
 //
 // Periodic series live in the queue itself (start_series). A series
 // keeps its callback for its whole life, in a sim::Chunked store whose
@@ -78,8 +72,8 @@ class EventId {
 };
 
 /// 4-ary min-heap of (time, sequence) plus FIFO lanes for recurring
-/// events, with slab-allocated callbacks, in-place periodic series,
-/// batched same-deadline draining and lazy tombstone removal.
+/// events, with slab-allocated callbacks, in-place periodic series and
+/// lazy tombstone removal.
 class EventQueue {
  public:
   using Callback = InplaceCallback<64>;
@@ -149,16 +143,15 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Entries held by the queue including tombstones: the heap proper,
-  /// the lanes and the staged same-deadline run. Heap plus lanes are
-  /// bounded at max(live + kCompactFloor, 2 * live) + 1 by compaction;
-  /// the stage adds at most kMaxStage.
+  /// Entries held by the heap and the lanes, tombstones included;
+  /// bounded at max(live + kCompactFloor, 2 * live) + 1 by compaction.
   [[nodiscard]] std::size_t heap_entries() const {
-    return heap_.size() + lane_entries_ + (stage_.size() - stage_pos_);
+    return heap_.size() + lane_entries_;
   }
 
-  /// Time of the earliest live event; SimTime::max() when empty.
-  [[nodiscard]] SimTime next_time() const;
+  /// Time of the earliest live event; SimTime::max() when empty. Drops
+  /// the tombstones ahead of it.
+  [[nodiscard]] SimTime next_time();
 
   /// A claimed event: a one-shot's callback, moved out of the slab, or
   /// a series tick (`series` set, `cb` empty) whose callback stays put.
@@ -187,8 +180,6 @@ class EventQueue {
   /// Compaction triggers when tombstones exceed both this floor and the
   /// live count — amortized O(1) per cancellation.
   static constexpr std::size_t kCompactFloor = 64;
-  /// Longest same-deadline run staged out of the heap in one drain.
-  static constexpr std::size_t kMaxStage = 64;
 
   struct Entry {
     SimTime when;
@@ -209,7 +200,7 @@ class EventQueue {
   };
 
   /// Where the earliest live entry sits.
-  enum class Source : std::uint8_t { kNone, kStage, kHeap, kLane };
+  enum class Source : std::uint8_t { kNone, kHeap, kLane };
 
   struct Slot {
     Callback cb;
@@ -235,52 +226,44 @@ class EventQueue {
   void pop_root();
   void rebuild_heap();
 
-  /// Finds the earliest live entry over stage, heap and lanes, dropping
+  /// Finds the earliest live entry over heap and lanes, dropping
   /// tombstones that block the way; take() then removes it.
-  Source locate(Entry& e) const;
+  Source locate(Entry& e);
   void take(Source src);
 
   /// Appends `e` to `lane` if that keeps the lane sorted.
   bool append_to_lane(Lane lane, const Entry& e);
   /// Ranks a new head of `lane` against the cached lead and runner-up.
-  void admit_lane_head(Lane lane, const Entry& head) const;
+  void admit_lane_head(Lane lane, const Entry& head);
   /// Re-picks the lead and runner-up lanes from every lane's head.
-  void rescan_lanes() const;
+  void rescan_lanes();
   /// Drops the head of best_lane_; rescans only when the lane's next
   /// head no longer beats the runner-up.
-  void pop_lane_front() const;
+  void pop_lane_front();
 
-  void drain_cancelled() const;
-  /// Skips staged entries cancelled after staging.
-  void drain_stage() const;
-  /// Precondition: stage empty. Moves the earliest same-deadline run
-  /// (up to kMaxStage live entries) from the heap into the stage.
-  void refill_stage() const;
+  /// Pops heap tombstones until a live entry (or nothing) is the root.
+  void drain_cancelled();
   void maybe_compact();
 
-  mutable std::vector<Entry> heap_;
-  /// Staged same-deadline run, served FIFO from stage_pos_. Entries here
-  /// are out of the heap but still cancellable (slab seq validation).
-  mutable std::vector<Entry> stage_;
-  mutable std::size_t stage_pos_{0};
-  mutable std::vector<Slot> slots_;
-  mutable std::uint32_t free_head_{kNoSlot};
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_{kNoSlot};
   std::uint64_t next_seq_{1};
   std::size_t live_{0};
   /// FIFO lanes, indexed by Lane.
-  mutable std::vector<LaneRing> lanes_;
+  std::vector<LaneRing> lanes_;
   /// Entries held by the lanes, tombstones included.
-  mutable std::size_t lane_entries_{0};
+  std::size_t lane_entries_{0};
   /// Lane whose head (live or not) sorts first; kNoLane when every lane
   /// is empty.
-  mutable Lane best_lane_{kNoLane};
+  Lane best_lane_{kNoLane};
   /// Lane whose head sorts first among the others; kNoLane when no other
   /// lane holds an entry.
-  mutable Lane runner_lane_{kNoLane};
+  Lane runner_lane_{kNoLane};
   /// Copies of both heads, so the per-pop compares stay on this object.
   /// Meaningless while the matching lane is kNoLane.
-  mutable Entry lane_head_{};
-  mutable Entry runner_head_{};
+  Entry lane_head_{};
+  Entry runner_head_{};
   /// Series storage, indexed by Series::index; free indices are chained
   /// through Series::next_free.
   Chunked<Series, kSeriesChunkBits> series_;

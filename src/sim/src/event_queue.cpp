@@ -106,7 +106,7 @@ bool EventQueue::append_to_lane(Lane lane, const Entry& e) {
   return true;
 }
 
-void EventQueue::admit_lane_head(Lane lane, const Entry& head) const {
+void EventQueue::admit_lane_head(Lane lane, const Entry& head) {
   if (best_lane_ == kNoLane || entry_before(head, lane_head_)) {
     runner_lane_ = best_lane_;
     runner_head_ = lane_head_;
@@ -118,7 +118,7 @@ void EventQueue::admit_lane_head(Lane lane, const Entry& head) const {
   }
 }
 
-void EventQueue::rescan_lanes() const {
+void EventQueue::rescan_lanes() {
   best_lane_ = kNoLane;
   runner_lane_ = kNoLane;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
@@ -127,7 +127,7 @@ void EventQueue::rescan_lanes() const {
   }
 }
 
-void EventQueue::pop_lane_front() const {
+void EventQueue::pop_lane_front() {
   Ring<Entry>& ring = lanes_[best_lane_].ring;
   ring.pop_front();
   --lane_entries_;
@@ -173,8 +173,7 @@ bool EventQueue::cancel(EventId id) {
   Slot& s = slots_[id.slot_];
   if (s.seq != id.seq_) return false;  // already fired or cancelled
   // Eager reclamation: the callback (and its captures) dies now; only
-  // the 24-byte heap (or stage) entry lingers as a tombstone until
-  // drained.
+  // the 24-byte heap or lane entry lingers as a tombstone until drained.
   s.cb = nullptr;
   s.seq = 0;
   s.next_free = free_head_;
@@ -258,45 +257,17 @@ void EventQueue::release_series(Series& s) {
 
 // --- Tombstone handling ------------------------------------------------------
 
-void EventQueue::drain_cancelled() const {
-  // Const because callers like next_time() are logically const; dropping
-  // tombstones never changes observable state. Cancelled entries' slots
-  // were already returned to the free list by cancel(), so a tombstone
-  // is any entry whose slot has moved on to a different seq (or none).
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    const_cast<EventQueue*>(this)->pop_root();
-  }
-}
-
-void EventQueue::drain_stage() const {
-  while (stage_pos_ < stage_.size() && !entry_live(stage_[stage_pos_]))
-    ++stage_pos_;
-  if (stage_pos_ == stage_.size() && !stage_.empty()) {
-    stage_.clear();
-    stage_pos_ = 0;
-  }
-}
-
-void EventQueue::refill_stage() const {
-  drain_cancelled();
-  if (heap_.empty()) return;
-  const SimTime t = heap_.front().when;
-  do {
-    stage_.push_back(heap_.front());
-    const_cast<EventQueue*>(this)->pop_root();
-    drain_cancelled();
-  } while (!heap_.empty() && heap_.front().when == t &&
-           stage_.size() < kMaxStage);
+void EventQueue::drain_cancelled() {
+  // Cancelled entries' slots were already returned to the free list by
+  // cancel(), so a tombstone is any entry whose slot has moved on to a
+  // different seq (or none).
+  while (!heap_.empty() && !entry_live(heap_.front())) pop_root();
 }
 
 void EventQueue::maybe_compact() {
-  // live_ counts staged entries too, so held - live_ is a lower bound on
-  // the tombstones in heap and lanes (never an overcount); the guard
-  // also keeps the subtraction from wrapping while the stage holds live
-  // work.
-  const std::size_t held = heap_.size() + lane_entries_;
-  if (held <= live_) return;
-  const std::size_t dead = held - live_;
+  // Every live entry sits in the heap or a lane, so the rest are
+  // tombstones.
+  const std::size_t dead = heap_.size() + lane_entries_ - live_;
   if (dead <= kCompactFloor || dead <= live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
   rebuild_heap();
@@ -319,23 +290,10 @@ void EventQueue::maybe_compact() {
 
 // locate() and take() are the run loop's per-event path; defined
 // `inline` ahead of their callers so pop_due() compiles to one body.
-inline EventQueue::Source EventQueue::locate(Entry& e) const {
-  drain_stage();
-  if (stage_pos_ == stage_.size()) {
-    refill_stage();
-  } else {
-    drain_cancelled();
-  }
+inline EventQueue::Source EventQueue::locate(Entry& e) {
+  drain_cancelled();
   Source src = Source::kNone;
-  if (stage_pos_ < stage_.size()) {
-    e = stage_[stage_pos_];
-    src = Source::kStage;
-  }
-  // Entries scheduled after staging can only sort before the stage when
-  // the caller rewound past the staged deadline (settle_to + at); inside
-  // the run loop the stage beats the heap.
-  if (!heap_.empty() &&
-      (src == Source::kNone || entry_before(heap_.front(), e))) {
+  if (!heap_.empty()) {
     e = heap_.front();
     src = Source::kHeap;
   }
@@ -356,14 +314,13 @@ inline EventQueue::Source EventQueue::locate(Entry& e) const {
 
 inline void EventQueue::take(Source src) {
   switch (src) {
-    case Source::kStage: ++stage_pos_; break;
     case Source::kHeap: pop_root(); break;
     case Source::kLane: pop_lane_front(); break;
     case Source::kNone: break;
   }
 }
 
-SimTime EventQueue::next_time() const {
+SimTime EventQueue::next_time() {
   Entry e;
   return locate(e) == Source::kNone ? SimTime::max() : e.when;
 }

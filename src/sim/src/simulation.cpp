@@ -42,8 +42,8 @@ inline void Simulation::fire(EventQueue::Popped& p) {
 }
 
 void Simulation::run_until(SimTime until) {
-  // pop_due merges the staged same-deadline run, the heap and the lanes
-  // and claims in one call (no separate next_time() peek per event).
+  // pop_due picks the earlier of the heap root and the lead lane head and
+  // claims it in one call (no separate next_time() peek per event).
   EventQueue::Popped p;
   while (queue_.pop_due(until, p)) fire(p);
   if (now_ < until) now_ = until;

@@ -92,6 +92,9 @@ inline constexpr sim::SimTime kSchedInterval = sim::SimTime::seconds(30);
 inline constexpr sim::SimTime kBackfillWindow = sim::SimTime::minutes(120);
 /// Allocation slot: limits are quantized to this (Prometheus: 2 min).
 inline constexpr sim::SimTime kSlot = sim::SimTime::minutes(2);
+/// Scheduler processing latency applied to each job launch
+/// (state propagation, prolog). Small but nonzero in production.
+inline constexpr sim::SimTime kLaunchLatency = sim::SimTime::millis(200);
 
 class Slurmctld {
  public:
@@ -128,9 +131,6 @@ class Slurmctld {
     /// of fresh-idle nodes absorbs most HPC allocations, which is what
     /// lets pilots serve for minutes instead of seconds.
     sim::SimTime pilot_min_idle{sim::SimTime::zero()};
-    /// Scheduler processing latency applied to each job launch
-    /// (state propagation, prolog). Small but nonzero in production.
-    sim::SimTime launch_latency{sim::SimTime::millis(200)};
     /// Optional trace/metrics sink; null disables all instrumentation.
     obs::Observability* obs{nullptr};
 
@@ -300,7 +300,10 @@ class Slurmctld {
 
   // Scheduling pipeline.
   void request_schedule();       // coalesced event-driven pass
+  /// Counts and traces one pass and runs the whole-node or the TRES
+  /// policy.
   void run_sched_pass(bool periodic);
+  void whole_node_pass(bool periodic);
   /// Rebuilds the availability timeline for `tier` into `out`, reusing
   /// its capacity. Called once per (pass, tier); the scheduler then
   /// advances `out.free_at` in place as its planning timeline, instead
@@ -378,8 +381,8 @@ class Slurmctld {
   // Node and claim bookkeeping is shared; only the pass policy differs:
   // EASY shadow, best-fit packing and QOS victims here, versus
   // multi-reservation backfill, LIFO idle nodes and youngest-pilot
-  // victims in run_sched_pass.
-  void run_sched_pass_tres(bool periodic);
+  // victims in whole_node_pass.
+  void tres_pass(bool periodic);
   bool try_start_tres(JobRecord& rec,
                       const std::vector<sim::SimTime>& res_next_start,
                       sim::SimTime shadow);

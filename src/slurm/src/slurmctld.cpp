@@ -55,9 +55,10 @@ const char* to_string(ObservedNodeState s) {
 }
 
 namespace {
-sim::SimTime floor_to_slot(sim::SimTime t, sim::SimTime slot) {
-  if (slot <= sim::SimTime::zero()) return t;
-  return slot * (t / slot);
+/// A variable-length job's limit for a `hole` before its next
+/// reservation: the whole slots that fit, clamped to its declared range.
+sim::SimTime fit_to_hole(const JobSpec& spec, sim::SimTime hole) {
+  return std::clamp(kSlot * (hole / kSlot), spec.time_min, spec.time_limit);
 }
 }  // namespace
 
@@ -385,16 +386,28 @@ Slurmctld::Availability Slurmctld::availability_snapshot(
 }
 
 void Slurmctld::run_sched_pass(bool periodic) {
-  if (tres_on_) {
-    // The two passes are different policies over the same node and claim
-    // bookkeeping; the whole-node one continues below.
-    run_sched_pass_tres(periodic);
-    return;
-  }
   ++counters_.sched_passes;
   const std::uint64_t started_before = counters_.started;
   const sim::SimTime now = sim_.now();
   last_pass_ = now;
+  // The two passes are different policies over the same node and claim
+  // bookkeeping.
+  if (tres_on_) {
+    tres_pass(periodic);
+  } else {
+    whole_node_pass(periodic);
+  }
+  HW_OBS_IF(config_.obs) {
+    config_.obs->trace.record(
+        obs::Cat::kSched, obs::Phase::kInstant, "sched_pass",
+        obs::Track::kSlurmctld, 0, counters_.sched_passes, now,
+        periodic ? 1.0 : 0.0,
+        static_cast<double>(counters_.started - started_before));
+  }
+}
+
+void Slurmctld::whole_node_pass(bool periodic) {
+  const sim::SimTime now = sim_.now();
 
   // Node lists for this pass: idle nodes in LIFO reuse order (most
   // recently freed first) and pilot nodes in preemption order (youngest
@@ -463,14 +476,6 @@ void Slurmctld::run_sched_pass(bool periodic) {
   // Remember this pass's reservation picture for stale var sizing (the
   // next pass refills the scratch it leaves behind).
   if (periodic) last_pass_reserved_from_.swap(reserved_from);
-
-  HW_OBS_IF(config_.obs) {
-    config_.obs->trace.record(
-        obs::Cat::kSched, obs::Phase::kInstant, "sched_pass",
-        obs::Track::kSlurmctld, 0, counters_.sched_passes, now,
-        periodic ? 1.0 : 0.0,
-        static_cast<double>(counters_.started - started_before));
-  }
 }
 
 bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
@@ -536,10 +541,8 @@ bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
     sim::SimTime horizon = sim::SimTime::max();
     for (const NodeId n : chosen)
       horizon = std::min(horizon, reserved_until[n]);
-    if (horizon != sim::SimTime::max()) {
-      granted = std::clamp(floor_to_slot(horizon - now, kSlot),
-                           rec.spec.time_min, rec.spec.time_limit);
-    }
+    if (horizon != sim::SimTime::max())
+      granted = fit_to_hole(rec.spec, horizon - now);
   }
 
   if (victims.empty()) {
@@ -605,14 +608,9 @@ void Slurmctld::place_pilots(PassCache& cache,
       if (is_var) {
         // Sized against the previous periodic pass's availability
         // picture, not this pass's.
-        const sim::SimTime stale_hole =
-            last_pass_reserved_from_[node] == sim::SimTime::max()
-                ? sim::SimTime::max()
-                : last_pass_reserved_from_[node] - now;
-        if (stale_hole != sim::SimTime::max()) {
-          granted = std::clamp(floor_to_slot(stale_hole, kSlot),
-                               rec.spec.time_min, rec.spec.time_limit);
-        }
+        const sim::SimTime stale_from = last_pass_reserved_from_[node];
+        if (stale_from != sim::SimTime::max())
+          granted = fit_to_hole(rec.spec, stale_from - now);
       } else if (config_.pilot_placement == PilotPlacement::kHoleFitting &&
                  hole != sim::SimTime::max() && rec.spec.time_limit > hole) {
         continue;  // does not fit; try a shorter pilot for this node
@@ -678,16 +676,12 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
   }
 
   if (rec.spec.on_start) {
-    if (config_.launch_latency > sim::SimTime::zero()) {
-      auto cb = rec.spec.on_start;
-      // A job that got SIGTERM inside the latency is already leaving: it
-      // never learns it started.
-      sim_.after(config_.launch_latency, [this, id, cb] {
-        if (record(id).state == JobState::kRunning) cb(record(id));
-      });
-    } else {
-      rec.spec.on_start(rec);
-    }
+    auto cb = rec.spec.on_start;
+    // A job that got SIGTERM inside the latency is already leaving: it
+    // never learns it started.
+    sim_.after(kLaunchLatency, [this, id, cb] {
+      if (record(id).state == JobState::kRunning) cb(record(id));
+    });
   }
 }
 
@@ -835,12 +829,7 @@ bool Slurmctld::reservation_allows(
          sim_.now() + limit_plus_grace <= res_next_start[node];
 }
 
-void Slurmctld::run_sched_pass_tres(bool periodic) {
-  ++counters_.sched_passes;
-  const std::uint64_t started_before = counters_.started;
-  const sim::SimTime now = sim_.now();
-  last_pass_ = now;
-
+void Slurmctld::tres_pass(bool periodic) {
   std::vector<sim::SimTime>& res_next = res_deadline_scratch_;
   build_reservation_deadlines(res_next);
 
@@ -874,14 +863,6 @@ void Slurmctld::run_sched_pass_tres(bool periodic) {
   // Phase 2: pilots pack into whatever TRES is left — including partial
   // nodes already running prime HPC work (fractional-node harvesting).
   place_pilots_tres(res_next, periodic);
-
-  HW_OBS_IF(config_.obs) {
-    config_.obs->trace.record(
-        obs::Cat::kSched, obs::Phase::kInstant, "sched_pass",
-        obs::Track::kSlurmctld, 0, counters_.sched_passes, now,
-        periodic ? 1.0 : 0.0,
-        static_cast<double>(counters_.started - started_before));
-  }
 }
 
 bool Slurmctld::try_start_tres(JobRecord& rec,
@@ -974,11 +955,8 @@ bool Slurmctld::try_start_tres(JobRecord& rec,
     sim::SimTime horizon = sim::SimTime::max();
     for (const NodeId n : chosen)
       horizon = std::min(horizon, res_next_start[n]);
-    if (horizon != sim::SimTime::max()) {
-      granted =
-          std::clamp(floor_to_slot(horizon - now - part.grace_time, kSlot),
-                     rec.spec.time_min, rec.spec.time_limit);
-    }
+    if (horizon != sim::SimTime::max())
+      granted = fit_to_hole(rec.spec, horizon - now - part.grace_time);
   }
 
   if (victims.empty()) {
@@ -1096,11 +1074,9 @@ void Slurmctld::place_pilots_tres(
             part.grace_time;
         if (!reservation_allows(res_next_start, nid, feas)) continue;
         sim::SimTime granted = rec.spec.time_limit;
-        if (is_var && res_next_start[nid] != sim::SimTime::max()) {
-          const sim::SimTime hole = res_next_start[nid] - now - part.grace_time;
-          granted = std::clamp(floor_to_slot(hole, kSlot),
-                               rec.spec.time_min, rec.spec.time_limit);
-        }
+        if (is_var && res_next_start[nid] != sim::SimTime::max())
+          granted = fit_to_hole(rec.spec,
+                                res_next_start[nid] - now - part.grace_time);
         queue.erase(it);
         launch(rec, {nid}, granted);
         progress = true;

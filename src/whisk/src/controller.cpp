@@ -324,18 +324,21 @@ InvokerId Controller::route(const FunctionSpec& spec,
                             const std::vector<InvokerId>& healthy) {
   const std::size_t n = healthy.size();
   const std::uint64_t hash = spec.hash;
+  // The first healthy invoker with the fewest calls in flight.
+  const auto least_loaded = [&] {
+    InvokerId best = healthy.front();
+    for (const InvokerId id : healthy) {
+      if (invokers_[id].in_flight < invokers_[best].in_flight) best = id;
+    }
+    return best;
+  };
   switch (config_.route_mode) {
     case RouteMode::kHashOnly:
       return healthy[hash % n];
     case RouteMode::kRoundRobin:
       return healthy[round_robin_next_++ % n];
-    case RouteMode::kLeastLoaded: {
-      InvokerId best = healthy.front();
-      for (const InvokerId id : healthy) {
-        if (invokers_[id].in_flight < invokers_[best].in_flight) best = id;
-      }
-      return best;
-    }
+    case RouteMode::kLeastLoaded:
+      return least_loaded();
     case RouteMode::kLeastExpectedWork:
       pending_decision_ =
           scheduler_->route_least_expected_work(spec.index, healthy);
@@ -363,11 +366,7 @@ InvokerId Controller::route(const FunctionSpec& spec,
       return candidate;
     idx = (idx + std::max<std::size_t>(1, stride)) % n;
   }
-  InvokerId best = healthy.front();
-  for (const InvokerId id : healthy) {
-    if (invokers_[id].in_flight < invokers_[best].in_flight) best = id;
-  }
-  return best;
+  return least_loaded();
 }
 
 std::uint32_t Controller::in_flight(InvokerId id) const {

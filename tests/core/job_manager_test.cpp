@@ -23,7 +23,6 @@ struct Fixture {
              [nodes] {
                slurm::Slurmctld::Config cfg;
                cfg.node_count = nodes;
-               cfg.launch_latency = SimTime::zero();
                cfg.min_pass_gap = SimTime::zero();
                return cfg;
              }(),

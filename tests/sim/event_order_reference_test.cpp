@@ -10,9 +10,12 @@
 // from inside callbacks (including a series stopping itself), a series
 // stopped and another started in the same callback (the new one reuses
 // the stopped one's storage while its dead entry is still queued),
-// settle_to() followed by same-instant scheduling, and fixed-delay
-// one-shots (after_fixed) at three delays — one shared with a series
-// interval, so a lane holds both — cancelled from inside callbacks.
+// settle_to() followed by same-instant scheduling, fixed-delay one-shots
+// (after_fixed) at three delays — one shared with a series interval, so a
+// lane holds both — cancelled from inside callbacks, and bursts of 65 to
+// 160 events at one instant, interleaved with lane entries at that
+// instant, whose members cancel pending members of the latest burst, one
+// at a time or a whole tail at once (enough tombstones to compact).
 
 #include <gtest/gtest.h>
 
@@ -33,8 +36,7 @@
 namespace hpcwhisk::sim {
 namespace {
 
-/// The simulation contract on a single ordered set: no heap, no stage,
-/// no lanes.
+/// The simulation contract on a single ordered set: no heap, no lanes.
 class RefSim {
  public:
   using Id = std::uint64_t;
@@ -160,8 +162,8 @@ class Script {
     for (SimTime t = chunk; t <= horizon; t = t + chunk) {
       sim_.run_until(t);
       // Jump ahead when nothing is due in between, then schedule at the
-      // new instant: such an entry can sort before a run the queue staged
-      // while looking past `t`.
+      // new instant: such an entry sorts before everything the queue
+      // held past `t` when it stopped.
       try {
         sim_.settle_to(t + SimTime::millis(rng_.uniform_int(0, 120)));
       } catch (const std::logic_error&) {
@@ -169,6 +171,7 @@ class Script {
       }
       sim_.at(sim_.now(), [this] { fire(-3); });
       if (rng_.uniform_int(0, 1) == 0) start_series();
+      if (rng_.uniform_int(0, 2) == 0) start_burst();
     }
     log_.emplace_back(-4, static_cast<std::int64_t>(sim_.executed_events()));
     return log_;
@@ -176,6 +179,8 @@ class Script {
 
   [[nodiscard]] int fixed_started() const { return fixed_started_; }
   [[nodiscard]] int fixed_cancelled() const { return fixed_cancelled_; }
+  [[nodiscard]] int bursts() const { return bursts_; }
+  [[nodiscard]] int burst_cancelled() const { return burst_cancelled_; }
 
  private:
   void start_series() {
@@ -204,6 +209,53 @@ class Script {
     oneshots_.push_back(id);
     fixed_.push_back(id);
     ++fixed_started_;
+  }
+
+  // A long same-instant run (longer than a 64-entry batch a queue might
+  // drain it in) at a fixed delay: about one in eight members goes
+  // through after_fixed, so the lane holds entries at the burst's instant
+  // interleaved in seq with the heap's.
+  void start_burst() {
+    ++bursts_;
+    const SimTime delay = SimTime::millis(kFixedDelaysMs[rng_.uniform_int(0, 2)]);
+    const auto n = rng_.uniform_int(65, 160);
+    burst_.clear();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const int tag = next_tag_++;
+      if (rng_.uniform_int(0, 7) == 0) {
+        fixed_.push_back(sim_.after_fixed(delay, [this, tag] { fire(tag); }));
+        ++fixed_started_;
+      } else {
+        burst_.push_back(sim_.after(delay, [this, tag] { fire_burst(tag); }));
+      }
+    }
+  }
+
+  void fire_burst(int tag) {
+    log_.emplace_back(tag, sim_.now().ticks());
+    if (burst_.empty()) return;
+    const std::int64_t roll = rng_.uniform_int(0, 19);
+    const auto i = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(burst_.size()) - 1));
+    if (roll < 6) {  // cancel a member, often still pending
+      cancel_burst(i, i + 1);
+    } else if (roll < 8) {  // same instant, behind the rest of the burst
+      start_oneshot_at_now();
+    } else if (roll < 9) {  // cancel a tail at once: tombstones pile up
+      cancel_burst(i, burst_.size());
+    }
+  }
+
+  void cancel_burst(std::size_t from, std::size_t to) {
+    int cancelled = 0;
+    for (std::size_t i = from; i < to; ++i) cancelled += sim_.cancel(burst_[i]) ? 1 : 0;
+    burst_cancelled_ += cancelled;
+    log_.emplace_back(-7, cancelled);
+  }
+
+  void start_oneshot_at_now() {
+    const int tag = next_tag_++;
+    oneshots_.push_back(sim_.after(SimTime::zero(), [this, tag] { fire(tag); }));
   }
 
   void fire(int tag) {
@@ -252,6 +304,10 @@ class Script {
   std::vector<Id> fixed_;
   int fixed_started_{0};
   int fixed_cancelled_{0};
+  /// The latest burst's heap members.
+  std::vector<Id> burst_;
+  int bursts_{0};
+  int burst_cancelled_{0};
   std::vector<Firing> log_;
 };
 
@@ -267,6 +323,8 @@ TEST(EventOrderReference, SimulationFiresInWhenSeqOrder) {
     ASSERT_GT(want.size(), 1'000u) << "seed " << seed;
     ASSERT_GT(want_script.fixed_started(), 100) << "seed " << seed;
     ASSERT_GT(want_script.fixed_cancelled(), 10) << "seed " << seed;
+    ASSERT_GT(want_script.bursts(), 10) << "seed " << seed;
+    ASSERT_GT(want_script.burst_cancelled(), 100) << "seed " << seed;
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", firing " << i;

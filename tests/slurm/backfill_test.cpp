@@ -27,7 +27,6 @@ std::vector<Partition> partitions() {
 Slurmctld::Config config(std::uint32_t nodes) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();  // tests exercise instant reaction
   return cfg;
 }

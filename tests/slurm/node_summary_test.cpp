@@ -132,7 +132,6 @@ void run_script(std::uint64_t seed, bool tres, Seen& seen) {
   Slurmctld::Config cfg;
   cfg.node_count = tres ? 5 : 8;
   cfg.min_pass_gap = SimTime::seconds(5);
-  cfg.launch_latency = SimTime::millis(200);
   if (tres) {
     cfg.fidelity.tres_mode = true;
     cfg.fidelity.node_capacity = TresVector{8, 32000, 0};

@@ -37,7 +37,6 @@ std::vector<Partition> partitions(SimTime grace = SimTime::minutes(3)) {
 Slurmctld::Config config(std::uint32_t nodes) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();  // tests exercise instant reaction
   return cfg;
 }
@@ -148,13 +147,11 @@ TEST(Preemption, PilotTimesOutAtOwnLimitWithGrace) {
 }
 
 TEST(Preemption, NoStartSignalForAPilotTerminatedInsideTheLaunchLatency) {
-  // on_start reaches a job launch_latency after its launch. A pilot that
+  // on_start reaches a job kLaunchLatency after its launch. A pilot that
   // got SIGTERM in between is already on its way out: it must not be
   // told to start (it would warm up and serve inside its grace).
   Simulation sim;
-  Slurmctld::Config cfg = config(3);
-  cfg.launch_latency = SimTime::millis(200);
-  Slurmctld ctld{sim, cfg, partitions()};
+  Slurmctld ctld{sim, config(3), partitions()};
   std::vector<JobId> started;
   std::vector<JobId> ids;
   for (int i = 0; i < 3; ++i) {

@@ -31,7 +31,6 @@ std::vector<Partition> partitions() {
 Slurmctld::Config base_config(std::uint32_t nodes) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();
   return cfg;
 }

@@ -27,7 +27,6 @@ std::vector<Partition> default_partitions() {
 Slurmctld::Config small_config(std::uint32_t nodes = 4) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();  // tests exercise instant reaction
   return cfg;
 }

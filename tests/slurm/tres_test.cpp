@@ -32,7 +32,6 @@ Slurmctld::Config tres_config(std::uint32_t nodes,
                               TresVector capacity = {8, 32000, 0}) {
   Slurmctld::Config cfg;
   cfg.node_count = nodes;
-  cfg.launch_latency = SimTime::zero();
   cfg.min_pass_gap = SimTime::zero();
   cfg.fidelity.tres_mode = true;
   cfg.fidelity.node_capacity = capacity;

@@ -11,7 +11,8 @@
 #   COVERAGE=1    add an instrumented build (build-cov/), print a gcov
 #                 line-coverage summary for src/ and list the src/
 #                 functions no test or simcheck seed ever entered
-# Near the end it prints tools/knob_census.sh's totals line; the last step
+# Near the end it prints tools/knob_census.sh's totals line and fails if a
+# Config member is set only by tests/examples or nothing; the last step
 # runs the ctest of hwbench's own build (build-benchmark/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -388,10 +389,18 @@ fi
 # at HW_BENCH_TRIALS=3; the smoke above runs a single 2-cluster leg, so
 # there is no matching committed baseline to gate against here.)
 
-# Informational, gates nothing: how many src/ Config members exist and
-# how many of them only tests set (candidates for named constants).
+# How many src/ Config members exist and how many of them only tests set.
+# A member that nothing outside tests/ and examples/ sets is a named
+# constant in disguise, so any such member fails the smoke
+# (tools/knob_census.sh without --totals names them).
 echo "== knob census =="
-tools/knob_census.sh --totals
+census=$(tools/knob_census.sh --totals)
+echo "$census"
+test_only=$(sed -E 's/.*, ([0-9]+) set only by tests\/examples or nothing$/\1/' <<<"$census")
+if [[ "$test_only" != 0 ]]; then
+  echo "FAIL: $test_only Config member(s) set only by tests/examples or nothing" >&2
+  exit 1
+fi
 
 # Benchmark leg: hwbench's own Release build in build-benchmark/ (the
 # tree benchmark/run.sh uses) and its ctest: the compare self-test plus a
